@@ -41,7 +41,6 @@ from .rook import (
     make_rook_scheme,
     rook_decode,
     rook_encode_share,
-    rook_recovery_threshold,
     rook_worker,
 )
 from .baselines import (
@@ -52,6 +51,7 @@ from .baselines import (
     ReplicationScheme,
     SchemeDescriptor,
     UncoveredPair,
+    bind_scheme,
     csa_decode,
     csa_encode,
     lcc_decode,

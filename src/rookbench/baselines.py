@@ -9,22 +9,18 @@ rounds out the comparison.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support
-from .field import (
-    DimensionMismatch,
-    FieldError,
-    FieldMatrix,
-    OpCounter,
-    PrimeField,
-    field_pow,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    solve_linear,
-)
-from .rook import DuplicateEvaluationPoint, NotEnoughProducts, WorkerProduct, WorkerShare
+from . import rook
+# sum_support is unused here, but perfbench/spans.py traces baselines.sum_support.
+from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
+from .field import FieldError, FieldMatrix, OpCounter, PrimeField, mat_add, mat_scale, solve_linear
+from .rook import WorkerShare, _require_products, _select_products
+
+
+class ConfigInvalid(Exception):
+    pass
 
 
 class PoleEvaluation(FieldError):
@@ -33,6 +29,39 @@ class PoleEvaluation(FieldError):
 
 class UncoveredPair(FieldError):
     pass
+
+
+def _anchors_and_points(n, field, m, rng, z, eval_points):
+    """Anchors (default 1..n) and eval points (default m random ones off the anchors)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if z is None:
+        z = tuple(range(1, n + 1))
+    else:
+        z = tuple(v % field.modulus for v in z)
+    if len(set(z)) != n:
+        raise ValueError("anchors must be pairwise distinct")
+    if eval_points is None:
+        if rng is None:
+            raise ValueError("need rng or explicit eval_points")
+        eval_points = tuple(field.distinct_nonzero(rng, m, exclude=z))
+    else:
+        eval_points = tuple(x % field.modulus for x in eval_points)
+        if len(set(eval_points)) != len(eval_points):
+            raise ValueError("evaluation points must be pairwise distinct")
+    return z, eval_points
+
+
+def _combine(field, coeffs, inputs, counter):
+    """(sum_i c_i A_i, sum_i c_i B_i), accumulated in input order."""
+    a = None
+    b = None
+    for coeff, (ai, bi) in zip(coeffs, inputs):
+        ta = mat_scale(field, coeff, ai, counter)
+        tb = mat_scale(field, coeff, bi, counter)
+        a = ta if a is None else mat_add(field, a, ta, counter)
+        b = tb if b is None else mat_add(field, b, tb, counter)
+    return a, b
 
 
 # --- LCC --------------------------------------------------------------------
@@ -52,29 +81,21 @@ class LccScheme:
     def threshold(self) -> int:
         return 2 * self.n - 1
 
+    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
+        return lcc_encode(self, inputs, worker_id, counter)
+
+    def decode(self, products, counter: OpCounter | None = None):
+        _require_products(products, self.threshold)
+        return lcc_decode(products, self, counter)
+
 
 def make_lcc_scheme(n, field, m, rng=None, z=None, eval_points=None) -> LccScheme:
     """Anchors default to 1..n; explicit eval points may coincide with them
     (the interpolation property makes anchor evaluations trivially valid),
     though the random draw avoids them."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if 2 * n - 1 > field.modulus:
         raise ValueError(f"need 2n-1 <= {field.modulus} distinct points")
-    if z is None:
-        z = tuple(range(1, n + 1))
-    else:
-        z = tuple(v % field.modulus for v in z)
-    if len(set(z)) != n:
-        raise ValueError("anchors must be pairwise distinct")
-    if eval_points is None:
-        if rng is None:
-            raise ValueError("need rng or explicit eval_points")
-        eval_points = tuple(field.distinct_nonzero(rng, m, exclude=z))
-    else:
-        eval_points = tuple(x % field.modulus for x in eval_points)
-        if len(set(eval_points)) != len(eval_points):
-            raise ValueError("evaluation points must be pairwise distinct")
+    z, eval_points = _anchors_and_points(n, field, m, rng, z, eval_points)
     return LccScheme(field=field, z=z, eval_points=eval_points)
 
 
@@ -104,24 +125,8 @@ def lcc_encode(scheme: LccScheme, inputs, worker_id: int, counter: OpCounter | N
     """Evaluate the Lagrange interpolants of the inputs at x_w."""
     field = scheme.field
     x = scheme.eval_points[worker_id]
-    basis = _lagrange_basis(field, scheme.z, x, counter)
-    a = None
-    b = None
-    for coeff, (ai, bi) in zip(basis, inputs):
-        ta = mat_scale(field, coeff, ai, counter)
-        tb = mat_scale(field, coeff, bi, counter)
-        a = ta if a is None else mat_add(field, a, ta, counter)
-        b = tb if b is None else mat_add(field, b, tb, counter)
+    a, b = _combine(field, _lagrange_basis(field, scheme.z, x, counter), inputs, counter)
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
-
-
-def _select_products(products, needed):
-    if len(products) < needed:
-        raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
-    chosen = list(products[:needed])
-    if len({pr.x for pr in chosen}) != needed:
-        raise DuplicateEvaluationPoint("duplicate x among selected products")
-    return chosen
 
 
 def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
@@ -166,27 +171,19 @@ class CsaScheme:
     def threshold(self) -> int:
         return 2 * self.n - 1
 
+    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
+        return csa_encode(self, inputs, worker_id, counter)
+
+    def decode(self, products, counter: OpCounter | None = None):
+        _require_products(products, self.threshold)
+        return csa_decode(products, self, counter)
+
 
 def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaScheme:
     """Anchors 1..n; eval points drawn disjoint from the anchors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if z is None:
-        z = tuple(range(1, n + 1))
-    else:
-        z = tuple(v % field.modulus for v in z)
-    if len(set(z)) != n:
-        raise ValueError("anchors must be pairwise distinct")
-    if eval_points is None:
-        if rng is None:
-            raise ValueError("need rng or explicit eval_points")
-        eval_points = tuple(field.distinct_nonzero(rng, m, exclude=z))
-    else:
-        eval_points = tuple(x % field.modulus for x in eval_points)
-        if len(set(eval_points)) != len(eval_points):
-            raise ValueError("evaluation points must be pairwise distinct")
-        if set(eval_points) & set(z):
-            raise ValueError("evaluation points must avoid the anchors")
+    z, eval_points = _anchors_and_points(n, field, m, rng, z, eval_points)
+    if set(eval_points) & set(z):
+        raise ValueError("evaluation points must avoid the anchors")
     p = field.modulus
     residues = []
     for i, zi in enumerate(z):
@@ -211,13 +208,7 @@ def csa_encode(scheme: CsaScheme, inputs, worker_id: int, counter: OpCounter | N
         f = f * (zi - x) % p
     if counter is not None:
         counter.mul_count += scheme.n - 1
-    a = None
-    b = None
-    for inv_i, (ai, bi) in zip(invs, inputs):
-        ta = mat_scale(field, inv_i, ai, counter)
-        tb = mat_scale(field, inv_i, bi, counter)
-        a = ta if a is None else mat_add(field, a, ta, counter)
-        b = tb if b is None else mat_add(field, b, tb, counter)
+    a, b = _combine(field, invs, inputs, counter)
     a = mat_scale(field, f, a, counter)
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
 
@@ -273,6 +264,22 @@ class ReplicationScheme:
         # Worst case: all lambda replicas of one pair may fail together.
         return self.m - self.lam + 1
 
+    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
+        """The worker's assigned pair, uncoded; x names the pair."""
+        i = self.assignment(worker_id)
+        a, b = inputs[i]
+        return WorkerShare(worker_id=worker_id, x=i, a_tilde=a, b_tilde=b)
+
+    def decode(self, products, counter: OpCounter | None = None):
+        """Each pair's first product; UncoveredPair while some pair has none."""
+        first = {}
+        for pr in products:
+            first.setdefault(pr.x, pr.e)
+        missing = [i for i in range(self.n) if i not in first]
+        if missing:
+            raise UncoveredPair(f"pairs {missing} have no alive replica")
+        return [first[i] for i in range(self.n)]
+
 
 def replication_run(
     field: PrimeField,
@@ -281,29 +288,16 @@ def replication_run(
     alive_workers,
     counter: OpCounter | None = None,
 ):
-    """Compute every pair's product from its first alive replica.
+    """Every alive worker multiplies its pair; each pair's first product is kept.
 
     Workers are assigned round-robin (worker w handles pair w mod n).
     Raises UncoveredPair when some pair lost all lambda replicas.
     """
-    n = len(inputs)
-    scheme = ReplicationScheme(n=n, lam=lam)
+    scheme = ReplicationScheme(n=len(inputs), lam=lam)
     alive = sorted(set(alive_workers))
     if any(w < 0 or w >= scheme.m for w in alive):
         raise ValueError("alive worker id out of range")
-    chosen = {}
-    for w in alive:
-        idx = scheme.assignment(w)
-        if idx not in chosen:
-            chosen[idx] = w
-    missing = [i for i in range(n) if i not in chosen]
-    if missing:
-        raise UncoveredPair(f"pairs {missing} have no alive replica")
-    out = []
-    for i in range(n):
-        a, b = inputs[i]
-        out.append(mat_mul(field, a, b, counter))
-    return out
+    return scheme.decode([rook.rook_worker(field, scheme.encode(inputs, w), counter) for w in alive])
 
 
 # --- descriptors -------------------------------------------------------------
@@ -329,6 +323,11 @@ class SchemeDescriptor:
         if self.scheme == "replication" and (self.lam is None or self.lam < 1):
             raise ValueError("replication needs lambda >= 1")
 
+    @property
+    def fixed_m(self) -> int | None:
+        """Replication runs on exactly lambda * n workers; coded schemes on any m."""
+        return self.lam * self.n if self.scheme == "replication" else None
+
     def to_json_dict(self) -> dict:
         d = {"scheme": self.scheme, "n": self.n}
         if self.lam is not None:
@@ -348,23 +347,59 @@ class SchemeDescriptor:
         )
 
 
+def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
+    """Bind a descriptor to a field and m workers: the one place that picks a
+    scheme's code by its name.
+
+    Every bound scheme has `threshold`, `encode(inputs, w, counter)` giving
+    worker w's share, and `decode(products, counter)` giving all n products
+    or raising a FieldError (NotEnoughProducts below the threshold). A
+    configuration the field or the worker count cannot hold raises
+    ConfigInvalid.
+    """
+    try:
+        if desc.scheme == "lcc":
+            return make_lcc_scheme(desc.n, field, m, rng=rng)
+        if desc.scheme == "csa":
+            return make_csa_scheme(desc.n, field, m, rng=rng)
+        if desc.scheme == "replication":
+            if m != desc.fixed_m:
+                raise ValueError(f"replication needs m = lambda*n = {desc.fixed_m}, got {m}")
+            return ReplicationScheme(n=desc.n, lam=desc.lam)
+        pair = desc.exponents
+        if pair is None:
+            # Built per call, so a replaced module attribute is the one called.
+            generators = {
+                "rook-poly": poly_code_exponents,
+                "rook-base3": base3_exponents,
+                "rook-behrend": behrend_exponents,
+            }
+            pair = generators[desc.scheme](desc.n)
+        return rook.make_rook_scheme(pair, field, m, rng=rng)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+
+_ANY_FIELD = PrimeField()
+
+
+def _bind_anywhere(descriptor: SchemeDescriptor):
+    # No threshold or exponent pair depends on the field or the eval points,
+    # so bind with as few workers as the scheme accepts.
+    return bind_scheme(descriptor, _ANY_FIELD, descriptor.fixed_m or 0, random.Random(0))
+
+
 def rook_exponents_for(descriptor: SchemeDescriptor) -> ExponentPair:
+    """A rook descriptor's exponent pair: its explicit one, else its generator's."""
     if descriptor.exponents is not None:
         return descriptor.exponents
-    if descriptor.scheme == "rook-poly":
-        return poly_code_exponents(descriptor.n)
-    if descriptor.scheme == "rook-base3":
-        return base3_exponents(descriptor.n)
-    if descriptor.scheme == "rook-behrend":
-        return behrend_exponents(descriptor.n)
-    raise ValueError(f"{descriptor.scheme} has no exponent pair")
+    scheme = _bind_anywhere(descriptor)
+    if not isinstance(scheme, rook.RookScheme):
+        raise ValueError(f"{descriptor.scheme} has no exponent pair")
+    return scheme.pair
 
 
 def scheme_threshold(descriptor: SchemeDescriptor) -> int:
     """Recovery threshold: |P+Q| for rook codes, 2n-1 for LCC/CSA,
     m - lambda + 1 (worst case) for replication."""
-    if descriptor.scheme in ROOK_SCHEMES:
-        return sum_support(rook_exponents_for(descriptor)).L
-    if descriptor.scheme in ("lcc", "csa"):
-        return 2 * descriptor.n - 1
-    return ReplicationScheme(n=descriptor.n, lam=descriptor.lam).threshold
+    return _bind_anywhere(descriptor).threshold

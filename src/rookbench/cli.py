@@ -132,16 +132,9 @@ def cmd_bench_delta(args) -> int:
     return 0
 
 
-def _descriptor_from_args(args) -> SchemeDescriptor:
-    lam = getattr(args, "lam", None)
-    if args.scheme == "replication":
-        return SchemeDescriptor(scheme="replication", n=args.n, lam=lam or 2)
-    return SchemeDescriptor(scheme=args.scheme, n=args.n)
-
-
 def cmd_simulate(args) -> int:
     try:
-        desc = _descriptor_from_args(args)
+        desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam or 2)
         m = args.workers if args.workers is not None else scheme_threshold(desc) + 4
         config = SimConfig(
             descriptor=desc,

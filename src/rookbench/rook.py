@@ -55,6 +55,14 @@ class RookScheme:
     def threshold(self) -> int:
         return self.support.L
 
+    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> "WorkerShare":
+        return rook_encode_share(self, inputs, worker_id, counter)
+
+    def decode(self, products, counter: OpCounter | None = None):
+        """All A_k B_k; NotEnoughProducts until `threshold` responses are in."""
+        _require_products(products, self.threshold)
+        return rook_decode(products, self, counter)
+
 
 def make_rook_scheme(
     pair: ExponentPair,
@@ -174,6 +182,20 @@ def rook_worker(field: PrimeField, share: WorkerShare, counter: OpCounter | None
     return WorkerProduct(worker_id=share.worker_id, x=share.x, e=e)
 
 
+def _require_products(products, needed: int) -> None:
+    if len(products) < needed:
+        raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
+
+
+def _select_products(products, needed: int) -> list:
+    """The first `needed` products, which must have pairwise distinct x."""
+    _require_products(products, needed)
+    chosen = list(products[:needed])
+    if len({pr.x for pr in chosen}) != needed:
+        raise DuplicateEvaluationPoint("duplicate x among selected products")
+    return chosen
+
+
 def _support_row(field, x, support, counter):
     # x^{e_t} for the sorted support, sharing work through the gaps.
     row = []
@@ -202,13 +224,7 @@ def rook_decode(
     """
     support = scheme.support
     L = support.L
-    if len(products) < L:
-        raise NotEnoughProducts(f"need {L} products, have {len(products)}")
-    selected = list(products[:L])
-    xs = [pr.x for pr in selected]
-    if len(set(xs)) != L:
-        raise DuplicateEvaluationPoint("duplicate x among selected products")
-
+    selected = _select_products(products, L)
     field = scheme.field
 
     def attempt(chosen):
@@ -232,8 +248,3 @@ def rook_decode(
             raise SingularAfterRetry("system still singular after one retry") from exc
 
     return [coeffs[t] for t in support.diag_index]
-
-
-def rook_recovery_threshold(scheme: RookScheme) -> int:
-    """The number of responses decoding needs: L = |P+Q|."""
-    return scheme.support.L

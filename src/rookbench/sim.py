@@ -4,8 +4,9 @@ Each worker draws its fate from a PRNG stream keyed by (seed, worker id),
 so a run is reproducible regardless of host parallelism: failed workers
 never respond, survivors respond at base_delay * (work size) plus an
 exponential straggle term, and the master consumes responses in completion
-order, attempting a decode once the scheme's threshold is reached.  Every
-successful decode is verified against direct per-pair products.
+order, asking the bound scheme to decode after each one (coded schemes
+wait for their threshold; replication checks coverage).  Every successful
+decode is verified against direct per-pair products.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
-from . import baselines, rook
-from .baselines import ReplicationScheme, SchemeDescriptor, scheme_threshold
+from . import rook
+from .baselines import ConfigInvalid, SchemeDescriptor, bind_scheme, scheme_threshold
 from .field import M61, FieldError, OpCounter, PrimeField, mat_mul, mat_random
-
-
-class ConfigInvalid(Exception):
-    pass
+from .rook import NotEnoughProducts
 
 
 @dataclass(frozen=True)
@@ -71,25 +69,7 @@ class SimReport:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "success": self.success,
-            "responses_received": self.responses_received,
-            "responses_used": self.responses_used,
-            "failed_workers": list(self.failed_workers),
-            "threshold": self.threshold,
-            "encode_muls": self.encode_muls,
-            "encode_invs": self.encode_invs,
-            "worker_muls": self.worker_muls,
-            "decode_muls": self.decode_muls,
-            "decode_invs": self.decode_invs,
-            "wallclock_sim_units": self.wallclock_sim_units,
-            "verified": self.verified,
-            "error": self.error,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -110,11 +90,6 @@ def _validate(config: SimConfig):
     if config.encode_at not in ("master", "workers"):
         raise ConfigInvalid(f"encode_at must be master or workers, got {config.encode_at!r}")
     config.fault.validate()
-    desc = config.descriptor
-    if desc.scheme == "replication" and config.m != desc.lam * desc.n:
-        raise ConfigInvalid(
-            f"replication needs m = lambda*n = {desc.lam * desc.n}, got {config.m}"
-        )
 
 
 def run_simulation(config: SimConfig) -> SimReport:
@@ -123,7 +98,6 @@ def run_simulation(config: SimConfig) -> SimReport:
     desc = config.descriptor
     fld = PrimeField(config.modulus)
     rows, inner, cols = config.dims
-    n = desc.n
     seed = config.seed
 
     inputs = [
@@ -131,57 +105,10 @@ def run_simulation(config: SimConfig) -> SimReport:
             mat_random(fld, rows, inner, stream(seed, "input", i, "a")),
             mat_random(fld, inner, cols, stream(seed, "input", i, "b")),
         )
-        for i in range(n)
+        for i in range(desc.n)
     ]
     oracle = [mat_mul(fld, a, b) for a, b in inputs]
-
-    threshold = scheme_threshold(desc)
-    report = SimReport(
-        scheme=desc.scheme,
-        n=n,
-        m=config.m,
-        seed=seed,
-        success=False,
-        responses_received=0,
-        responses_used=0,
-        failed_workers=[],
-        threshold=threshold,
-        encode_muls=0,
-        encode_invs=0,
-        worker_muls=0,
-        decode_muls=0,
-        decode_invs=0,
-        wallclock_sim_units=0.0,
-        verified=False,
-    )
-    if config.m < threshold:
-        # Still runnable (faults may not matter for replication's realized
-        # coverage), but the worst case cannot be satisfied.
-        report.error = "InsufficientWorkers"
-
-    scheme_rng = stream(seed, "scheme")
-    encode_ctr = OpCounter()
-    decode_ctr = OpCounter()
-
-    if desc.scheme in baselines.ROOK_SCHEMES:
-        pair = baselines.rook_exponents_for(desc)
-        scheme = rook.make_rook_scheme(pair, fld, config.m, rng=scheme_rng)
-        encode_one = lambda w, ctr: rook.rook_encode_share(scheme, inputs, w, ctr)
-        decode = lambda prods: rook.rook_decode(prods, scheme, decode_ctr)
-    elif desc.scheme == "lcc":
-        scheme = baselines.make_lcc_scheme(n, fld, config.m, rng=scheme_rng)
-        encode_one = lambda w, ctr: baselines.lcc_encode(scheme, inputs, w, ctr)
-        decode = lambda prods: baselines.lcc_decode(prods, scheme, decode_ctr)
-    elif desc.scheme == "csa":
-        scheme = baselines.make_csa_scheme(n, fld, config.m, rng=scheme_rng)
-        encode_one = lambda w, ctr: baselines.csa_encode(scheme, inputs, w, ctr)
-        decode = lambda prods: baselines.csa_decode(prods, scheme, decode_ctr)
-    elif desc.scheme == "replication":
-        scheme = ReplicationScheme(n=n, lam=desc.lam)
-        encode_one = None
-        decode = None
-    else:  # pragma: no cover - descriptor validation rules this out
-        raise ConfigInvalid(f"unhandled scheme {desc.scheme}")
+    scheme = bind_scheme(desc, fld, config.m, stream(seed, "scheme"))
 
     # Fault and timing draws, one stream per worker.
     work_units = rows * inner * cols
@@ -197,93 +124,55 @@ def run_simulation(config: SimConfig) -> SimReport:
             t += wrng.expovariate(1.0 / config.fault.straggle_mean)
         arrivals.append((t, w))
     arrivals.sort()
-    report.failed_workers = failed
-    report.responses_received = len(arrivals)
-
-    if desc.scheme == "replication":
-        return _run_replication(config, fld, scheme, inputs, oracle, arrivals, report)
+    survivors = sorted(w for _, w in arrivals)
 
     # Encoding cost lands on the master (all m shares) or on each surviving
     # worker, depending on where encoding is delegated.
-    survivors = {w for _, w in arrivals}
-    shares = {}
-    if config.encode_at == "master":
-        for w in range(config.m):
-            shares[w] = encode_one(w, encode_ctr)
-    else:
-        for w in sorted(survivors):
-            shares[w] = encode_one(w, encode_ctr)
-
+    encode_ctr = OpCounter()
+    encoded = range(config.m) if config.encode_at == "master" else survivors
+    shares = {w: scheme.encode(inputs, w, encode_ctr) for w in encoded}
     worker_ctr = OpCounter()
-    products_by_worker = {
-        w: rook.rook_worker(fld, shares[w], worker_ctr) for w in sorted(survivors)
-    }
+    responses = {w: rook.rook_worker(fld, shares[w], worker_ctr) for w in survivors}
 
+    # The master takes responses in completion order and tries to decode
+    # after each one, until a decode succeeds.
+    decode_ctr = OpCounter()
     products = []
     decoded = None
-    used = 0
+    error = None
     clock = 0.0
     for t, w in arrivals:
-        products.append(products_by_worker[w])
+        products.append(responses[w])
         clock = t
-        if len(products) < threshold:
-            continue
         try:
-            decoded = decode(products)
-        except FieldError as exc:
-            report.error = type(exc).__name__
+            decoded = scheme.decode(products, decode_ctr)
+        except NotEnoughProducts:
             continue
-        used = threshold
-        report.error = None
+        except FieldError as exc:
+            error = type(exc).__name__
+            continue
         break
 
-    report.encode_muls = encode_ctr.mul_count
-    report.encode_invs = encode_ctr.inv_count
-    report.worker_muls = worker_ctr.mul_count
-    report.decode_muls = decode_ctr.mul_count
-    report.decode_invs = decode_ctr.inv_count
-    report.wallclock_sim_units = clock
-
-    if decoded is None:
-        report.success = False
-        if report.error is None:
-            report.error = "InsufficientWorkers"
-        return report
-
-    report.success = True
-    report.responses_used = used
-    report.verified = decoded == oracle
-    return report
-
-
-def _run_replication(config, fld, scheme, inputs, oracle, arrivals, report):
-    # Every responding worker multiplies its assigned pair, whether or not
-    # the master ends up using that copy.
-    worker_ctr = OpCounter()
-    responses = {
-        w: mat_mul(fld, *inputs[scheme.assignment(w)], worker_ctr) for _, w in arrivals
-    }
-    covered = {}
-    used = 0
-    clock = 0.0
-    for t, w in arrivals:
-        used += 1
-        clock = t
-        covered.setdefault(scheme.assignment(w), responses[w])
-        if len(covered) == scheme.n:
-            break
-    report.worker_muls = worker_ctr.mul_count
-    report.wallclock_sim_units = clock
-    if len(covered) < scheme.n:
-        report.success = False
-        report.error = "UncoveredPair" if arrivals else "InsufficientWorkers"
-        return report
-    decoded = [covered[i] for i in range(scheme.n)]
-    report.success = True
-    report.responses_used = used
-    report.error = None
-    report.verified = decoded == oracle
-    return report
+    success = decoded is not None
+    return SimReport(
+        scheme=desc.scheme,
+        n=desc.n,
+        m=config.m,
+        seed=seed,
+        success=success,
+        responses_received=len(arrivals),
+        responses_used=min(len(products), scheme.threshold) if success else 0,
+        failed_workers=failed,
+        threshold=scheme.threshold,
+        encode_muls=encode_ctr.mul_count,
+        encode_invs=encode_ctr.inv_count,
+        worker_muls=worker_ctr.mul_count,
+        decode_muls=decode_ctr.mul_count,
+        decode_invs=decode_ctr.inv_count,
+        wallclock_sim_units=clock,
+        verified=success and decoded == oracle,
+        error=None if success else error or "InsufficientWorkers",
+    )
 
 
 SWEEP_COLUMNS = (
@@ -322,12 +211,8 @@ def sweep(
     out_rows = []
     for scheme_name in schemes:
         for n in n_values:
-            if scheme_name == "replication":
-                desc = SchemeDescriptor(scheme=scheme_name, n=n, lam=lam)
-                m = lam * n
-            else:
-                desc = SchemeDescriptor(scheme=scheme_name, n=n)
-                m = scheme_threshold(desc) + extra_workers
+            desc = SchemeDescriptor(scheme=scheme_name, n=n, lam=lam)
+            m = desc.fixed_m or scheme_threshold(desc) + extra_workers
             group = []
             for trial in range(trials):
                 cfg = SimConfig(

@@ -28,7 +28,6 @@ from rookbench.rook import (
     make_rook_scheme,
     rook_decode,
     rook_encode_share,
-    rook_recovery_threshold,
     rook_worker,
 )
 
@@ -302,12 +301,12 @@ def test_roundtrip_small_field(maker):
 
 
 def test_recovery_threshold_values():
-    assert rook_recovery_threshold(worked_scheme()) == 3
+    assert worked_scheme().threshold == 3
     poly3 = make_rook_scheme(poly_code_exponents(3), GF101, 9, rng=rng(61))
-    assert rook_recovery_threshold(poly3) == 9
+    assert poly3.threshold == 9
     b4 = behrend_exponents(4, digit_range=3, length=3)
     scheme = make_rook_scheme(b4, GFM61, 12, rng=rng(62))
-    assert rook_recovery_threshold(scheme) == sum_support(b4).L
+    assert scheme.threshold == sum_support(b4).L
 
 
 # --- scheme construction ---------------------------------------------------------

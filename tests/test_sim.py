@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from rookbench import baselines
 from rookbench.baselines import SchemeDescriptor
+from rookbench.exponents import ExponentPair
 from rookbench.sim import (
     SWEEP_COLUMNS,
     ConfigInvalid,
@@ -131,6 +133,39 @@ def test_replication_sim_uncovered_pair():
 def test_replication_sim_requires_matching_m():
     with pytest.raises(ConfigInvalid):
         run_simulation(cfg(scheme="replication", n=2, m=5, lam=2))
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        (SchemeDescriptor(scheme=s, n=8), "cannot draw 300 distinct nonzero points")
+        for s in ("lcc", "csa", "rook-poly", "rook-behrend")
+    ]
+    + [
+        (SchemeDescriptor(scheme="rook-poly", n=17), "too large for modulus 257"),
+        (
+            SchemeDescriptor(scheme="rook-poly", n=3, exponents=ExponentPair(3, (0, 1, 2), (0, 1, 2))),
+            "exponent pair is not decodable",
+        ),
+    ],
+)
+def test_bind_errors_are_config_invalid(desc, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        run_simulation(SimConfig(descriptor=desc, m=300, modulus=257))
+
+
+def test_rook_exponents_generated_once_per_simulation(monkeypatch):
+    calls = []
+    original = baselines.behrend_exponents
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "behrend_exponents", counted)
+    rep = run_simulation(cfg(scheme="rook-behrend", n=4, m=14))
+    assert rep.success and rep.verified
+    assert calls == [4]
 
 
 def test_insufficient_workers_is_recorded_not_raised():
