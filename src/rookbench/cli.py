@@ -135,7 +135,7 @@ def cmd_bench_delta(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam or 2)
-        m = args.workers if args.workers is not None else scheme_threshold(desc) + 4
+        m = args.workers if args.workers is not None else desc.fixed_m or scheme_threshold(desc) + 4
         config = SimConfig(
             descriptor=desc,
             m=m,

@@ -14,7 +14,6 @@ carry-free base, which is 3-AP-free and therefore decodable.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -122,72 +121,77 @@ def base3_exponents(n: int) -> ExponentPair:
 _VALUE_CAP = (1 << 61) - 2  # keep generated exponents bindable to GF(2^61-1)
 
 
-def _shell_sizes(d: int, length: int) -> list:
-    """counts[k] = number of vectors in {0..d-1}^length with sum of squares k."""
-    squares = [v * v for v in range(d)]
-    counts = [1]
-    for _ in range(length):
-        nxt = [0] * (len(counts) + squares[-1])
-        for r, c in enumerate(counts):
-            if c:
-                for s in squares:
-                    nxt[r + s] += c
-        counts = nxt
-    return counts
+def _ways_table(d: int, length: int) -> np.ndarray:
+    """ways[j, r] = vectors of length j over {0..d-1} with squared norm r.
 
-
-def _ways_table(d: int, length: int) -> list:
-    """ways[j][r] = vectors of length j over {0..d-1} with squared norm r."""
-    squares = [v * v for v in range(d)]
-    ways = [[1]]
-    for _ in range(length):
-        prev = ways[-1]
-        nxt = [0] * (len(prev) + squares[-1])
-        for r, c in enumerate(prev):
-            if c:
-                for s in squares:
-                    nxt[r + s] += c
-        ways.append(nxt)
+    Entries count at most d^length vectors, so they are int64 below 2^63 and
+    exact Python ints above it.
+    """
+    top = (d - 1) ** 2
+    dtype = np.int64 if d**length < 1 << 63 else object
+    ways = np.zeros((length + 1, length * top + 1), dtype=dtype)
+    ways[0, 0] = 1
+    for j in range(1, length + 1):
+        prev = ways[j - 1, : (j - 1) * top + 1]
+        for v in range(d):
+            ways[j, v * v : v * v + prev.size] += prev
     return ways
 
 
-def _smallest_shell_values(d: int, length: int, norm: int, count: int) -> list:
-    """The `count` smallest base-(2d-1) values of norm-`norm` digit vectors.
+def _smallest_shell_values(ways: np.ndarray, d: int, count: int) -> list:
+    """The `count` smallest base-(2d-1) values of the largest shell in `ways`.
 
-    Walks digits most-significant first in increasing order, pruning branches
-    with no completions, so values come out already sorted.
+    The largest shell is the first maximum of the table's last row, so ties
+    keep the smallest norm.  Digits are fixed most-significant first, each
+    prefix followed by its next digit in increasing order, so values stay
+    sorted; after each digit only the shortest run of prefixes whose
+    completions reach `count` is kept.
     """
+    length = len(ways) - 1
     base = 2 * d - 1
-    ways = _ways_table(d, length)
-    out: list[int] = []
-    # stack of (position, remaining_norm, partial_value, next_digit)
-    stack = [(length - 1, norm, 0, 0)]
-    while stack and len(out) < count:
-        pos, rem, val, digit = stack.pop()
-        if digit >= d:
-            continue
-        stack.append((pos, rem, val, digit + 1))
-        r2 = rem - digit * digit
-        if r2 < 0:
-            # digits are tried ascending, so larger digits only overshoot
-            stack.pop()
-            continue
-        v2 = val + digit * base**pos
-        if pos == 0:
-            if r2 == 0:
-                out.append(v2)
-            continue
-        if r2 < len(ways[pos]) and ways[pos][r2]:
-            stack.append((pos - 1, r2, v2, 0))
-    return out
+    squares = np.arange(d) ** 2
+    digits = np.arange(d, dtype=np.int64 if base**length < 1 << 63 else object)
+    rems = np.array([np.argmax(ways[-1])])
+    vals = digits[:1]
+    for pos in range(length - 1, -1, -1):
+        rems = (rems[:, None] - squares).ravel()
+        vals = (vals[:, None] + digits * base**pos).ravel()
+        fit = rems >= 0
+        rems, vals = rems[fit], vals[fit]
+        completions = ways[pos][rems]
+        fit = completions > 0
+        rems, vals = rems[fit], vals[fit]
+        keep = int(np.searchsorted(np.cumsum(completions[fit]), count)) + 1
+        rems, vals = rems[:keep], vals[:keep]
+    return vals.tolist()
 
 
-def _largest_shell(sizes: list):
-    best_k, best_size = 0, 0
-    for k, size in enumerate(sizes):
-        if size > best_size:  # ties keep the smallest norm
-            best_k, best_size = k, size
-    return best_k, best_size
+def _first_viable(n: int, length: int, d_lo: int, d_top: int):
+    """Smallest d in [d_lo, d_top] whose largest shell holds n vectors, with its table.
+
+    The largest shell of {0..d-1}^length never shrinks as d grows (each
+    norm-k shell sits inside the norm-k shell of the bigger cube), so this
+    gallops up from d_lo (d_lo, +1, +3, +7, ...) and bisects the last
+    bracket.  Starting low keeps the tables small when n is small.  Returns
+    None when no d in range is viable.
+    """
+    lo, step = d_lo, 1
+    while lo <= d_top:
+        hi = min(d_lo + step - 1, d_top)
+        ways = _ways_table(hi, length)
+        if ways[-1].max() >= n:
+            break
+        lo, step = hi + 1, 2 * step
+    else:
+        return None
+    while lo < hi:  # every d < lo is too small, hi is viable
+        mid = (lo + hi) // 2
+        mid_ways = _ways_table(mid, length)
+        if mid_ways[-1].max() >= n:
+            hi, ways = mid, mid_ways
+        else:
+            lo = mid + 1
+    return hi, ways
 
 
 def behrend_exponents(
@@ -199,9 +203,10 @@ def behrend_exponents(
 
     With explicit (digit_range, length) = (d, l), enumerates {0..d-1}^l,
     groups by squared norm, takes the largest shell (smallest norm on ties)
-    and maps its n smallest vectors through base 2d-1.  Without them, scans
-    candidate (d, l) pairs and keeps the one whose generated set realizes
-    the smallest |P+P| (ties: smaller max element, then smaller l, d).
+    and maps its n smallest vectors through base 2d-1.  Without them, takes
+    for each l the smallest d whose largest shell holds n vectors, and keeps
+    the candidate whose generated set realizes the smallest |P+P| (ties:
+    smaller max element, then smaller l, d).
 
     Raises ParameterSearchExhausted when no candidate within bounds has a
     shell of size >= n.
@@ -213,67 +218,87 @@ def behrend_exponents(
         raise ValueError("digit_range and length must be given together")
 
     if digit_range is not None:
-        vals = _candidate_values(n, digit_range, length)
-        if vals is None:
-            raise ParameterSearchExhausted(
-                f"no shell of size >= {n} for d={digit_range}, l={length}"
-            )
-        p = tuple(vals)
+        d = digit_range
+        ways = _ways_table(d, length) if d >= 2 and length >= 1 and d**length >= n else None
+        if ways is None or ways[-1].max() < n:
+            raise ParameterSearchExhausted(f"no shell of size >= {n} for d={d}, l={length}")
+        p = tuple(_smallest_shell_values(ways, d, n))
         return ExponentPair(n=n, p=p, q=p)
 
-    best = None  # (realized_L, max_element, l, d, values)
+    best = None  # ((realized_L, max_element, l, d), values)
     log2n = math.log2(n) if n > 1 else 1.0
     max_len = max(math.ceil(2 * math.sqrt(log2n)) + 2, math.ceil(log2n) + 4)
     for ell in range(2, max_len + 1):
         d_lo = max(2, math.ceil(n ** (1.0 / ell)))
-        d_hi = max(d_lo, int((2e7 / (ell * ell)) ** (1.0 / 3.0)))
-        for d in range(d_lo, d_hi + 1):
-            if (2 * d - 1) ** ell - 1 > _VALUE_CAP:
-                break
-            vals = _candidate_values(n, d, ell)
-            if vals is None:
-                continue
-            arr = np.array(vals, dtype=np.int64)
-            realized = int(np.unique(np.add.outer(arr, arr)).size)
-            key = (realized, vals[-1], ell, d)
-            if best is None or key < best[0]:
-                best = (key, vals)
-            break  # larger d in the same length only grows the base
+        d_top = max(d_lo, int((2e7 / (ell * ell)) ** (1.0 / 3.0)))
+        while d_top >= d_lo and (2 * d_top - 1) ** ell - 1 > _VALUE_CAP:
+            d_top -= 1
+        found = _first_viable(n, ell, d_lo, d_top)
+        if found is None:
+            continue
+        d, ways = found
+        vals = _smallest_shell_values(ways, d, n)
+        realized = len(_sumset(vals, vals)[0])
+        key = (realized, vals[-1], ell, d)
+        if best is None or key < best[0]:
+            best = (key, vals)
     if best is None:
         raise ParameterSearchExhausted(f"no digit-shell parameters found for n={n}")
     p = tuple(best[1])
     return ExponentPair(n=n, p=p, q=p)
 
 
-def _candidate_values(n: int, d: int, length: int):
-    if d < 2 or length < 1 or d**length < n:
-        return None
-    sizes = _shell_sizes(d, length)
-    k, size = _largest_shell(sizes)
-    if size < n:
-        return None
-    return _smallest_shell_values(d, length, k, n)
-
-
 # --- validity checks --------------------------------------------------------
 
-_NUMPY_MIN_N = 128
+
+def _sumset(p, q, counts: bool = False):
+    """Distinct sums of P + Q for strictly increasing P, Q.
+
+    Returns (support, diag_index, diag_counts): the sorted distinct sums as
+    an array, the position of each p_k + q_k in it, and with counts=True how
+    many of the |P|*|Q| cross sums equal each p_k + q_k (else None).
+
+    Sums are marked in a table over [p_0 + q_0, p_-1 + q_-1] unless that
+    table would be bigger than the 8*|P|*|Q| bytes of all sums, in which case
+    they are sorted.  Each row p_i + Q holds distinct sums, so a row's table
+    indices never repeat.  When P = Q only the rows of the upper triangle
+    j >= i are read; a diagonal sum 2*p_k is then met once on the diagonal
+    and once per unordered pair, so its full count is twice that less one.
+    Sums past int64 stay Python ints and are sorted.
+    """
+    same = p == q
+    lo, hi = p[0] + q[0], p[-1] + q[-1]
+    dtype = np.int64 if -(1 << 63) <= lo and hi < 1 << 63 else object
+    pa = np.array(p, dtype=dtype)
+    qa = pa if same else np.array(q, dtype=dtype)
+    diag_sums = pa + qa
+    tails = [qa[i:] if same else qa for i in range(len(p))]
+    # a sum's count is at most min(|P|, |Q|), which int32 holds
+    cell_bytes = 4 if counts else 1
+    if dtype is np.int64 and (hi - lo + 1) * cell_bytes <= 8 * len(p) * len(q):
+        table = np.zeros(hi - lo + 1, dtype=np.int32 if counts else bool)
+        for pi, tail in zip(p, tails):
+            if counts:
+                table[(pi - lo) + tail] += 1
+            else:
+                table[(pi - lo) + tail] = True
+        support = np.flatnonzero(table)
+        sum_counts = table[support]
+        support += lo
+    else:
+        support, sum_counts = np.unique(
+            np.concatenate([pi + tail for pi, tail in zip(p, tails)]), return_counts=True
+        )
+    diag_index = np.searchsorted(support, diag_sums)
+    if not counts:
+        return support, diag_index, None
+    diag_counts = sum_counts[diag_index]
+    return support, diag_index, 2 * diag_counts - 1 if same else diag_counts
 
 
 def _diag_multiplicities(pair: ExponentPair) -> list:
     """Multiplicity of each diagonal sum p_k + q_k among all cross sums."""
-    if pair.n < _NUMPY_MIN_N or pair.max_exponent * 2 >= (1 << 62):
-        counts = Counter()
-        for pi in pair.p:
-            for qj in pair.q:
-                counts[pi + qj] += 1
-        return [counts[pk + qk] for pk, qk in zip(pair.p, pair.q)]
-    p = np.asarray(pair.p, dtype=np.int64)
-    q = np.asarray(pair.q, dtype=np.int64)
-    sums = np.add.outer(p, q).ravel()
-    support, counts = np.unique(sums, return_counts=True)
-    idx = np.searchsorted(support, p + q)
-    return counts[idx].tolist()
+    return _sumset(pair.p, pair.q, counts=True)[2].tolist()
 
 
 def is_decodable(pair: ExponentPair) -> bool:
@@ -283,52 +308,23 @@ def is_decodable(pair: ExponentPair) -> bool:
 
 def sum_support(pair: ExponentPair) -> SumSupport:
     """Sorted distinct sums of P+Q plus the position of each diagonal sum."""
-    if pair.n < _NUMPY_MIN_N or pair.max_exponent * 2 >= (1 << 62):
-        sums = sorted({pi + qj for pi in pair.p for qj in pair.q})
-        pos = {s: t for t, s in enumerate(sums)}
-        diag = tuple(pos[pk + qk] for pk, qk in zip(pair.p, pair.q))
-        return SumSupport(support=tuple(sums), diag_index=diag)
-    p = np.asarray(pair.p, dtype=np.int64)
-    q = np.asarray(pair.q, dtype=np.int64)
-    support = np.unique(np.add.outer(p, q))
-    diag = np.searchsorted(support, p + q)
-    return SumSupport(support=tuple(support.tolist()), diag_index=tuple(diag.tolist()))
+    support, diag_index, _ = _sumset(pair.p, pair.q)
+    return SumSupport(support=tuple(support.tolist()), diag_index=tuple(diag_index.tolist()))
 
 
 def is_3ap_free(values) -> bool:
     """True iff no three distinct elements satisfy a + c = 2b.
 
-    O(n^2) scan over pairs a < c testing midpoint membership; the midpoint
-    of a distinct pair is strictly between them, so it is automatically a
-    third element.
+    A + A counts 2b once as b + b and twice more for each such pair a < c,
+    so the set is 3-AP-free iff every 2b occurs exactly once, which is the
+    decodability of the pair (A, A).
     """
     a = sorted(values)
     if len(a) != len(set(a)):
         raise ValueError("elements must be distinct")
-    n = len(a)
-    if n < 3:
+    if len(a) < 3:
         return True
-    if n < _NUMPY_MIN_N:
-        members = set(a)
-        for i in range(n):
-            ai = a[i]
-            for j in range(i + 1, n):
-                s = ai + a[j]
-                if s % 2 == 0 and s // 2 in members:
-                    return False
-        return True
-    arr = np.asarray(a, dtype=np.int64)
-    for i in range(n - 2):
-        s = arr[i] + arr[i + 1 :]
-        mids = s >> 1
-        mids = mids[(s & 1) == 0]
-        if mids.size == 0:
-            continue
-        pos = np.searchsorted(arr, mids)
-        pos = np.clip(pos, 0, n - 1)
-        if np.any(arr[pos] == mids):
-            return False
-    return True
+    return all(m == 1 for m in _sumset(a, a, counts=True)[2].tolist())
 
 
 def min_recovery_bruteforce(

@@ -96,7 +96,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     """One full encode / fault-inject / collect / decode / verify round."""
     _validate(config)
     desc = config.descriptor
-    fld = PrimeField(config.modulus)
+    try:
+        fld = PrimeField(config.modulus)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     rows, inner, cols = config.dims
     seed = config.seed
 

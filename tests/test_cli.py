@@ -144,6 +144,13 @@ def test_simulate_failure_exit_one(capsys):
     assert json.loads(out)["error"] == "InsufficientWorkers"
 
 
+def test_simulate_replication_defaults_to_lambda_n_workers(capsys):
+    code, out, _ = run_cli(["simulate", "--scheme", "replication", "--n", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["m"] == 4 and report["success"] is True
+
+
 def test_simulate_deterministic_given_seed(capsys):
     argv = ["simulate", "--scheme", "csa", "--n", "3", "--seed", "5",
             "--straggle-mean", "2.0", "--fail-prob", "0.2"]

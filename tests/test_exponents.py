@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
 from conftest import rng
+from rookbench import exponents
 from rookbench.exponents import (
     ExponentPair,
     ParameterSearchExhausted,
@@ -17,6 +22,7 @@ from rookbench.exponents import (
     poly_code_exponents,
     sum_support,
 )
+from rookbench.exponents import _diag_multiplicities, _first_viable, _ways_table
 
 
 # --- oracles ----------------------------------------------------------------
@@ -63,6 +69,66 @@ def naive_min_recovery(n: int, max_exponent: int):
                 if best[0] is None or l < best[0]:
                     best[0] = l
     return best[0]
+
+
+@lru_cache(maxsize=None)
+def shell_sizes(d: int, length: int) -> tuple:
+    """counts[k] = number of vectors in {0..d-1}^length with sum of squares k."""
+    squares = [v * v for v in range(d)]
+    counts = [1]
+    for _ in range(length):
+        nxt = [0] * (len(counts) + squares[-1])
+        for r, c in enumerate(counts):
+            if c:
+                for s in squares:
+                    nxt[r + s] += c
+        counts = nxt
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def largest_shell(d: int, length: int) -> tuple:
+    """(norm, size) of the largest shell; ties keep the smallest norm."""
+    sizes = shell_sizes(d, length)
+    return sizes.index(max(sizes)), max(sizes)
+
+
+@lru_cache(maxsize=None)
+def shell_values(d: int, length: int, norm: int) -> list:
+    """Base-(2d-1) values of all norm-`norm` vectors of {0..d-1}^length, sorted."""
+    base = 2 * d - 1
+    return sorted(
+        sum(digit * base**pos for pos, digit in enumerate(vec))
+        for vec in product(range(d), repeat=length)
+        if sum(digit * digit for digit in vec) == norm
+    )
+
+
+def behrend_linear_scan(n: int):
+    """The digit-shell search as a walk over every d from d_lo, in pure Python.
+
+    Same bounds and score as behrend_exponents, or None where it finds no
+    candidate; the shell is enumerated by brute force.  The shell helpers are
+    cached across calls, which changes no result.
+    """
+    best = None
+    log2n = math.log2(n) if n > 1 else 1.0
+    max_len = max(math.ceil(2 * math.sqrt(log2n)) + 2, math.ceil(log2n) + 4)
+    for ell in range(2, max_len + 1):
+        d_lo = max(2, math.ceil(n ** (1.0 / ell)))
+        d_hi = max(d_lo, int((2e7 / (ell * ell)) ** (1.0 / 3.0)))
+        for d in range(d_lo, d_hi + 1):
+            if (2 * d - 1) ** ell - 1 > exponents._VALUE_CAP:
+                break
+            norm, size = largest_shell(d, ell)
+            if size < n:
+                continue
+            vals = shell_values(d, ell, norm)[:n]
+            key = (len({a + b for a in vals for b in vals}), vals[-1], ell, d)
+            if best is None or key < best[0]:
+                best = (key, vals)
+            break
+    return None if best is None else tuple(best[1])
 
 
 def greedy_3ap_free_subset(universe, size, r: random.Random):
@@ -155,6 +221,41 @@ def test_behrend_outputs_are_3ap_free_and_decodable():
         assert all(v > 0 for v in pair.p)
 
 
+def test_shell_table_matches_counts_and_largest_shell_grows_with_d():
+    for length in range(1, 6):
+        largest = [max(shell_sizes(d, length)) for d in range(1, 13)]
+        assert largest == sorted(largest)
+        for d in range(1, 13):
+            for j, row in enumerate(_ways_table(d, length).tolist()):
+                sizes = list(shell_sizes(d, j))
+                assert row == sizes + [0] * (len(row) - len(sizes))
+
+
+def test_first_viable_matches_linear_walk():
+    for ell in range(2, 6):
+        for n in range(1, 121):
+            d_lo = max(2, math.ceil(n ** (1.0 / ell)))
+            for d_top in (d_lo, d_lo + 5, d_lo + 20):
+                walk = (d for d in range(d_lo, d_top + 1) if largest_shell(d, ell)[1] >= n)
+                want = next(walk, None)
+                found = _first_viable(n, ell, d_lo, d_top)
+                assert (found and found[0]) == want, (n, ell, d_top)
+                if found:
+                    assert found[1].tolist() == _ways_table(want, ell).tolist()
+
+
+# A cap of 5000 changes the answer for 36 of these n and leaves 29 with none.
+@pytest.mark.parametrize("cap", [exponents._VALUE_CAP, 5000], ids=["value-cap", "cap-5000"])
+def test_behrend_search_matches_linear_scan(cap, monkeypatch):
+    monkeypatch.setattr(exponents, "_VALUE_CAP", cap)
+    for n in range(1, 65):
+        try:
+            got = behrend_exponents(n).p
+        except ParameterSearchExhausted:
+            got = None
+        assert got == behrend_linear_scan(n), n
+
+
 def test_behrend_search_exhaustion():
     with pytest.raises(ParameterSearchExhausted):
         behrend_exponents(4, digit_range=2, length=2)  # largest shell has 2
@@ -195,6 +296,26 @@ def test_is_decodable_numpy_path_matches_oracle():
     assert not is_decodable(bad)
 
 
+def test_sumset_paths_match_bruteforce():
+    near = 1 << 62  # sums of two such exponents pass int64
+    pairs = [
+        ExponentPair(4, (0, 1, 3, 7), (0, 2, 3, 9)),  # sums fit a small table
+        ExponentPair(3, (0, 5, 1 << 40), (1, 1 << 41, 3 << 41)),  # sorted as int64
+        ExponentPair(3, (0, near, near + 3), (1, near + 1, near + 2)),  # Python ints
+        ExponentPair(3, (near, near + 1, near + 2), (near, near + 1, near + 2)),
+        ExponentPair(3, (near, near + 1, near + 3), (near, near + 1, near + 3)),
+    ]
+    for pair in pairs:
+        s = sum_support(pair)
+        assert list(s.support) == support_bruteforce(pair)
+        assert [s.support[i] for i in s.diag_index] == [a + b for a, b in zip(pair.p, pair.q)]
+        assert is_decodable(pair) == decodable_triple_loop(pair)
+        counts = Counter(a + b for a in pair.p for b in pair.q)
+        assert _diag_multiplicities(pair) == [counts[a + b] for a, b in zip(pair.p, pair.q)]
+    assert not is_decodable(pairs[3]) and is_decodable(pairs[4])
+    assert not is_3ap_free(pairs[3].p) and is_3ap_free(pairs[4].p)
+
+
 def test_sum_support_examples():
     s = sum_support(ExponentPair(3, (0, 1, 3), (0, 1, 3)))
     assert s.support == (0, 1, 2, 3, 4, 6)
@@ -233,6 +354,8 @@ def test_is_3ap_free_examples():
     assert is_3ap_free([1, 2, 4, 5])
     assert is_3ap_free([1, 3])
     assert is_3ap_free([])
+    assert not is_3ap_free([2, -1, -4])
+    assert is_3ap_free([-5, -4, -2])
     with pytest.raises(ValueError):
         is_3ap_free([1, 1, 2])
 

@@ -1,8 +1,10 @@
-"""Golden outputs: simulate JSON and sweep CSV stay byte-identical.
+"""Golden outputs: simulate JSON, sweep CSV and generated exponents stay byte-identical.
 
-The SHA-256 digests below were recorded before the scheme protocol was
+The report digests below were recorded before the scheme protocol was
 introduced; any change to a report byte (a counter, an error name, the
-simulated clock, the responses used) changes a digest.
+simulated clock, the responses used) changes a digest.  The generator
+digests were recorded from the linear digit-shell scan, before the gallop
+search and the numpy shell table replaced it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import hashlib
 from itertools import product
 
+import pytest
+
 from rookbench.baselines import ALL_SCHEMES, SchemeDescriptor, scheme_threshold
+from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
@@ -66,3 +71,31 @@ def test_singular_retry_reports_match_golden():
         for s in range(4)
     ]
     assert _digest("\n".join(reports)) == RETRY_SHA256
+
+
+# (n, digit_range, length) cases; the last two explicit ones have d^l past
+# 2^63, so their shell tables hold Python ints.
+GENERATOR_GOLDENS = {
+    "search-n1-160": (
+        [(n, None, None) for n in range(1, 161)],
+        "b031b5c71b3d2fc35f58b3b39f98c2cbe6a27ee6401308477e2fce341617032d",
+    ),
+    "search-n200-2048": (
+        [(n, None, None) for n in (200, 256, 512, 1024, 2048)],
+        "f4af30e3d9e7c6cb5ac0f9cbf271bbc5757d2861ff69eb1fa77bab54e302a7e8",
+    ),
+    "explicit": (
+        [(4, 3, 3), (20, 5, 4), (30, 20, 14), (50, 40, 12), (100, 9, 21)],
+        "53eac1017e7d52bfbe3a8ec61e2ff3b71ee2919b7fdd3b18205e5a3f42bb3216",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_GOLDENS)
+def test_behrend_exponents_match_golden(name):
+    cases, want = GENERATOR_GOLDENS[name]
+    lines = []
+    for n, d, length in cases:
+        pair = behrend_exponents(n, digit_range=d, length=length)
+        lines.append(f"{n}:" + ",".join(map(str, pair.p)))
+    assert _digest("\n".join(lines)) == want

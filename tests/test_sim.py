@@ -135,23 +135,30 @@ def test_replication_sim_requires_matching_m():
         run_simulation(cfg(scheme="replication", n=2, m=5, lam=2))
 
 
+_CONFIG_ERRORS = [
+    (SchemeDescriptor(scheme=s, n=8), 257, "cannot draw 300 distinct nonzero points")
+    for s in ("lcc", "csa", "rook-poly", "rook-behrend")
+] + [
+    (SchemeDescriptor(scheme="rook-poly", n=17), 257, "too large for modulus 257"),
+    (
+        SchemeDescriptor(scheme="rook-poly", n=3, exponents=ExponentPair(3, (0, 1, 2), (0, 1, 2))),
+        257,
+        "exponent pair is not decodable",
+    ),
+    (SchemeDescriptor(scheme="lcc", n=2), 100, "modulus 100 is not prime"),
+    (SchemeDescriptor(scheme="lcc", n=2), 1 << 64, "does not fit in 64 bits"),
+]
+
+
 @pytest.mark.parametrize(
-    "desc, message",
-    [
-        (SchemeDescriptor(scheme=s, n=8), "cannot draw 300 distinct nonzero points")
-        for s in ("lcc", "csa", "rook-poly", "rook-behrend")
-    ]
-    + [
-        (SchemeDescriptor(scheme="rook-poly", n=17), "too large for modulus 257"),
-        (
-            SchemeDescriptor(scheme="rook-poly", n=3, exponents=ExponentPair(3, (0, 1, 2), (0, 1, 2))),
-            "exponent pair is not decodable",
-        ),
-    ],
+    "desc, modulus, message",
+    _CONFIG_ERRORS,
+    # ids name the descriptor and the message, as for the first six cases
+    ids=[f"desc{i}-{message}" for i, (_, _, message) in enumerate(_CONFIG_ERRORS)],
 )
-def test_bind_errors_are_config_invalid(desc, message):
+def test_bind_errors_are_config_invalid(desc, modulus, message):
     with pytest.raises(ConfigInvalid, match=message):
-        run_simulation(SimConfig(descriptor=desc, m=300, modulus=257))
+        run_simulation(SimConfig(descriptor=desc, m=300, modulus=modulus))
 
 
 def test_rook_exponents_generated_once_per_simulation(monkeypatch):
