@@ -14,7 +14,6 @@ from .field import (
     mat_mul,
     mat_random,
     mat_scale,
-    mat_sub,
     solve_linear,
 )
 from .exponents import (

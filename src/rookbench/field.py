@@ -1,16 +1,25 @@
 """Exact arithmetic over a prime field, matrices over it, and op counting.
 
-Field elements are canonical Python ints in [0, modulus).  Python's bigints
-make 61-bit x 61-bit products exact, which is why the default modulus is the
-Mersenne prime 2^61 - 1: arithmetic never overflows and exponents up to
-~2^61 stay representable as monomial degrees.
+Field elements are canonical Python ints in [0, p) for a prime p below
+2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
+to ~2^61 stay representable as monomial degrees.  Scalar and matrix
+products use Python ints; powers and inverses use builtin pow.
+solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
+whose row multiply-add is picked by the modulus: uint64 31/30-bit limb
+products with shift-add reduction for 2^61 - 1, the plain uint64 product
+for p < 2^32, and Python ints in an object array for any other prime.
 
-Operation counts are accumulated into explicit OpCounter objects passed to
-the counted operations (one counter per logical task), so there is no global
-mutable state and concurrent tasks cannot interfere.
+Operation counts are derived by formula from the algorithm they describe
+(square-and-multiply for powers, elimination that skips zero multipliers
+for solves), not tallied per step.  They are accumulated into explicit
+OpCounter objects passed to the counted operations (one counter per
+logical task), so there is no global mutable state and concurrent tasks
+cannot interfere.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 M61 = (1 << 61) - 1  # 2^61 - 1, prime
 
@@ -116,17 +125,10 @@ class PrimeField:
 
     # Scalar helpers.  These are not op-counted; counting happens in the
     # bulk operations below whose counts the reports actually use.
-    def element(self, v: int) -> int:
-        return v % self.modulus
-
     def add(self, a: int, b: int) -> int:
         s = a + b
         p = self.modulus
         return s - p if s >= p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.modulus if d < 0 else d
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
@@ -139,7 +141,7 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         if counter is not None:
             counter.inv_count += 1
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def check_exponent_bound(self, max_exponent: int) -> None:
         # Monomials x^e must stay distinct as functions on the nonzero
@@ -152,9 +154,6 @@ class PrimeField:
 
     def rand_element(self, rng) -> int:
         return rng.randrange(self.modulus)
-
-    def rand_nonzero(self, rng) -> int:
-        return rng.randrange(1, self.modulus)
 
     def distinct_nonzero(self, rng, count: int, exclude=()) -> list[int]:
         """Draw `count` distinct nonzero elements avoiding `exclude`."""
@@ -174,27 +173,17 @@ class PrimeField:
 
 
 def field_pow(field: PrimeField, x: int, e: int, counter: OpCounter | None = None) -> int:
-    """x^e by left-to-right square-and-multiply, counting multiplications.
+    """x^e, counting the multiplications of left-to-right square-and-multiply.
 
-    Uses at most 2*floor(log2 e) multiplications for e >= 1; the count
-    depends only on the bit pattern of e.
+    That is one squaring per bit of e after the leading one plus one
+    multiplication per further 1-bit: at most 2*floor(log2 e) for e >= 1,
+    depending only on the bit pattern of e.
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    if e == 0:
-        return 1
-    p = field.modulus
-    muls = 0
-    result = x % p
-    for bit in bin(e)[3:]:  # skip '0b' and the leading 1-bit
-        result = result * result % p
-        muls += 1
-        if bit == "1":
-            result = result * x % p
-            muls += 1
-    if counter is not None:
-        counter.mul_count += muls
-    return result
+    if counter is not None and e:
+        counter.mul_count += e.bit_length() + e.bit_count() - 2
+    return pow(x, e, field.modulus)
 
 
 class FieldMatrix:
@@ -318,21 +307,6 @@ def mat_add(
     return FieldMatrix(a.rows, a.cols, out)
 
 
-def mat_sub(
-    field: PrimeField,
-    a: FieldMatrix,
-    b: FieldMatrix,
-    counter: OpCounter | None = None,
-) -> FieldMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch("matrix subtraction shape mismatch")
-    p = field.modulus
-    out = [(x - y) % p for x, y in zip(a.entries, b.entries)]
-    if counter is not None:
-        counter.add_count += a.rows * a.cols
-    return FieldMatrix(a.rows, a.cols, out)
-
-
 def mat_scale(
     field: PrimeField,
     s: int,
@@ -352,18 +326,48 @@ def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:
     return FieldMatrix(rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
 
 
+_LO30 = np.uint64((1 << 30) - 1)
+_LO31 = np.uint64((1 << 31) - 1)
+_M61 = np.uint64(M61)
+
+
+def _muladd_m61(x, a, b):
+    """(x + a*b) mod 2^61 - 1 on uint64 arrays, entries below 2^61.
+
+    a and b are split into 31-bit low and 30-bit high limbs.  Modulo
+    2^61 - 1, 2^61 is 1, so the high-high product weighs 2^62 = 2 and the
+    middle sum m weighs 2^31, making m*2^31 = (m >> 30) + (m mod 2^30)*2^31.
+    Every partial stays below 2^62 and their sum with x below 2^64; one
+    shift-add fold and one conditional subtraction make the result
+    canonical.
+    """
+    a_hi, a_lo = a >> 31, a & _LO31
+    b_hi, b_lo = b >> 31, b & _LO31
+    mid = a_hi * b_lo + a_lo * b_hi
+    s = x + ((a_hi * b_hi) << 1) + (mid >> 30) + ((mid & _LO30) << 31) + a_lo * b_lo
+    s = (s & _M61) + (s >> 61)
+    # s - M61 wraps past s exactly when s < M61.
+    return np.minimum(s, s - _M61)
+
+
 def solve_linear(
     field: PrimeField,
     v: FieldMatrix,
     rhs: list[FieldMatrix],
     counter: OpCounter | None = None,
 ) -> list[FieldMatrix]:
-    """Solve V * C = rhs block-wise by Gaussian elimination over the field.
+    """Solve V * C = rhs block-wise by Gauss-Jordan elimination over the field.
 
     V is L x L; rhs is a list of L equally-shaped matrix blocks.  Raises
     SingularMatrix when no nonzero pivot exists in some column, which
     signals the decoder to try different evaluation points.  Each pivot
     costs one inversion (tallied in inv_count).
+
+    The pivot is the first nonzero entry at or below the diagonal.  Counts
+    are those of forward elimination that skips zero multipliers followed
+    by back substitution: at column c, ((L - c) + blen) muls per nonzero at
+    or below the diagonal, plus blen per nonzero right of the diagonal in
+    the normalized pivot row.  Nothing is counted when V is singular.
     """
     if v.rows != v.cols:
         raise DimensionMismatch("V must be square")
@@ -378,58 +382,38 @@ def solve_linear(
             raise DimensionMismatch("rhs blocks must share dimensions")
 
     p = field.modulus
-    a = [v.row(i) for i in range(n)]
-    b = [list(blk.entries) for blk in rhs]
-    muls = 0
-    invs = 0
     blen = br * bc
+    if p == M61:
+        muladd, dtype = _muladd_m61, np.uint64
+    else:
+        # Below 2^32 the largest term, (p-1) + (p-1)^2, fits in uint64.
+        def muladd(x, a, b):
+            return (x + a * b) % p
+
+        dtype = np.uint64 if p < (1 << 32) else object
+    aug = np.array([v.row(i) + blk.entries for i, blk in enumerate(rhs)], dtype=dtype)
+    muls = 0
 
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+        nonzero = aug[col:, col].nonzero()[0]
+        if nonzero.size == 0:
             raise SingularMatrix(f"no nonzero pivot in column {col}")
+        pivot = col + int(nonzero[0])
         if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = pow(a[col][col], p - 2, p)
-        invs += 1
-        arow = a[col]
-        for j in range(col, n):
-            arow[j] = arow[j] * inv % p
-        brow = b[col]
-        for j in range(blen):
-            brow[j] = brow[j] * inv % p
-        muls += (n - col) + blen
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if not f:
-                continue
-            rrow = a[r]
-            for j in range(col, n):
-                rrow[j] = (rrow[j] - f * arow[j]) % p
-            rb = b[r]
-            for j in range(blen):
-                rb[j] = (rb[j] - f * brow[j]) % p
-            muls += (n - col) + blen
-
-    # Back substitution on the unit upper-triangular system.
-    for col in range(n - 1, -1, -1):
-        bcol = b[col]
-        for r in range(col):
-            f = a[r][col]
-            if not f:
-                continue
-            rb = b[r]
-            for j in range(blen):
-                rb[j] = (rb[j] - f * bcol[j]) % p
-            a[r][col] = 0
-            muls += blen
+            aug[[col, pivot]] = aug[[pivot, col]]
+        prow = aug[col, col:]
+        inv = pow(int(prow[0]), -1, p)
+        # Scaling by inv keeps the pivot row's zero pattern, so its count is
+        # read before normalization.
+        muls += ((n - col) + blen) * nonzero.size + blen * int(np.count_nonzero(prow[1 : n - col]))
+        # Row r gets -f_r * inv times the pivot row; the pivot row gets
+        # (inv - 1) times itself, which normalizes it.  A zero multiplier
+        # leaves its row unchanged, so no rows are gathered.
+        coef = [(p - f) * inv % p for f in aug[:, col].tolist()]
+        coef[col] = inv - 1
+        aug[:, col:] = muladd(aug[:, col:], np.array(coef, dtype=dtype)[:, None], prow)
 
     if counter is not None:
         counter.mul_count += muls
-        counter.inv_count += invs
-    return [FieldMatrix(br, bc, row) for row in b]
+        counter.inv_count += n
+    return [FieldMatrix(br, bc, row) for row in aug[:, n:].tolist()]

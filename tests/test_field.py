@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import direct_products, rng
 from rookbench.field import (
     M61,
+    _muladd_m61,
     DimensionMismatch,
     FieldMatrix,
     OpCounter,
@@ -80,6 +82,46 @@ def test_field_pow_mul_count_bounded_and_deterministic():
 def test_field_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         field_pow(PrimeField(101), 2, -1)
+
+
+def reference_pow(p: int, x: int, e: int) -> tuple[int, int]:
+    """Left-to-right square-and-multiply: (x^e mod p, multiplications)."""
+    if e == 0:
+        return 1, 0
+    muls = 0
+    result = x % p
+    for bit in bin(e)[3:]:
+        result = result * result % p
+        muls += 1
+        if bit == "1":
+            result = result * x % p
+            muls += 1
+    return result, muls
+
+
+def test_field_pow_matches_square_and_multiply():
+    r = rng(21)
+    near_2_61 = [(1 << 61) + d for d in (-3, -2, -1, 0, 1, 5)] + [r.randrange(1 << 60, 1 << 62) for _ in range(4)]
+    for p in (101, M61):
+        f = PrimeField(p)
+        for e in list(range(4097)) + near_2_61:
+            x = r.randrange(p)
+            ctr = OpCounter()
+            assert (field_pow(f, x, e, ctr), ctr.mul_count) == reference_pow(p, x, e)
+
+
+@pytest.mark.parametrize("p", [7, 101, 4294967291, M61, 18446744073709551557])
+def test_inv_matches_fermat_and_counts_one_inversion(p):
+    f = PrimeField(p)
+    r = rng(22)
+    for a in [1, p - 1] + [r.randrange(1, p) for _ in range(200)]:
+        ctr = OpCounter()
+        assert f.inv(a, ctr) == pow(a, p - 2, p)
+        assert ctr.as_dict() == {"mul_count": 0, "add_count": 0, "inv_count": 1}
+    ctr = OpCounter()
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0, ctr)
+    assert ctr.inv_count == 0
 
 
 def test_ring_axioms_sampled():
@@ -240,3 +282,155 @@ def test_distinct_nonzero_draw(gf101):
     assert all(0 < x < 101 for x in pts)
     with pytest.raises(ValueError):
         gf101.distinct_nonzero(rng(14), 101)
+
+
+def reference_solve(field, v, rhs, counter=None):
+    """Pure-Python Gaussian elimination and back substitution, skipping zero
+    multipliers; the op counts solve_linear must reproduce."""
+    if v.rows != v.cols:
+        raise DimensionMismatch("V must be square")
+    n = v.rows
+    if len(rhs) != n:
+        raise DimensionMismatch("rhs block count must equal V's row count")
+    if n == 0:
+        return []
+    br, bc = rhs[0].rows, rhs[0].cols
+    for blk in rhs:
+        if blk.rows != br or blk.cols != bc:
+            raise DimensionMismatch("rhs blocks must share dimensions")
+
+    p = field.modulus
+    a = [v.row(i) for i in range(n)]
+    b = [list(blk.entries) for blk in rhs]
+    muls = 0
+    invs = 0
+    blen = br * bc
+
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if a[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            raise SingularMatrix(f"no nonzero pivot in column {col}")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inv = pow(a[col][col], p - 2, p)
+        invs += 1
+        arow = a[col]
+        for j in range(col, n):
+            arow[j] = arow[j] * inv % p
+        brow = b[col]
+        for j in range(blen):
+            brow[j] = brow[j] * inv % p
+        muls += (n - col) + blen
+        for r in range(col + 1, n):
+            f = a[r][col]
+            if not f:
+                continue
+            rrow = a[r]
+            for j in range(col, n):
+                rrow[j] = (rrow[j] - f * arow[j]) % p
+            rb = b[r]
+            for j in range(blen):
+                rb[j] = (rb[j] - f * brow[j]) % p
+            muls += (n - col) + blen
+
+    for col in range(n - 1, -1, -1):
+        bcol = b[col]
+        for r in range(col):
+            f = a[r][col]
+            if not f:
+                continue
+            rb = b[r]
+            for j in range(blen):
+                rb[j] = (rb[j] - f * bcol[j]) % p
+            a[r][col] = 0
+            muls += blen
+
+    if counter is not None:
+        counter.mul_count += muls
+        counter.inv_count += invs
+    return [FieldMatrix(br, bc, row) for row in b]
+
+
+def _solve_outcome(solve, field, v, rhs):
+    ctr = OpCounter()
+    try:
+        result = [blk.entries for blk in solve(field, v, rhs, ctr)]
+    except SingularMatrix as exc:
+        result = str(exc)
+    return result, ctr.as_dict()
+
+
+def _oracle_systems(p: int, n: int, blen: int, r: random.Random):
+    """A 30 %-dense system of size n, then by turns a dense one, one with a
+    repeated row and one with a zero column."""
+    br, bc = {1: (1, 1), 4: (2, 2), 9: (3, 3)}[blen]
+
+    def draw(density):
+        return [[r.randrange(1, p) if r.random() < density else 0 for _ in range(n)] for _ in range(n)]
+
+    second = draw(1.0)
+    if n % 3 == 1 and n > 1:
+        i, j = r.sample(range(n), 2)
+        second[j] = list(second[i])
+    elif n % 3 == 2:
+        k = r.randrange(n)
+        for row in second:
+            row[k] = 0
+    for rows in (draw(0.3), second):
+        rhs = [FieldMatrix(br, bc, [r.randrange(p) for _ in range(blen)]) for _ in range(n)]
+        yield FieldMatrix.from_rows(rows), rhs
+
+
+@pytest.mark.parametrize("blen", [1, 4, 9])
+@pytest.mark.parametrize(
+    "p",
+    [7, 101, 257, 4294967291, M61, 18446744073709551557],
+    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
+)
+def test_solve_matches_reference_elimination(p, blen):
+    field = PrimeField(p)
+    r = rng(p % 1000 + blen)
+    outcomes = set()
+    for n in range(1, 41):
+        for v, rhs in _oracle_systems(p, n, blen, r):
+            v_before = list(v.entries)
+            rhs_before = [list(blk.entries) for blk in rhs]
+            got = _solve_outcome(solve_linear, field, v, rhs)
+            assert got == _solve_outcome(reference_solve, field, v, rhs), (n, v, rhs)
+            assert all(type(c) is int for c in got[1].values())  # not numpy ints
+            assert v.entries == v_before
+            assert [blk.entries for blk in rhs] == rhs_before
+            outcomes.add(isinstance(got[0], str))
+    assert outcomes == {False, True}  # both solved and singular systems
+
+
+def test_solve_dimension_checks_match_reference(gf101):
+    two = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
+    cases = [
+        (FieldMatrix(2, 3, [1] * 6), two),
+        (FieldMatrix.identity(2), two[:1]),
+        (FieldMatrix.identity(2), [two[0], FieldMatrix(1, 2, [1, 2])]),
+    ]
+    for v, rhs in cases:
+        messages = []
+        for solve in (solve_linear, reference_solve):
+            ctr = OpCounter()
+            with pytest.raises(DimensionMismatch) as exc:
+                solve(gf101, v, rhs, ctr)
+            messages.append(str(exc.value))
+            assert ctr.as_dict() == OpCounter().as_dict()
+        assert messages[0] == messages[1]
+    assert solve_linear(gf101, FieldMatrix(0, 0, []), []) == []
+
+
+def test_m61_muladd_at_limb_extremes():
+    edges = [0, 1, 2, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, M61 - 2, M61 - 1]
+    arr = np.array(edges, dtype=np.uint64)
+    for x in edges:
+        got = _muladd_m61(np.uint64(x), arr[:, None], arr).tolist()
+        assert got == [[(x + a * b) % M61 for b in edges] for a in edges]
