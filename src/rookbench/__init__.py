@@ -30,7 +30,6 @@ from .exponents import (
     sum_support,
 )
 from .rook import (
-    DuplicateEvaluationPoint,
     NotEnoughProducts,
     RookScheme,
     SingularAfterRetry,
@@ -57,7 +56,6 @@ from .baselines import (
     lcc_encode,
     make_csa_scheme,
     make_lcc_scheme,
-    replication_run,
     scheme_threshold,
 )
 from .sim import ConfigInvalid, FaultModel, SimConfig, SimReport, run_simulation, sweep, sweep_to_csv

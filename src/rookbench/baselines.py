@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 
 from . import rook
-# sum_support is unused here, but perfbench/spans.py traces baselines.sum_support.
+# sum_support and solve_linear are unused here, but perfbench/spans.py
+# traces baselines.sum_support and baselines.solve_linear.
 from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, FieldMatrix, OpCounter, PrimeField, mat_add, mat_scale, solve_linear
-from .rook import WorkerShare, _require_products, _select_products
+from .field import FieldError, OpCounter, PrimeField, mat_add, mat_scale, solve_linear  # noqa: F401
+from .rook import WorkerShare, _require_products, _solve_responses
 
 
 class ConfigInvalid(Exception):
@@ -130,20 +131,21 @@ def lcc_encode(scheme: LccScheme, inputs, worker_id: int, counter: OpCounter | N
 
 
 def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
-    """Interpolate the degree-(2n-2) product polynomial, evaluate at anchors."""
+    """Interpolate the degree-(2n-2) product polynomial from every product
+    received, then evaluate it at the anchors."""
     field = scheme.field
     n = scheme.n
     L = 2 * n - 1
-    chosen = _select_products(products, L)
+    _require_products(products, L)
     rows = []
-    for pr in chosen:
+    for pr in products:
         row = [1]
         for _ in range(L - 1):
             row.append(field.mul(row[-1], pr.x))
         if counter is not None:
             counter.mul_count += L - 1
         rows.append(row)
-    coeffs = solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in chosen], counter)
+    coeffs = _solve_responses(field, rows, products, counter)
     out = []
     for zi in scheme.z:
         acc = coeffs[-1]
@@ -217,16 +219,15 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     """Separate pole residues from the polynomial noise part and rescale.
 
     The product evaluations satisfy E_w = sum_i D_i/(z_i - x_w) + sum_j N_j x_w^j
-    with D_i = c_i * A_i B_i, so a (2n-1)-column solve recovers the D_i and
-    the noise blocks are discarded.
+    with D_i = c_i * A_i B_i, so a (2n-1)-column solve over every product
+    received recovers the D_i and the noise blocks are discarded.
     """
     field = scheme.field
     p = field.modulus
     n = scheme.n
-    L = 2 * n - 1
-    chosen = _select_products(products, L)
+    _require_products(products, 2 * n - 1)
     rows = []
-    for pr in chosen:
+    for pr in products:
         row = [field.inv((zi - pr.x) % p, counter) for zi in scheme.z]
         poly = 1
         for j in range(n - 1):
@@ -236,7 +237,7 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
         if counter is not None and n > 2:
             counter.mul_count += n - 2
         rows.append(row)
-    blocks = solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in chosen], counter)
+    blocks = _solve_responses(field, rows, products, counter)
     out = []
     for i in range(n):
         c_inv = field.inv(scheme.residues[i], counter)
@@ -279,25 +280,6 @@ class ReplicationScheme:
         if missing:
             raise UncoveredPair(f"pairs {missing} have no alive replica")
         return [first[i] for i in range(self.n)]
-
-
-def replication_run(
-    field: PrimeField,
-    inputs,
-    lam: int,
-    alive_workers,
-    counter: OpCounter | None = None,
-):
-    """Every alive worker multiplies its pair; each pair's first product is kept.
-
-    Workers are assigned round-robin (worker w handles pair w mod n).
-    Raises UncoveredPair when some pair lost all lambda replicas.
-    """
-    scheme = ReplicationScheme(n=len(inputs), lam=lam)
-    alive = sorted(set(alive_workers))
-    if any(w < 0 or w >= scheme.m for w in alive):
-        raise ValueError("alive worker id out of range")
-    return scheme.decode([rook.rook_worker(field, scheme.encode(inputs, w), counter) for w in alive])
 
 
 # --- descriptors -------------------------------------------------------------

@@ -358,10 +358,13 @@ def solve_linear(
 ) -> list[FieldMatrix]:
     """Solve V * C = rhs block-wise by Gauss-Jordan elimination over the field.
 
-    V is L x L; rhs is a list of L equally-shaped matrix blocks.  Raises
-    SingularMatrix when no nonzero pivot exists in some column, which
-    signals the decoder to try different evaluation points.  Each pivot
-    costs one inversion (tallied in inv_count).
+    V is k x L with k >= L; rhs is a list of k equally-shaped matrix
+    blocks, and the L solution blocks are read from the first L rows once
+    every column has its pivot.  A tall system must be consistent, as exact
+    evaluations are; rows beyond the pivots are eliminated but not checked.
+    Raises SingularMatrix when no nonzero pivot exists in some column, that
+    is when V's rank is below L.  Each pivot costs one inversion (tallied
+    in inv_count).
 
     The pivot is the first nonzero entry at or below the diagonal.  Counts
     are those of forward elimination that skips zero multipliers followed
@@ -369,10 +372,10 @@ def solve_linear(
     or below the diagonal, plus blen per nonzero right of the diagonal in
     the normalized pivot row.  Nothing is counted when V is singular.
     """
-    if v.rows != v.cols:
-        raise DimensionMismatch("V must be square")
-    n = v.rows
-    if len(rhs) != n:
+    if v.rows < v.cols:
+        raise DimensionMismatch("V needs at least as many rows as columns")
+    n = v.cols
+    if len(rhs) != v.rows:
         raise DimensionMismatch("rhs block count must equal V's row count")
     if n == 0:
         return []
@@ -416,4 +419,4 @@ def solve_linear(
     if counter is not None:
         counter.mul_count += muls
         counter.inv_count += n
-    return [FieldMatrix(br, bc, row) for row in aug[:, n:].tolist()]
+    return [FieldMatrix(br, bc, row) for row in aug[:n, n:].tolist()]

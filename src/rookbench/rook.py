@@ -5,7 +5,9 @@ points x_w.  Worker w receives A~(x_w) = sum_i A_i x_w^{p_i} and
 B~(x_w) = sum_j B_j x_w^{q_j}, multiplies them, and returns the product.
 The product polynomial is supported on the sumset P+Q, so any L = |P+Q|
 responses let the master solve a generalized Vandermonde system and read
-off the diagonal coefficients A_k B_k.
+off the diagonal coefficients A_k B_k.  The decoder solves the system of
+every response received, so it succeeds as soon as those responses
+determine the products, whichever they are.
 
 Encoding is division-free: a nested Horner scheme over the exponent gaps
 costs exactly the gap-power multiplications plus one scalar-matrix product
@@ -40,10 +42,6 @@ class SingularAfterRetry(FieldError):
     pass
 
 
-class DuplicateEvaluationPoint(FieldError):
-    pass
-
-
 @dataclass(frozen=True)
 class RookScheme:
     pair: ExponentPair
@@ -75,8 +73,8 @@ def make_rook_scheme(
 
     Points default to uniform random nonzero elements drawn from `rng`; a
     generalized Vandermonde matrix can be singular over a finite field, so
-    random points plus the decoder's retry path stand in for the dense-field
-    invertibility the scheme enjoys over the rationals.
+    random points plus a decoder that uses every response stand in for the
+    dense-field invertibility the scheme enjoys over the rationals.
     """
     if not is_decodable(pair):
         raise ValueError("exponent pair is not decodable")
@@ -187,27 +185,18 @@ def _require_products(products, needed: int) -> None:
         raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
 
 
-def _select_products(products, needed: int) -> list:
-    """The first `needed` products, which must have pairwise distinct x."""
-    _require_products(products, needed)
-    chosen = list(products[:needed])
-    if len({pr.x for pr in chosen}) != needed:
-        raise DuplicateEvaluationPoint("duplicate x among selected products")
-    return chosen
+def _solve_responses(field: PrimeField, rows, products, counter: OpCounter | None = None):
+    """Solve the system with rows[i] for products[i], one row per response.
 
-
-def _support_row(field, x, support, counter):
-    # x^{e_t} for the sorted support, sharing work through the gaps.
-    row = []
-    prev_e = 0
-    val = 1
-    for e in support:
-        val = field.mul(val, field_pow(field, x, e - prev_e, counter))
-        if counter is not None:
-            counter.mul_count += 1
-        prev_e = e
-        row.append(val)
-    return row
+    The system may be tall: a repeated or otherwise dependent response is
+    just a dependent row.  Raises SingularAfterRetry when the rows' rank is
+    below their width, that is when the responses do not yet determine the
+    unknowns.
+    """
+    try:
+        return solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products], counter)
+    except SingularMatrix as exc:
+        raise SingularAfterRetry(f"{len(rows)} responses have rank below {len(rows[0])}") from exc
 
 
 def rook_decode(
@@ -215,36 +204,29 @@ def rook_decode(
     scheme: RookScheme,
     counter: OpCounter | None = None,
 ):
-    """Recover all A_k B_k from the first L worker products.
+    """Recover all A_k B_k from every worker product received.
 
-    Solves V C = E where V[w][t] = x_w^{support[t]}; the diagonal positions
-    of the support hold the wanted products.  If the first L rows are
-    singular (possible over a finite field), retries once with the next
-    available product in place of the newest selected row.
+    Solves V C = E where V[w][t] = x_w^{support[t]}, one row per product;
+    the diagonal positions of the support hold the wanted products.  Each
+    row steps through the support gaps with builtin pow and is counted as
+    square-and-multiply per gap plus one product per entry.  Raises
+    NotEnoughProducts below L products and SingularAfterRetry while the
+    products do not determine the solution.
     """
     support = scheme.support
-    L = support.L
-    selected = _select_products(products, L)
-    field = scheme.field
-
-    def attempt(chosen):
-        v = FieldMatrix.from_rows(
-            [_support_row(field, pr.x, support.support, counter) for pr in chosen]
-        )
-        rhs = [pr.e for pr in chosen]
-        return solve_linear(field, v, rhs, counter)
-
-    try:
-        coeffs = attempt(selected)
-    except SingularMatrix:
-        if len(products) <= L:
-            raise SingularAfterRetry("singular system and no spare product to retry with")
-        retry = selected[:-1] + [products[L]]
-        if len({pr.x for pr in retry}) != L:
-            raise DuplicateEvaluationPoint("duplicate x in retry selection")
-        try:
-            coeffs = attempt(retry)
-        except SingularMatrix as exc:
-            raise SingularAfterRetry("system still singular after one retry") from exc
-
+    _require_products(products, support.L)
+    p = scheme.field.modulus
+    gaps = [e - prev for prev, e in zip((0,) + support.support[:-1], support.support)]
+    rows = []
+    for pr in products:
+        row = []
+        val = 1
+        for g in gaps:
+            val = val * pow(pr.x, g, p) % p
+            row.append(val)
+        rows.append(row)
+    if counter is not None:
+        row_muls = sum(g.bit_length() + g.bit_count() - 2 for g in gaps if g) + len(gaps)
+        counter.mul_count += len(rows) * row_muls
+    coeffs = _solve_responses(scheme.field, rows, products, counter)
     return [coeffs[t] for t in support.diag_index]

@@ -5,8 +5,9 @@ so a run is reproducible regardless of host parallelism: failed workers
 never respond, survivors respond at base_delay * (work size) plus an
 exponential straggle term, and the master consumes responses in completion
 order, asking the bound scheme to decode after each one (coded schemes
-wait for their threshold; replication checks coverage).  Every successful
-decode is verified against direct per-pair products.
+wait for their threshold, then solve the system of every response received
+so far; replication checks coverage).  Every successful decode is verified
+against direct per-pair products.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         seed=seed,
         success=success,
         responses_received=len(arrivals),
-        responses_used=min(len(products), scheme.threshold) if success else 0,
+        responses_used=len(products) if success else 0,
         failed_workers=failed,
         threshold=scheme.threshold,
         encode_muls=encode_ctr.mul_count,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from rookbench.field import FieldMatrix, SingularMatrix, solve_linear
+from rookbench.field import FieldMatrix, solve_linear
 from rookbench.rook import SingularAfterRetry, rook_decode
 
 
@@ -103,7 +103,7 @@ def rook_exhaustive_kill_sets(scheme, products, true_values, kill_size=4, produc
         summary.production_checked += 1
         try:
             out = rook_decode(survivors, scheme)
-        except (SingularMatrix, SingularAfterRetry):
+        except SingularAfterRetry:
             summary.singular += 1
             return
         if [blk.entries[0] for blk in out] != list(true_values):
@@ -171,7 +171,7 @@ def production_exhaustive_kill_sets(scheme, products, true_values, decode_fn, ki
         summary.production_checked += 1
         try:
             out = decode_fn(survivors, scheme)
-        except (SingularMatrix, SingularAfterRetry):
+        except SingularAfterRetry:
             summary.singular += 1
             continue
         if [blk.entries[0] for blk in out] != list(true_values):

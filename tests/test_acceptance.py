@@ -11,6 +11,7 @@ import time
 from conftest import rng, scalar
 from kill_sets import production_exhaustive_kill_sets, rook_exhaustive_kill_sets
 from rookbench.baselines import (
+    ReplicationScheme,
     SchemeDescriptor,
     UncoveredPair,
     csa_decode,
@@ -19,7 +20,6 @@ from rookbench.baselines import (
     lcc_encode,
     make_csa_scheme,
     make_lcc_scheme,
-    replication_run,
     scheme_threshold,
 )
 from rookbench.exponents import (
@@ -315,11 +315,12 @@ def test_criterion_6_golden_micro_examples():
     # Replication with n=2, lambda=2 fails exactly on same-pair kill sets.
     from itertools import combinations
 
+    replication = ReplicationScheme(n=2, lam=2)
     fatal = set()
     for kill in combinations(range(4), 2):
         alive = [w for w in range(4) if w not in kill]
         try:
-            out = replication_run(gf101, inputs, 2, alive)
+            out = replication.decode([rook_worker(gf101, replication.encode(inputs, w)) for w in alive])
             ok &= out == want
         except UncoveredPair:
             fatal.add(kill)

@@ -17,12 +17,11 @@ from rookbench.baselines import (
     lcc_encode,
     make_csa_scheme,
     make_lcc_scheme,
-    replication_run,
     scheme_threshold,
 )
 from rookbench.exponents import ExponentPair, base3_exponents
 from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, mat_random
-from rookbench.rook import DuplicateEvaluationPoint, NotEnoughProducts, rook_worker
+from rookbench.rook import NotEnoughProducts, SingularAfterRetry, rook_worker
 
 GF101 = PrimeField(101)
 GFM61 = PrimeField(M61)
@@ -89,8 +88,11 @@ def test_lcc_decode_errors():
     prods = run_workers(GF101, scheme, WORKED_INPUTS, lcc_encode)
     with pytest.raises(NotEnoughProducts):
         lcc_decode(prods[:2], scheme)
-    with pytest.raises(DuplicateEvaluationPoint):
+    # A repeated response is a dependent row: skipped while 2n-1 distinct x
+    # are present, and not enough to decode without them.
+    with pytest.raises(SingularAfterRetry):
         lcc_decode([prods[0], prods[0], prods[1]], scheme)
+    assert [m.entries[0] for m in lcc_decode([prods[0], prods[0], prods[1], prods[2]], scheme)] == [6, 35]
 
 
 def test_lcc_roundtrip_any_subset():
@@ -255,22 +257,28 @@ def test_lcc_and_csa_encode_must_divide(n):
 # --- replication ----------------------------------------------------------------
 
 
+def replicate(inputs, alive_workers):
+    """Every alive worker multiplies its pair; decode keeps each pair's first product."""
+    scheme = ReplicationScheme(n=len(inputs), lam=2)
+    return scheme.decode([rook_worker(GF101, scheme.encode(inputs, w)) for w in alive_workers])
+
+
 def test_replication_same_pair_kill_fails():
     inputs = random_inputs(GF101, 2, (2, 2, 2), 103)
     # workers 0..3 handle pairs (0, 1, 0, 1); killing {0, 2} orphans pair 0
     with pytest.raises(UncoveredPair):
-        replication_run(GF101, inputs, 2, alive_workers=[1, 3])
+        replicate(inputs, [1, 3])
 
 
 def test_replication_cross_pair_kill_succeeds():
     inputs = random_inputs(GF101, 2, (2, 2, 2), 104)
-    out = replication_run(GF101, inputs, 2, alive_workers=[1, 2])
+    out = replicate(inputs, [1, 2])
     assert out == direct_products(GF101, inputs)
 
 
 def test_replication_no_kill():
     inputs = random_inputs(GF101, 2, (2, 2, 2), 105)
-    out = replication_run(GF101, inputs, 2, alive_workers=range(4))
+    out = replicate(inputs, range(4))
     assert out == direct_products(GF101, inputs)
 
 
@@ -281,19 +289,13 @@ def test_replication_adversarial_structure_exhaustive():
     for kill in combinations(range(4), 2):
         alive = [w for w in range(4) if w not in kill]
         try:
-            replication_run(GF101, inputs, 2, alive)
+            replicate(inputs, alive)
         except UncoveredPair:
             fatal.append(kill)
     assert fatal == [(0, 2), (1, 3)]
     for kill in combinations(range(4), 1):
         alive = [w for w in range(4) if w not in kill]
-        assert replication_run(GF101, inputs, 2, alive) == direct_products(GF101, inputs)
-
-
-def test_replication_bad_worker_id():
-    inputs = random_inputs(GF101, 2, (1, 1, 1), 107)
-    with pytest.raises(ValueError):
-        replication_run(GF101, inputs, 2, alive_workers=[0, 4])
+        assert replicate(inputs, alive) == direct_products(GF101, inputs)
 
 
 # --- descriptors ----------------------------------------------------------------

@@ -286,11 +286,12 @@ def test_distinct_nonzero_draw(gf101):
 
 def reference_solve(field, v, rhs, counter=None):
     """Pure-Python Gaussian elimination and back substitution, skipping zero
-    multipliers; the op counts solve_linear must reproduce."""
-    if v.rows != v.cols:
-        raise DimensionMismatch("V must be square")
-    n = v.rows
-    if len(rhs) != n:
+    multipliers; the op counts solve_linear must reproduce.  A tall V
+    (k > n rows) is eliminated over all k rows and solved from its first n."""
+    if v.rows < v.cols:
+        raise DimensionMismatch("V needs at least as many rows as columns")
+    k, n = v.rows, v.cols
+    if len(rhs) != k:
         raise DimensionMismatch("rhs block count must equal V's row count")
     if n == 0:
         return []
@@ -300,7 +301,7 @@ def reference_solve(field, v, rhs, counter=None):
             raise DimensionMismatch("rhs blocks must share dimensions")
 
     p = field.modulus
-    a = [v.row(i) for i in range(n)]
+    a = [v.row(i) for i in range(k)]
     b = [list(blk.entries) for blk in rhs]
     muls = 0
     invs = 0
@@ -308,7 +309,7 @@ def reference_solve(field, v, rhs, counter=None):
 
     for col in range(n):
         pivot = None
-        for r in range(col, n):
+        for r in range(col, k):
             if a[r][col]:
                 pivot = r
                 break
@@ -326,7 +327,7 @@ def reference_solve(field, v, rhs, counter=None):
         for j in range(blen):
             brow[j] = brow[j] * inv % p
         muls += (n - col) + blen
-        for r in range(col + 1, n):
+        for r in range(col + 1, k):
             f = a[r][col]
             if not f:
                 continue
@@ -353,7 +354,7 @@ def reference_solve(field, v, rhs, counter=None):
     if counter is not None:
         counter.mul_count += muls
         counter.inv_count += invs
-    return [FieldMatrix(br, bc, row) for row in b]
+    return [FieldMatrix(br, bc, row) for row in b[:n]]
 
 
 def _solve_outcome(solve, field, v, rhs):
@@ -409,10 +410,62 @@ def test_solve_matches_reference_elimination(p, blen):
     assert outcomes == {False, True}  # both solved and singular systems
 
 
+def _tall_systems(p: int, n: int, extra: int, blen: int, r: random.Random):
+    """Consistent systems of n + extra rows, rhs = V * want: a dense one, one
+    whose first `extra` rows repeat, scale or zero later rows (dependent rows
+    placed first), and one of rank below n (a zero column)."""
+    br, bc = {1: (1, 1), 4: (2, 2)}[blen]
+    want = [[r.randrange(p) for _ in range(blen)] for _ in range(n)]
+
+    def rand_rows(count):
+        return [[r.randrange(p) for _ in range(n)] for _ in range(count)]
+
+    base = rand_rows(n)
+    dependent = []
+    for i in range(extra):
+        row = base[r.randrange(n)]
+        dependent.append([0] * n if i % 3 == 2 else [x * (i + 1) % p for x in row])
+    deficient = rand_rows(n + extra)
+    zero_col = r.randrange(n)
+    for row in deficient:
+        row[zero_col] = 0
+    for rows in (rand_rows(n + extra), dependent + base, deficient):
+        rhs = [
+            FieldMatrix(br, bc, [sum(row[j] * want[j][t] for j in range(n)) % p for t in range(blen)])
+            for row in rows
+        ]
+        yield FieldMatrix.from_rows(rows), rhs, want
+
+
+@pytest.mark.parametrize("blen", [1, 4])
+@pytest.mark.parametrize(
+    "p",
+    [7, 101, 257, 4294967291, M61, 18446744073709551557],
+    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
+)
+def test_tall_solve_matches_reference_elimination(p, blen):
+    field = PrimeField(p)
+    r = rng(p % 997 + 10 * blen)
+    outcomes = set()
+    for n in range(1, 13):
+        for extra in range(6):
+            for v, rhs, want in _tall_systems(p, n, extra, blen, r):
+                got = _solve_outcome(solve_linear, field, v, rhs)
+                assert got == _solve_outcome(reference_solve, field, v, rhs), (n, extra, v)
+                assert all(type(c) is int for c in got[1].values())
+                if isinstance(got[0], str):
+                    assert got[0].startswith("no nonzero pivot in column")
+                else:
+                    assert got[0] == want  # exact rhs: the unique solution
+                outcomes.add(isinstance(got[0], str))
+    assert outcomes == {False, True}
+
+
 def test_solve_dimension_checks_match_reference(gf101):
     two = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
     cases = [
         (FieldMatrix(2, 3, [1] * 6), two),
+        (FieldMatrix(3, 2, [1] * 6), two),
         (FieldMatrix.identity(2), two[:1]),
         (FieldMatrix.identity(2), [two[0], FieldMatrix(1, 2, [1, 2])]),
     ]

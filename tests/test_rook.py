@@ -17,9 +17,9 @@ from rookbench.field import (
     OpCounter,
     PrimeField,
     mat_random,
+    solve_linear,
 )
 from rookbench.rook import (
-    DuplicateEvaluationPoint,
     NotEnoughProducts,
     RookScheme,
     SingularAfterRetry,
@@ -205,10 +205,17 @@ def test_decode_not_enough_products():
 
 
 def test_decode_duplicate_point():
+    # A repeated response is a dependent row: skipped while L distinct x are
+    # present, and not enough to decode without them.
     scheme = worked_scheme()
     prods = run_pipeline(scheme, WORKED_INPUTS)
-    with pytest.raises(DuplicateEvaluationPoint):
+    want = direct_products(GF101, WORKED_INPUTS)
+    assert rook_decode([prods[1], prods[1], prods[0], prods[2]], scheme) == want
+    assert rook_decode([prods[0], prods[1], prods[0], prods[1], prods[2]], scheme) == want
+    with pytest.raises(SingularAfterRetry):
         rook_decode([prods[0], prods[1], prods[1]], scheme)
+    with pytest.raises(SingularAfterRetry):
+        rook_decode([prods[2], prods[2], prods[0], prods[2]], scheme)
 
 
 # Over GF(13) the support {0, 2, 4} collides at x = 5 and x = 8 (both square
@@ -221,8 +228,19 @@ def test_decode_retry_recovers_from_singular_rows():
     scheme = make_rook_scheme(SPARSE_PAIR, gf13, 4, eval_points=(5, 2, 8, 3))
     inputs = [(scalar(4), scalar(6)), (scalar(2), scalar(11))]
     prods = run_pipeline(scheme, inputs)
-    out = rook_decode(prods, scheme)  # first 3 rows singular; retry uses x=3
+    out = rook_decode(prods, scheme)  # first 3 rows singular; x=3 completes the rank
     assert out == direct_products(gf13, inputs)
+
+
+def test_decode_uses_every_response():
+    # Rows of x=5 and x=8 are equal, and so are those of x=1 and x=12: any
+    # three of the first four, and so the old single retry, stay singular,
+    # but x=2 makes all five rows rank 3.
+    gf13 = PrimeField(13)
+    scheme = make_rook_scheme(SPARSE_PAIR, gf13, 5, eval_points=(5, 8, 1, 12, 2))
+    inputs = [(scalar(4), scalar(6)), (scalar(2), scalar(11))]
+    prods = run_pipeline(scheme, inputs)
+    assert rook_decode(prods, scheme) == direct_products(gf13, inputs)
 
 
 def test_decode_singular_after_retry():
@@ -241,11 +259,35 @@ def test_decode_ignores_products_beyond_threshold():
     inputs = random_inputs(GFM61, 4, (2, 2, 2), 52)
     prods = run_pipeline(scheme, inputs)
     l = scheme.support.L
+    # The first L rows are nonsingular, so every pivot comes from them and
+    # the rows beyond are eliminated without being read.
     garbage = FieldMatrix.zeros(2, 2)
     spoiled = prods[:l] + [
         WorkerProduct(worker_id=p.worker_id, x=p.x, e=garbage) for p in prods[l:]
     ]
     assert rook_decode(spoiled, scheme) == direct_products(GFM61, inputs)
+
+
+def test_decode_counts_gap_powers_per_row_plus_solve():
+    # Each of the k rows costs its gap powers plus one product per entry;
+    # the solve is counted over all k rows.
+    for pair in (base3_exponents(4), behrend_exponents(8)):
+        support = sum_support(pair).support
+        scheme = make_rook_scheme(pair, GFM61, len(support) + 3, rng=rng(56))
+        prods = run_pipeline(scheme, random_inputs(GFM61, pair.n, (1, 2, 1), 57))
+        ctr = OpCounter()
+        rook_decode(prods, scheme, ctr)
+        want = OpCounter()
+        rows = []
+        for pr in prods:
+            row, val = [], 1
+            for g in gap_powers(GFM61, support, pr.x, want):
+                val = val * g % M61
+                row.append(val)
+            rows.append(row)
+        want.mul_count += len(prods) * len(support)
+        solve_linear(GFM61, FieldMatrix.from_rows(rows), [pr.e for pr in prods], want)
+        assert ctr.as_dict() == want.as_dict()
 
 
 def test_decode_is_arrival_order_invariant():

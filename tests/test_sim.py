@@ -81,6 +81,20 @@ def test_coded_schemes_survive_heavy_faults(scheme):
             assert rep.responses_used == thr
 
 
+def test_rook_behrend_gf257_decodes_once_responses_determine_products():
+    # Every support exponent of behrend_exponents(8) is even, so x and -x
+    # give equal rows and the first L responses are often singular; every
+    # seed's full system has rank L, and the decoder uses every response.
+    desc = SchemeDescriptor(scheme="rook-behrend", n=8)
+    used = set()
+    for seed in range(50):
+        rep = run_simulation(SimConfig(descriptor=desc, m=60, seed=seed, modulus=257))
+        assert rep.success and rep.verified, seed
+        assert rep.threshold <= rep.responses_used <= rep.responses_received
+        used.add(rep.responses_used)
+    assert max(used) > rep.threshold  # counts every response the decode consumed
+
+
 def test_straggle_reorders_arrivals():
     c = cfg(m=8, seed=5, fault=FaultModel(straggle_mean=10.0))
     rep = run_simulation(c)
