@@ -10,8 +10,8 @@ from .field import (
     PrimeField,
     SingularMatrix,
     field_pow,
-    mat_add,
     mat_mul,
+    mat_muladd,
     mat_random,
     mat_scale,
     solve_linear,

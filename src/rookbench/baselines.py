@@ -16,7 +16,7 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, mat_add, mat_scale, solve_linear  # noqa: F401
+from .field import FieldError, OpCounter, PrimeField, mat_muladd, mat_scale, solve_linear  # noqa: F401
 from .rook import WorkerShare, _require_products, _solve_responses
 
 
@@ -55,13 +55,12 @@ def _anchors_and_points(n, field, m, rng, z, eval_points):
 
 def _combine(field, coeffs, inputs, counter):
     """(sum_i c_i A_i, sum_i c_i B_i), accumulated in input order."""
-    a = None
-    b = None
-    for coeff, (ai, bi) in zip(coeffs, inputs):
-        ta = mat_scale(field, coeff, ai, counter)
-        tb = mat_scale(field, coeff, bi, counter)
-        a = ta if a is None else mat_add(field, a, ta, counter)
-        b = tb if b is None else mat_add(field, b, tb, counter)
+    (c0, (a, b)), *rest = zip(coeffs, inputs)
+    a = mat_scale(field, c0, a, counter)
+    b = mat_scale(field, c0, b, counter)
+    for coeff, (ai, bi) in rest:
+        a = mat_muladd(field, a, coeff, ai, counter)
+        b = mat_muladd(field, b, coeff, bi, counter)
     return a, b
 
 
@@ -150,7 +149,7 @@ def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     for zi in scheme.z:
         acc = coeffs[-1]
         for j in range(L - 2, -1, -1):
-            acc = mat_add(field, coeffs[j], mat_scale(field, zi, acc, counter), counter)
+            acc = mat_muladd(field, coeffs[j], zi, acc, counter)
         out.append(acc)
     return out
 

@@ -3,7 +3,10 @@
 Field elements are canonical Python ints in [0, p) for a prime p below
 2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
 to ~2^61 stay representable as monomial degrees.  Scalar and matrix
-products use Python ints; powers and inverses use builtin pow.
+products use Python ints; powers and inverses use builtin pow.  Every
+linear combination of blocks (an encoder's Horner step or sum, a decoder's
+evaluation at an anchor) is a chain of mat_muladd calls, x + s*y in one
+list pass at one multiplication per entry, begun or ended by a mat_scale.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 whose row multiply-add is picked by the modulus: uint64 31/30-bit limb
 products with shift-add reduction for 2^61 - 1, the plain uint64 product
@@ -66,7 +69,7 @@ def is_prime_u64(n: int) -> bool:
 
 
 class OpCounter:
-    """Mutable tally of field multiplications, additions, and inversions.
+    """Mutable tally of field multiplications and inversions.
 
     Scoped per logical task; totals only ever increase within a scope.
     Inversions are tracked separately because a division costs several
@@ -74,32 +77,14 @@ class OpCounter:
     whether they divide at all.
     """
 
-    __slots__ = ("mul_count", "add_count", "inv_count")
+    __slots__ = ("mul_count", "inv_count")
 
     def __init__(self) -> None:
         self.mul_count = 0
-        self.add_count = 0
         self.inv_count = 0
-
-    def reset(self) -> None:
-        self.mul_count = 0
-        self.add_count = 0
-        self.inv_count = 0
-
-    def absorb(self, other: "OpCounter") -> None:
-        self.mul_count += other.mul_count
-        self.add_count += other.add_count
-        self.inv_count += other.inv_count
-
-    def as_dict(self) -> dict:
-        return {
-            "mul_count": self.mul_count,
-            "add_count": self.add_count,
-            "inv_count": self.inv_count,
-        }
 
     def __repr__(self) -> str:
-        return f"OpCounter(mul={self.mul_count}, add={self.add_count}, inv={self.inv_count})"
+        return f"OpCounter(mul={self.mul_count}, inv={self.inv_count})"
 
 
 class PrimeField:
@@ -123,18 +108,10 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
 
-    # Scalar helpers.  These are not op-counted; counting happens in the
-    # bulk operations below whose counts the reports actually use.
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        p = self.modulus
-        return s - p if s >= p else s
-
+    # Not op-counted: callers count it with the bulk work whose counts the
+    # reports use.
     def mul(self, a: int, b: int) -> int:
         return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return self.modulus - a if a else 0
 
     def inv(self, a: int, counter: OpCounter | None = None) -> int:
         if a == 0:
@@ -151,9 +128,6 @@ class PrimeField:
                 f"exponent {max_exponent} too large for modulus {self.modulus}; "
                 "need max exponent < modulus - 1"
             )
-
-    def rand_element(self, rng) -> int:
-        return rng.randrange(self.modulus)
 
     def distinct_nonzero(self, rng, count: int, exclude=()) -> list[int]:
         """Draw `count` distinct nonzero elements avoiding `exclude`."""
@@ -201,17 +175,6 @@ class FieldMatrix:
         self.entries = entries
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "FieldMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "FieldMatrix":
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(n, n, ent)
-
-    @classmethod
     def from_rows(cls, rows_data) -> "FieldMatrix":
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0
@@ -222,14 +185,8 @@ class FieldMatrix:
             ent.extend(r)
         return cls(rows, cols, ent)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list[int]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -288,23 +245,24 @@ def mat_mul(
             out[base + j] = acc % p
     if counter is not None:
         counter.mul_count += n * k * m
-        counter.add_count += n * m * (k - 1 if k > 0 else 0)
     return FieldMatrix(n, m, out)
 
 
-def mat_add(
+def mat_muladd(
     field: PrimeField,
-    a: FieldMatrix,
-    b: FieldMatrix,
+    x: FieldMatrix,
+    s: int,
+    y: FieldMatrix,
     counter: OpCounter | None = None,
 ) -> FieldMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch("matrix addition shape mismatch")
+    """x + s*y in one pass; counts one multiplication per entry."""
+    if x.rows != y.rows or x.cols != y.cols:
+        raise DimensionMismatch("multiply-add shape mismatch")
     p = field.modulus
-    out = [(x + y) % p for x, y in zip(a.entries, b.entries)]
+    out = [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
     if counter is not None:
-        counter.add_count += a.rows * a.cols
-    return FieldMatrix(a.rows, a.cols, out)
+        counter.mul_count += x.rows * x.cols
+    return FieldMatrix(x.rows, x.cols, out)
 
 
 def mat_scale(
@@ -370,7 +328,8 @@ def solve_linear(
     are those of forward elimination that skips zero multipliers followed
     by back substitution: at column c, ((L - c) + blen) muls per nonzero at
     or below the diagonal, plus blen per nonzero right of the diagonal in
-    the normalized pivot row.  Nothing is counted when V is singular.
+    the normalized pivot row.  When V is singular, the columns completed
+    before the one without a pivot are counted.
     """
     if v.rows < v.cols:
         raise DimensionMismatch("V needs at least as many rows as columns")
@@ -395,7 +354,6 @@ def solve_linear(
 
         dtype = np.uint64 if p < (1 << 32) else object
     aug = np.array([v.row(i) + blk.entries for i, blk in enumerate(rhs)], dtype=dtype)
-    muls = 0
 
     for col in range(n):
         nonzero = aug[col:, col].nonzero()[0]
@@ -406,9 +364,13 @@ def solve_linear(
             aug[[col, pivot]] = aug[[pivot, col]]
         prow = aug[col, col:]
         inv = pow(int(prow[0]), -1, p)
-        # Scaling by inv keeps the pivot row's zero pattern, so its count is
-        # read before normalization.
-        muls += ((n - col) + blen) * nonzero.size + blen * int(np.count_nonzero(prow[1 : n - col]))
+        if counter is not None:
+            # Scaling by inv keeps the pivot row's zero pattern, so its count
+            # is read before normalization.
+            counter.mul_count += ((n - col) + blen) * nonzero.size + blen * int(
+                np.count_nonzero(prow[1 : n - col])
+            )
+            counter.inv_count += 1
         # Row r gets -f_r * inv times the pivot row; the pivot row gets
         # (inv - 1) times itself, which normalizes it.  A zero multiplier
         # leaves its row unchanged, so no rows are gathered.
@@ -416,7 +378,4 @@ def solve_linear(
         coef[col] = inv - 1
         aug[:, col:] = muladd(aug[:, col:], np.array(coef, dtype=dtype)[:, None], prow)
 
-    if counter is not None:
-        counter.mul_count += muls
-        counter.inv_count += n
     return [FieldMatrix(br, bc, row) for row in aug[:n, n:].tolist()]

@@ -27,8 +27,8 @@ from .field import (
     PrimeField,
     SingularMatrix,
     field_pow,
-    mat_add,
     mat_mul,
+    mat_muladd,
     mat_scale,
     solve_linear,
 )
@@ -139,7 +139,7 @@ def _horner(field, blocks, gaps, counter):
     # A~(x) = x^{p_0}(A_0 + x^{p_1-p_0}(A_1 + ...)): n scalar-matrix products.
     acc = blocks[-1]
     for k in range(len(blocks) - 1, 0, -1):
-        acc = mat_add(field, blocks[k - 1], mat_scale(field, gaps[k], acc, counter), counter)
+        acc = mat_muladd(field, blocks[k - 1], gaps[k], acc, counter)
     return mat_scale(field, gaps[0], acc, counter)
 
 

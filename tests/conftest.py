@@ -25,6 +25,18 @@ def scalar(v: int) -> FieldMatrix:
     return FieldMatrix(1, 1, [v])
 
 
+def zeros(rows: int, cols: int) -> FieldMatrix:
+    return FieldMatrix(rows, cols, [0] * (rows * cols))
+
+
+def identity(n: int) -> FieldMatrix:
+    return FieldMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def to_rows(m: FieldMatrix) -> list[list[int]]:
+    return [m.row(i) for i in range(m.rows)]
+
+
 def direct_products(field, inputs):
     """The uncoded oracle: one schoolbook product per input pair."""
     return [mat_mul(field, a, b) for a, b in inputs]

@@ -164,7 +164,7 @@ def test_criterion_3_minimum_thresholds():
 
 def _scalar_inputs(n, seed):
     r = rng(seed)
-    return [(scalar(GF.rand_element(r)), scalar(GF.rand_element(r))) for _ in range(n)]
+    return [(scalar(r.randrange(GF.modulus)), scalar(r.randrange(GF.modulus))) for _ in range(n)]
 
 
 def test_criterion_4_exhaustive_kill_sets():

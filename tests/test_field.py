@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import direct_products, rng
+from conftest import direct_products, identity, rng, to_rows, zeros
 from rookbench.field import (
     M61,
     _muladd_m61,
@@ -16,8 +16,8 @@ from rookbench.field import (
     SingularMatrix,
     field_pow,
     is_prime_u64,
-    mat_add,
     mat_mul,
+    mat_muladd,
     mat_random,
     mat_scale,
     solve_linear,
@@ -60,7 +60,7 @@ def test_field_pow_matches_repeated_multiplication():
     f = PrimeField(101)
     r = rng(1)
     for _ in range(50):
-        x = f.rand_element(r)
+        x = r.randrange(f.modulus)
         e = r.randrange(65)
         acc = 1
         for _ in range(e):
@@ -117,7 +117,7 @@ def test_inv_matches_fermat_and_counts_one_inversion(p):
     for a in [1, p - 1] + [r.randrange(1, p) for _ in range(200)]:
         ctr = OpCounter()
         assert f.inv(a, ctr) == pow(a, p - 2, p)
-        assert ctr.as_dict() == {"mul_count": 0, "add_count": 0, "inv_count": 1}
+        assert (ctr.mul_count, ctr.inv_count) == (0, 1)
     ctr = OpCounter()
     with pytest.raises(ZeroDivisionError):
         f.inv(0, ctr)
@@ -126,11 +126,11 @@ def test_inv_matches_fermat_and_counts_one_inversion(p):
 
 def test_ring_axioms_sampled():
     f = PrimeField(M61)
+    p = f.modulus
     r = rng(2)
     for _ in range(200):
-        a, b, c = (f.rand_element(r) for _ in range(3))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == 0
+        a, b, c = (r.randrange(p) for _ in range(3))
+        assert f.mul(a, (b + c) % p) == (f.mul(a, b) + f.mul(a, c)) % p
         if a:
             assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
@@ -147,12 +147,12 @@ def test_inv_counts_inversions():
 
 def test_mat_mul_examples(gf101):
     m = FieldMatrix.from_rows([[1, 2], [3, 4]])
-    ident = FieldMatrix.identity(3)
+    ident = identity(3)
     x = mat_random(gf101, 3, 3, rng(3))
     assert mat_mul(gf101, ident, x) == x
     assert mat_mul(gf101, FieldMatrix(1, 1, [3]), FieldMatrix(1, 1, [2])).entries == [6]
     prod = mat_mul(gf101, m, FieldMatrix.from_rows([[5, 6], [7, 8]]))
-    assert prod.to_rows() == [[19, 22], [43, 50]]  # hand schoolbook check
+    assert to_rows(prod) == [[19, 22], [43, 50]]  # hand schoolbook check
 
 
 def test_mat_mul_counts_and_dimension_error(gf101):
@@ -168,10 +168,49 @@ def test_mat_mul_counts_and_dimension_error(gf101):
 def test_mat_helpers(gf101):
     a = FieldMatrix.from_rows([[1, 2], [3, 4]])
     b = FieldMatrix.from_rows([[100, 100], [100, 100]])
-    assert mat_add(gf101, a, b).to_rows() == [[0, 1], [2, 3]]
-    assert mat_scale(gf101, 2, a).to_rows() == [[2, 4], [6, 8]]
+    assert to_rows(mat_muladd(gf101, a, 1, b)) == [[0, 1], [2, 3]]
+    assert to_rows(mat_muladd(gf101, a, 2, b)) == [[100, 0], [1, 2]]
+    assert to_rows(mat_scale(gf101, 2, a)) == [[2, 4], [6, 8]]
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1, 2, 3])
+
+
+# Operands at 2^61 - 1's 30/31-bit limb boundaries.
+LIMB_EDGES = (0, 1, 2, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, M61 - 2, M61 - 1)
+
+
+@pytest.mark.parametrize(
+    "p", [7, 257, M61, 18446744073709551557], ids=["p7", "p257", "m61", "p2^64-59"]
+)
+def test_mat_muladd_matches_int_oracle(p):
+    field = PrimeField(p)
+    r = rng(p % 1000 + 23)
+    edges = sorted({e % p for e in LIMB_EDGES} | {p - 2, p - 1})
+    k = len(edges)
+    x_all = FieldMatrix(k, k, [a for a in edges for _ in edges])
+    y_all = FieldMatrix(k, k, [b for _ in edges for b in edges])
+    cases = [(x_all, s, y_all) for s in edges]
+    for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 1)):
+        cases.append((mat_random(field, rows, cols, r), r.randrange(p), mat_random(field, rows, cols, r)))
+    for x, s, y in cases:
+        got = mat_muladd(field, x, s, y)
+        assert (got.rows, got.cols) == (x.rows, x.cols)
+        assert got.entries == [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
+
+
+def test_mat_muladd_counts_checks_shape_and_leaves_inputs(gf101):
+    x = mat_random(gf101, 2, 3, rng(24))
+    y = mat_random(gf101, 2, 3, rng(25))
+    x_before, y_before = list(x.entries), list(y.entries)
+    ctr = OpCounter()
+    out = mat_muladd(gf101, x, 5, y, ctr)
+    assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
+    assert x.entries == x_before and y.entries == y_before
+    assert out.entries is not x.entries and out.entries is not y.entries
+    for bad in (mat_random(gf101, 3, 2, rng(26)), mat_random(gf101, 2, 2, rng(27))):
+        with pytest.raises(DimensionMismatch):
+            mat_muladd(gf101, x, 5, bad, ctr)
+    assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
 
 
 def test_mat_random_determinism(gf_m61):
@@ -186,7 +225,7 @@ def test_mat_random_determinism(gf_m61):
 
 def test_solve_identity(gf101):
     blocks = [mat_random(gf101, 2, 2, rng(i)) for i in range(3)]
-    out = solve_linear(gf101, FieldMatrix.identity(3), blocks)
+    out = solve_linear(gf101, identity(3), blocks)
     assert out == blocks
 
 
@@ -218,9 +257,9 @@ def test_solve_roundtrip_random_systems(gf_m61):
         want = [mat_random(gf_m61, 2, 3, r) for _ in range(size)]
         rhs = []
         for i in range(size):
-            acc = FieldMatrix.zeros(2, 3)
+            acc = zeros(2, 3)
             for j in range(size):
-                acc = mat_add(gf_m61, acc, mat_scale(gf_m61, v.at(i, j), want[j]))
+                acc = mat_muladd(gf_m61, acc, v.row(i)[j], want[j])
             rhs.append(acc)
         try:
             got = solve_linear(gf_m61, v, rhs)
@@ -249,19 +288,8 @@ def test_op_counts_deterministic_for_fixed_inputs(gf101):
         ctr = OpCounter()
         mat_mul(gf101, a, b, ctr)
         field_pow(gf101, 5, 1000, ctr)
-        counts.append(ctr.as_dict())
+        counts.append((ctr.mul_count, ctr.inv_count))
     assert counts[0] == counts[1]
-
-
-def test_counter_reset_and_absorb():
-    c = OpCounter()
-    c.mul_count = 3
-    d = OpCounter()
-    d.inv_count = 2
-    c.absorb(d)
-    assert (c.mul_count, c.inv_count) == (3, 2)
-    c.reset()
-    assert c.as_dict() == {"mul_count": 0, "add_count": 0, "inv_count": 0}
 
 
 def test_matrix_json_roundtrip(gf_m61):
@@ -287,7 +315,9 @@ def test_distinct_nonzero_draw(gf101):
 def reference_solve(field, v, rhs, counter=None):
     """Pure-Python Gaussian elimination and back substitution, skipping zero
     multipliers; the op counts solve_linear must reproduce.  A tall V
-    (k > n rows) is eliminated over all k rows and solved from its first n."""
+    (k > n rows) is eliminated over all k rows and solved from its first n.
+    A singular V is charged the full cost of the columns completed before
+    the one without a pivot."""
     if v.rows < v.cols:
         raise DimensionMismatch("V needs at least as many rows as columns")
     k, n = v.rows, v.cols
@@ -314,6 +344,12 @@ def reference_solve(field, v, rhs, counter=None):
                 pivot = r
                 break
         if pivot is None:
+            # Each completed column also owes its back substitution: blen per
+            # nonzero right of the diagonal in its pivot row.
+            muls += blen * sum(1 for r in range(col) for j in range(r + 1, n) if a[r][j])
+            if counter is not None:
+                counter.mul_count += muls
+                counter.inv_count += invs
             raise SingularMatrix(f"no nonzero pivot in column {col}")
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
@@ -363,7 +399,7 @@ def _solve_outcome(solve, field, v, rhs):
         result = [blk.entries for blk in solve(field, v, rhs, ctr)]
     except SingularMatrix as exc:
         result = str(exc)
-    return result, ctr.as_dict()
+    return result, (ctr.mul_count, ctr.inv_count)
 
 
 def _oracle_systems(p: int, n: int, blen: int, r: random.Random):
@@ -403,7 +439,7 @@ def test_solve_matches_reference_elimination(p, blen):
             rhs_before = [list(blk.entries) for blk in rhs]
             got = _solve_outcome(solve_linear, field, v, rhs)
             assert got == _solve_outcome(reference_solve, field, v, rhs), (n, v, rhs)
-            assert all(type(c) is int for c in got[1].values())  # not numpy ints
+            assert all(type(c) is int for c in got[1])  # not numpy ints
             assert v.entries == v_before
             assert [blk.entries for blk in rhs] == rhs_before
             outcomes.add(isinstance(got[0], str))
@@ -452,7 +488,7 @@ def test_tall_solve_matches_reference_elimination(p, blen):
             for v, rhs, want in _tall_systems(p, n, extra, blen, r):
                 got = _solve_outcome(solve_linear, field, v, rhs)
                 assert got == _solve_outcome(reference_solve, field, v, rhs), (n, extra, v)
-                assert all(type(c) is int for c in got[1].values())
+                assert all(type(c) is int for c in got[1])
                 if isinstance(got[0], str):
                     assert got[0].startswith("no nonzero pivot in column")
                 else:
@@ -466,8 +502,8 @@ def test_solve_dimension_checks_match_reference(gf101):
     cases = [
         (FieldMatrix(2, 3, [1] * 6), two),
         (FieldMatrix(3, 2, [1] * 6), two),
-        (FieldMatrix.identity(2), two[:1]),
-        (FieldMatrix.identity(2), [two[0], FieldMatrix(1, 2, [1, 2])]),
+        (identity(2), two[:1]),
+        (identity(2), [two[0], FieldMatrix(1, 2, [1, 2])]),
     ]
     for v, rhs in cases:
         messages = []
@@ -476,14 +512,13 @@ def test_solve_dimension_checks_match_reference(gf101):
             with pytest.raises(DimensionMismatch) as exc:
                 solve(gf101, v, rhs, ctr)
             messages.append(str(exc.value))
-            assert ctr.as_dict() == OpCounter().as_dict()
+            assert (ctr.mul_count, ctr.inv_count) == (0, 0)
         assert messages[0] == messages[1]
     assert solve_linear(gf101, FieldMatrix(0, 0, []), []) == []
 
 
 def test_m61_muladd_at_limb_extremes():
-    edges = [0, 1, 2, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, M61 - 2, M61 - 1]
-    arr = np.array(edges, dtype=np.uint64)
-    for x in edges:
+    arr = np.array(LIMB_EDGES, dtype=np.uint64)
+    for x in LIMB_EDGES:
         got = _muladd_m61(np.uint64(x), arr[:, None], arr).tolist()
-        assert got == [[(x + a * b) % M61 for b in edges] for a in edges]
+        assert got == [[(x + a * b) % M61 for b in LIMB_EDGES] for a in LIMB_EDGES]
