@@ -17,7 +17,7 @@ from . import rook
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
 from .field import FieldError, OpCounter, PrimeField, mat_muladd, mat_scale, solve_linear  # noqa: F401
-from .rook import WorkerShare, _require_products, _solve_responses
+from .rook import WorkerShare, _horner, _require_products, _solve_responses, power_rows
 
 
 class ConfigInvalid(Exception):
@@ -48,7 +48,9 @@ def _anchors_and_points(n, field, m, rng, z, eval_points):
         eval_points = tuple(field.distinct_nonzero(rng, m, exclude=z))
     else:
         eval_points = tuple(x % field.modulus for x in eval_points)
-        if len(set(eval_points)) != len(eval_points):
+        if len(eval_points) != m:
+            raise ValueError(f"expected {m} eval points, got {len(eval_points)}")
+        if len(set(eval_points)) != m:
             raise ValueError("evaluation points must be pairwise distinct")
     return z, eval_points
 
@@ -133,25 +135,11 @@ def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     """Interpolate the degree-(2n-2) product polynomial from every product
     received, then evaluate it at the anchors."""
     field = scheme.field
-    n = scheme.n
-    L = 2 * n - 1
+    L = scheme.threshold
     _require_products(products, L)
-    rows = []
-    for pr in products:
-        row = [1]
-        for _ in range(L - 1):
-            row.append(field.mul(row[-1], pr.x))
-        if counter is not None:
-            counter.mul_count += L - 1
-        rows.append(row)
+    rows = power_rows(field, range(L), [pr.x for pr in products], counter)
     coeffs = _solve_responses(field, rows, products, counter)
-    out = []
-    for zi in scheme.z:
-        acc = coeffs[-1]
-        for j in range(L - 2, -1, -1):
-            acc = mat_muladd(field, coeffs[j], zi, acc, counter)
-        out.append(acc)
-    return out
+    return [_horner(field, coeffs, [zi] * L, counter) for zi in scheme.z]
 
 
 # --- CSA --------------------------------------------------------------------
@@ -224,18 +212,12 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     field = scheme.field
     p = field.modulus
     n = scheme.n
-    _require_products(products, 2 * n - 1)
-    rows = []
-    for pr in products:
-        row = [field.inv((zi - pr.x) % p, counter) for zi in scheme.z]
-        poly = 1
-        for j in range(n - 1):
-            row.append(poly)
-            if j < n - 2:
-                poly = field.mul(poly, pr.x)
-        if counter is not None and n > 2:
-            counter.mul_count += n - 2
-        rows.append(row)
+    _require_products(products, scheme.threshold)
+    polys = power_rows(field, range(n - 1), [pr.x for pr in products], counter)
+    rows = [
+        [field.inv((zi - pr.x) % p, counter) for zi in scheme.z] + poly
+        for pr, poly in zip(products, polys)
+    ]
     blocks = _solve_responses(field, rows, products, counter)
     out = []
     for i in range(n):

@@ -65,16 +65,13 @@ def _int_list(text: str) -> list:
 def cmd_gen(args) -> int:
     try:
         pair = _GENERATORS[args.scheme](args.n)
-    except ParameterSearchExhausted as exc:
+        support = sum_support(pair)
+        if args.modulus is not None:
+            # Binding needs the largest product exponent, not the largest input one.
+            PrimeField(args.modulus).check_exponent_bound(support.support[-1])
+    except (ParameterSearchExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.modulus is not None and pair.max_exponent >= args.modulus - 1:
-        print(
-            f"error: max exponent {pair.max_exponent} too large for modulus {args.modulus}",
-            file=sys.stderr,
-        )
-        return 2
-    support = sum_support(pair)
     _write_out(args.out, json.dumps(pair.to_json_dict()) + "\n")
     print(f"L={support.L} decodable={str(is_decodable(pair)).lower()}")
     return 0
@@ -186,11 +183,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_sim_flags(sp, with_scheme=True):
-    if with_scheme:
-        sp.add_argument("--scheme", required=True, choices=ALL_SCHEMES)
-        sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=None, help="worker count (default threshold+4)")
+def _add_sim_flags(sp, workers_help):
+    sp.add_argument("--workers", type=int, default=None, help=workers_help)
     sp.add_argument("--rows", type=int, default=2, help="rows of each A_i")
     sp.add_argument("--inner", type=int, default=2, help="shared inner dimension")
     sp.add_argument("--cols", type=int, default=2, help="cols of each B_i")
@@ -228,14 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_minsearch)
 
     sp = sub.add_parser("simulate", help="run one fault-injection simulation")
-    _add_sim_flags(sp)
+    sp.add_argument("--scheme", required=True, choices=ALL_SCHEMES)
+    sp.add_argument("--n", type=int, required=True)
+    _add_sim_flags(sp, "worker count (default threshold+4, or lambda*n for replication)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="simulate a grid of schemes and sizes")
     sp.add_argument("--schemes", type=lambda s: s.split(",") if s else [], required=True)
     sp.add_argument("--n-list", type=_int_list, required=True, dest="n_list")
     sp.add_argument("--trials", type=int, default=1)
-    _add_sim_flags(sp, with_scheme=False)
+    _add_sim_flags(sp, "spare workers beyond each scheme's threshold (default 4; replication uses lambda*n)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bench-delta", help="gap-power multiplication counts for the shell construction")
@@ -250,11 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("schemes",):
-        if hasattr(args, name):
-            bad = [s for s in getattr(args, name) if s not in ALL_SCHEMES]
-            if bad:
-                parser.error(f"unknown schemes: {', '.join(bad)}")
+    bad = [s for s in getattr(args, "schemes", ()) if s not in ALL_SCHEMES]
+    if bad:
+        parser.error(f"unknown schemes: {', '.join(bad)}")
     return args.func(args)
 
 

@@ -6,7 +6,8 @@ to ~2^61 stay representable as monomial degrees.  Scalar and matrix
 products use Python ints; powers and inverses use builtin pow.  Every
 linear combination of blocks (an encoder's Horner step or sum, a decoder's
 evaluation at an anchor) is a chain of mat_muladd calls, x + s*y in one
-list pass at one multiplication per entry, begun or ended by a mat_scale.
+list pass at one multiplication per entry, and an encoder's chain is begun
+or ended by a mat_scale.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 whose row multiply-add is picked by the modulus: uint64 31/30-bit limb
 products with shift-add reduction for 2^61 - 1, the plain uint64 product
@@ -108,11 +109,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
 
-    # Not op-counted: callers count it with the bulk work whose counts the
-    # reports use.
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
     def inv(self, a: int, counter: OpCounter | None = None) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -146,17 +142,22 @@ class PrimeField:
         return out
 
 
-def field_pow(field: PrimeField, x: int, e: int, counter: OpCounter | None = None) -> int:
-    """x^e, counting the multiplications of left-to-right square-and-multiply.
+def pow_muls(e: int) -> int:
+    """Multiplications left-to-right square-and-multiply spends on x^e, e >= 0.
 
     That is one squaring per bit of e after the leading one plus one
     multiplication per further 1-bit: at most 2*floor(log2 e) for e >= 1,
     depending only on the bit pattern of e.
     """
+    return e.bit_length() + e.bit_count() - 2 if e else 0
+
+
+def field_pow(field: PrimeField, x: int, e: int, counter: OpCounter | None = None) -> int:
+    """x^e, counted as square-and-multiply (see pow_muls)."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    if counter is not None and e:
-        counter.mul_count += e.bit_length() + e.bit_count() - 2
+    if counter is not None:
+        counter.mul_count += pow_muls(e)
     return pow(x, e, field.modulus)
 
 

@@ -30,6 +30,7 @@ from .field import (
     mat_mul,
     mat_muladd,
     mat_scale,
+    pow_muls,
     solve_linear,
 )
 
@@ -135,12 +136,41 @@ def gap_powers(field: PrimeField, exponents, x: int, counter: OpCounter | None =
     return out
 
 
+def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = None):
+    """Rows [x^{e_0}, x^{e_1}, ...] for each x in xs, for non-decreasing exponents.
+
+    Each row is the running product of the gap powers x^{e_0},
+    x^{e_1 - e_0}, ..., counted as square-and-multiply per gap (pow_muls)
+    plus one product per entry after the first.  Every decoder builds its
+    system rows here.
+    """
+    gaps = []
+    prev = 0
+    for e in exponents:
+        if e < prev:
+            raise ValueError("exponents must be non-negative and non-decreasing")
+        gaps.append(e - prev)
+        prev = e
+    p = field.modulus
+    rows = []
+    for x in xs:
+        row = []
+        val = 1
+        for g in gaps:
+            val = val * pow(x, g, p) % p
+            row.append(val)
+        rows.append(row)
+    if counter is not None and gaps:
+        counter.mul_count += len(rows) * (sum(map(pow_muls, gaps)) + len(gaps) - 1)
+    return rows
+
+
 def _horner(field, blocks, gaps, counter):
-    # A~(x) = x^{p_0}(A_0 + x^{p_1-p_0}(A_1 + ...)): n scalar-matrix products.
+    # B_0 + g_1(B_1 + g_2(B_2 + ...)): one scalar-matrix product per step.
     acc = blocks[-1]
     for k in range(len(blocks) - 1, 0, -1):
         acc = mat_muladd(field, blocks[k - 1], gaps[k], acc, counter)
-    return mat_scale(field, gaps[0], acc, counter)
+    return acc
 
 
 def rook_encode_share(
@@ -169,8 +199,9 @@ def rook_encode_share(
     field = scheme.field
     cp = gap_powers(field, pair.p, x, counter)
     cq = gap_powers(field, pair.q, x, counter)
-    a_tilde = _horner(field, [a for a, _ in inputs], cp, counter)
-    b_tilde = _horner(field, [b for _, b in inputs], cq, counter)
+    # A~(x) = x^{p_0}(A_0 + x^{p_1-p_0}(A_1 + ...)): n scalar-matrix products.
+    a_tilde = mat_scale(field, cp[0], _horner(field, [a for a, _ in inputs], cp, counter), counter)
+    b_tilde = mat_scale(field, cq[0], _horner(field, [b for _, b in inputs], cq, counter), counter)
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a_tilde, b_tilde=b_tilde)
 
 
@@ -206,27 +237,13 @@ def rook_decode(
 ):
     """Recover all A_k B_k from every worker product received.
 
-    Solves V C = E where V[w][t] = x_w^{support[t]}, one row per product;
-    the diagonal positions of the support hold the wanted products.  Each
-    row steps through the support gaps with builtin pow and is counted as
-    square-and-multiply per gap plus one product per entry.  Raises
-    NotEnoughProducts below L products and SingularAfterRetry while the
-    products do not determine the solution.
+    Solves V C = E where V[w][t] = x_w^{support[t]}, one power_rows row
+    per product; the diagonal positions of the support hold the wanted
+    products.  Raises NotEnoughProducts below L products and
+    SingularAfterRetry while the products do not determine the solution.
     """
     support = scheme.support
     _require_products(products, support.L)
-    p = scheme.field.modulus
-    gaps = [e - prev for prev, e in zip((0,) + support.support[:-1], support.support)]
-    rows = []
-    for pr in products:
-        row = []
-        val = 1
-        for g in gaps:
-            val = val * pow(pr.x, g, p) % p
-            row.append(val)
-        rows.append(row)
-    if counter is not None:
-        row_muls = sum(g.bit_length() + g.bit_count() - 2 for g in gaps if g) + len(gaps)
-        counter.mul_count += len(rows) * row_muls
+    rows = power_rows(scheme.field, support.support, [pr.x for pr in products], counter)
     coeffs = _solve_responses(scheme.field, rows, products, counter)
     return [coeffs[t] for t in support.diag_index]

@@ -222,6 +222,14 @@ def test_csa_single_pair_decode():
     assert csa_decode(prods[:1], scheme) == direct_products(GF101, inputs)
 
 
+@pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])
+def test_explicit_eval_points_must_number_m(make):
+    with pytest.raises(ValueError, match="expected 5 eval points, got 3"):
+        make(2, GF101, 5, eval_points=(3, 4, 5))
+    with pytest.raises(ValueError, match="expected 2 eval points, got 3"):
+        make(2, GF101, 2, eval_points=(3, 4, 5))
+
+
 # --- division accounting -------------------------------------------------------
 
 

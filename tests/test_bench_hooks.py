@@ -26,19 +26,43 @@ def test_every_traced_point_resolves():
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
 
 
-@pytest.mark.parametrize("modulus", [M61, 257], ids=["m61", "p257"])
-def test_span_counts_match_reports(modulus):
+def _cross_check_each(configs):
+    """Run each config under the tracer and compare its spans with its report.
+
+    Returns the number of rook.decode calls of each run.
+    """
+    decode_calls = []
     tracer = spans.Tracer()
     tracer.install()
     try:
-        for scheme in ALL_SCHEMES:
-            desc = SchemeDescriptor(scheme=scheme, n=2, lam=2)
-            m = desc.fixed_m or scheme_threshold(desc) + 2
-            fault = FaultModel(fail_prob=0.2, straggle_mean=1.0)
-            config = SimConfig(descriptor=desc, m=m, seed=7, fault=fault, modulus=modulus)
+        for config in configs:
             tracer.spans.clear()
             report = run_simulation(config)
-            assert report.verified, scheme
-            assert spans.cross_check(tracer.spans, report) == [], scheme
+            label = (config.descriptor.scheme, config.seed)
+            assert report.verified, label
+            assert spans.cross_check(tracer.spans, report) == [], label
+            decode_calls.append(sum(s.name == "rook.decode" for s in tracer.spans))
     finally:
         tracer.uninstall()
+    return decode_calls
+
+
+@pytest.mark.parametrize("modulus", [M61, 257], ids=["m61", "p257"])
+def test_span_counts_match_reports(modulus):
+    configs = []
+    for scheme in ALL_SCHEMES:
+        desc = SchemeDescriptor(scheme=scheme, n=2, lam=2)
+        m = desc.fixed_m or scheme_threshold(desc) + 2
+        fault = FaultModel(fail_prob=0.2, straggle_mean=1.0)
+        configs.append(SimConfig(descriptor=desc, m=m, seed=7, fault=fault, modulus=modulus))
+    _cross_check_each(configs)
+
+
+def test_span_counts_match_reports_over_repeated_decodes():
+    # rook-behrend over GF(257): x and -x give equal rows, so a run decodes
+    # more than once before its responses determine the products, and the
+    # report's decode counters sum every call.
+    desc = SchemeDescriptor(scheme="rook-behrend", n=8)
+    fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
+    configs = [SimConfig(descriptor=desc, m=60, seed=s, fault=fault, modulus=257) for s in range(4)]
+    assert _cross_check_each(configs) == [3, 2, 1, 2]

@@ -43,6 +43,21 @@ def test_gen_modulus_too_small(capsys):
     assert "too large" in err
 
 
+def test_gen_modulus_bounds_the_largest_product_exponent(capsys):
+    # base3 n=8 has max input exponent 13 but product exponent 26, which
+    # GF(17) cannot bind; gen must reject what simulate would reject.
+    code, out, err = run_cli(["gen", "--scheme", "base3", "--n", "8", "--modulus", "17"], capsys)
+    assert (code, out) == (2, "")
+    assert "exponent 26 too large" in err
+    code, _, err = run_cli(
+        ["simulate", "--scheme", "rook-base3", "--n", "8", "--modulus", "17", "--workers", "12"],
+        capsys,
+    )
+    assert code == 2 and "exponent 26 too large" in err
+    code, out, _ = run_cli(["gen", "--scheme", "base3", "--n", "8", "--modulus", "29"], capsys)
+    assert (code, out.strip()) == (0, "L=27 decodable=true")
+
+
 def test_check_decodable_file(tmp_path, capsys):
     f = tmp_path / "good.json"
     f.write_text(json.dumps({"n": 3, "p": [0, 1, 3], "q": [0, 1, 3]}))

@@ -1,10 +1,10 @@
 """Golden outputs: simulate JSON, sweep CSV and generated exponents stay byte-identical.
 
-The grid and sweep digests below were recorded before the scheme protocol
-was introduced; any change to a report byte (a counter, an error name, the
-simulated clock, the responses used) changes a digest.  The retry digest
-was recorded when a singular solve began to count the columns it completed,
-which changes the decode counters of seeds whose early decodes fail.  The generator
+Any change to a report byte (a counter, an error name, the simulated
+clock, the responses used) changes a digest.  The grid, sweep and retry
+digests were recorded when every decoder's rows began to come from one
+power-row kernel, which charges L - 1 products per rook decode row where
+rook had charged L; only rook reports' decode_muls moved.  The generator
 digests were recorded from the linear digit-shell scan, before the gallop
 search and the numpy shell table replaced it.
 """
@@ -21,9 +21,9 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "95abfa91975b3179a8400b0a81ba87ee4bdb070db9bbea81467571e9779c9fd3"
-SWEEP_SHA256 = "61dea2b2953f1c2a4f7af584b1bffb88d90cbeecdd207397f39769e89c07d748"
-RETRY_SHA256 = "228a7658b4b913ad40c125de0450dc7722549573c43239b0c0883eb195424d6c"
+GRID_SHA256 = "4013b2aeffa54ec7e26f0caaa1883b8f78398c76e82936fe1da92b04f0f90339"
+SWEEP_SHA256 = "6f0b0113fcc0c57d1df090e2230b93e0a40eecfdd2e62d1f4448556d56365cac"
+RETRY_SHA256 = "a4fb06bec600d84f8732ffe992d869cde17440a3a3eb06b01b35282f6ebad7b7"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 

@@ -26,6 +26,7 @@ from rookbench.rook import (
     WorkerProduct,
     gap_powers,
     make_rook_scheme,
+    power_rows,
     rook_decode,
     rook_encode_share,
     rook_worker,
@@ -69,6 +70,33 @@ def test_gap_powers_count_is_own_delta():
     # gaps 0, 2, 1, 8 cost 0 + 1 + 0 + 3 square-and-multiply products
     assert ctr.mul_count == 4
     assert ctr.inv_count == 0
+
+
+def test_power_rows_are_running_products_of_gap_powers():
+    assert power_rows(GF101, (0, 2, 3), [2, 5]) == [[1, 4, 8], [1, 25, 24]]
+    assert power_rows(GF101, (1, 1, 4), [3]) == [[3, 3, 81]]  # a zero gap repeats
+    assert power_rows(GF101, (), [3, 4]) == [[], []]
+    assert power_rows(GF101, (0, 1), []) == []
+    exps = (0, 4, 6, 30, 99)
+    for x in (0, 1, 7, 100):
+        assert power_rows(GF101, exps, [x]) == [[pow(x, e, 101) for e in exps]]
+
+
+def test_power_rows_count_gap_powers_plus_products_after_the_first():
+    ctr = OpCounter()
+    power_rows(GFM61, (0, 2, 3, 11), [7, 9, 11], ctr)
+    # gap powers 0 + 1 + 0 + 3 and 3 running products per row
+    assert (ctr.mul_count, ctr.inv_count) == (3 * 7, 0)
+    for exps, want in ((range(5), 2 * 4), (range(1), 0), (range(0), 0)):
+        ctr = OpCounter()
+        power_rows(GFM61, exps, [3, 4], ctr)
+        assert ctr.mul_count == want
+
+
+def test_power_rows_reject_decreasing_exponents():
+    for exps in ((0, 3, 2), (-1, 2)):
+        with pytest.raises(ValueError):
+            power_rows(GF101, exps, [2])
 
 
 # --- encoding -------------------------------------------------------------------
@@ -263,9 +291,7 @@ def test_singular_decode_charges_completed_columns():
     prods = run_pipeline(scheme, [(scalar(4), scalar(6)), (scalar(2), scalar(11))])
     support = scheme.support.support
     rows = OpCounter()
-    for pr in prods:
-        gap_powers(gf13, support, pr.x, rows)
-    rows.mul_count += len(prods) * len(support)
+    power_rows(gf13, support, [pr.x for pr in prods], rows)
     ctr = OpCounter()
     with pytest.raises(SingularAfterRetry):
         rook_decode(prods, scheme, ctr)
@@ -288,8 +314,8 @@ def test_decode_ignores_products_beyond_threshold():
 
 
 def test_decode_counts_gap_powers_per_row_plus_solve():
-    # Each of the k rows costs its gap powers plus one product per entry;
-    # the solve is counted over all k rows.
+    # Each of the k rows costs its gap powers plus one product per entry
+    # after the first; the solve is counted over all k rows.
     for pair in (base3_exponents(4), behrend_exponents(8)):
         support = sum_support(pair).support
         scheme = make_rook_scheme(pair, GFM61, len(support) + 3, rng=rng(56))
@@ -304,7 +330,7 @@ def test_decode_counts_gap_powers_per_row_plus_solve():
                 val = val * g % M61
                 row.append(val)
             rows.append(row)
-        want.mul_count += len(prods) * len(support)
+        want.mul_count += len(prods) * (len(support) - 1)
         solve_linear(GFM61, FieldMatrix.from_rows(rows), [pr.e for pr in prods], want)
         assert (ctr.mul_count, ctr.inv_count) == (want.mul_count, want.inv_count)
 
