@@ -9,11 +9,9 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    field_pow,
+    mat_lincomb,
     mat_mul,
-    mat_muladd,
     mat_random,
-    mat_scale,
     solve_linear,
 )
 from .exponents import (
@@ -35,7 +33,7 @@ from .rook import (
     SingularAfterRetry,
     WorkerProduct,
     WorkerShare,
-    gap_powers,
+    encode_delta,
     make_rook_scheme,
     rook_decode,
     rook_encode_share,

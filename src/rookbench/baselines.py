@@ -16,8 +16,8 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, mat_muladd, mat_scale, solve_linear  # noqa: F401
-from .rook import WorkerShare, _horner, _require_products, _solve_responses, power_rows
+from .field import FieldError, OpCounter, PrimeField, mat_lincomb, solve_linear  # noqa: F401
+from .rook import WorkerShare, _require_products, _solve_responses, power_rows
 
 
 class ConfigInvalid(Exception):
@@ -53,17 +53,6 @@ def _anchors_and_points(n, field, m, rng, z, eval_points):
         if len(set(eval_points)) != m:
             raise ValueError("evaluation points must be pairwise distinct")
     return z, eval_points
-
-
-def _combine(field, coeffs, inputs, counter):
-    """(sum_i c_i A_i, sum_i c_i B_i), accumulated in input order."""
-    (c0, (a, b)), *rest = zip(coeffs, inputs)
-    a = mat_scale(field, c0, a, counter)
-    b = mat_scale(field, c0, b, counter)
-    for coeff, (ai, bi) in rest:
-        a = mat_muladd(field, a, coeff, ai, counter)
-        b = mat_muladd(field, b, coeff, bi, counter)
-    return a, b
 
 
 # --- LCC --------------------------------------------------------------------
@@ -127,7 +116,9 @@ def lcc_encode(scheme: LccScheme, inputs, worker_id: int, counter: OpCounter | N
     """Evaluate the Lagrange interpolants of the inputs at x_w."""
     field = scheme.field
     x = scheme.eval_points[worker_id]
-    a, b = _combine(field, _lagrange_basis(field, scheme.z, x, counter), inputs, counter)
+    basis = _lagrange_basis(field, scheme.z, x, counter)
+    a = mat_lincomb(field, basis, [a for a, _ in inputs], counter)
+    b = mat_lincomb(field, basis, [b for _, b in inputs], counter)
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
 
 
@@ -139,7 +130,10 @@ def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     _require_products(products, L)
     rows = power_rows(field, range(L), [pr.x for pr in products], counter)
     coeffs = _solve_responses(field, rows, products, counter)
-    return [_horner(field, coeffs, [zi] * L, counter) for zi in scheme.z]
+    # C_0 + z C_1 + z^2 C_2 + ...: (L - 1) scalar-matrix products per anchor,
+    # the cost of Horner's rule; the scalar powers of z go uncounted.
+    zpows = power_rows(field, range(1, L), scheme.z)
+    return [mat_lincomb(field, zk, coeffs[1:], counter, base=coeffs[0]) for zk in zpows]
 
 
 # --- CSA --------------------------------------------------------------------
@@ -197,8 +191,9 @@ def csa_encode(scheme: CsaScheme, inputs, worker_id: int, counter: OpCounter | N
         f = f * (zi - x) % p
     if counter is not None:
         counter.mul_count += scheme.n - 1
-    a, b = _combine(field, invs, inputs, counter)
-    a = mat_scale(field, f, a, counter)
+    a = mat_lincomb(field, invs, [a for a, _ in inputs], counter)
+    b = mat_lincomb(field, invs, [b for _, b in inputs], counter)
+    a = mat_lincomb(field, [f], [a], counter)
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
 
 
@@ -222,7 +217,7 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     out = []
     for i in range(n):
         c_inv = field.inv(scheme.residues[i], counter)
-        out.append(mat_scale(field, c_inv, blocks[i], counter))
+        out.append(mat_lincomb(field, [c_inv], [blocks[i]], counter))
     return out
 
 

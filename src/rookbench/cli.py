@@ -27,8 +27,8 @@ from .exponents import (
     poly_code_exponents,
     sum_support,
 )
-from .field import M61, OpCounter, PrimeField, is_prime_u64
-from .rook import gap_powers
+from .field import M61, PrimeField, is_prime_u64
+from .rook import encode_delta
 from .sim import ConfigInvalid, FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
 _GENERATORS = {
@@ -38,8 +38,15 @@ _GENERATORS = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ROOKBENCH_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else ROOKBENCH_SEED, else 0; read only by commands that take a seed."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("ROOKBENCH_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"ROOKBENCH_SEED must be an integer, got {text!r}") from None
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -107,17 +114,13 @@ def cmd_bench_delta(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "delta_muls", "ratio"])
-    field = PrimeField(args.modulus)
     for n in args.n_list:
         try:
             pair = behrend_exponents(n)
         except ParameterSearchExhausted as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ctr = OpCounter()
-        gap_powers(field, pair.p, 2, ctr)
-        gap_powers(field, pair.q, 2, ctr)
-        delta = ctr.mul_count
+        delta = encode_delta(pair)
         if n > 1:
             ratio = delta / (n * math.sqrt(math.log2(n)))
         else:
@@ -131,13 +134,13 @@ def cmd_bench_delta(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam or 2)
+        desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam)
         m = args.workers if args.workers is not None else desc.fixed_m or scheme_threshold(desc) + 4
         config = SimConfig(
             descriptor=desc,
             m=m,
             dims=(args.rows, args.inner, args.cols),
-            seed=args.seed,
+            seed=_seed(args),
             encode_at=args.encode_at,
             fault=FaultModel(
                 fail_prob=args.fail_prob,
@@ -164,7 +167,7 @@ def cmd_sweep(args) -> int:
             trials=args.trials,
             extra_workers=args.workers if args.workers is not None else 4,
             dims=(args.rows, args.inner, args.cols),
-            seed=args.seed,
+            seed=_seed(args),
             encode_at=args.encode_at,
             fault=FaultModel(
                 fail_prob=args.fail_prob,
@@ -191,7 +194,7 @@ def _add_sim_flags(sp, workers_help):
     sp.add_argument("--fail-prob", type=float, default=0.0, dest="fail_prob")
     sp.add_argument("--straggle-mean", type=float, default=0.0, dest="straggle_mean")
     sp.add_argument("--base-delay", type=float, default=1.0, dest="base_delay")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None, help="default: ROOKBENCH_SEED, else 0")
     sp.add_argument("--encode-at", choices=("master", "workers"), default="master", dest="encode_at")
     sp.add_argument("--lambda", type=int, default=2, dest="lam", help="replication factor")
     sp.add_argument("--modulus", type=_parse_modulus, default=M61)
@@ -236,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench-delta", help="gap-power multiplication counts for the shell construction")
     sp.add_argument("--n-list", type=_int_list, required=True, dest="n_list")
-    sp.add_argument("--modulus", type=_parse_modulus, default=M61)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_bench_delta)
 

@@ -4,10 +4,10 @@ Field elements are canonical Python ints in [0, p) for a prime p below
 2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
 to ~2^61 stay representable as monomial degrees.  Scalar and matrix
 products use Python ints; powers and inverses use builtin pow.  Every
-linear combination of blocks (an encoder's Horner step or sum, a decoder's
-evaluation at an anchor) is a chain of mat_muladd calls, x + s*y in one
-list pass at one multiplication per entry, and an encoder's chain is begun
-or ended by a mat_scale.
+linear combination of blocks (an encoder's share, a decoder's evaluation at
+an anchor or rescale) is one mat_lincomb call: each entry's products are
+summed as unreduced Python ints and reduced mod p once, and the call counts
+one multiplication per coefficient per entry.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 whose row multiply-add is picked by the modulus: uint64 31/30-bit limb
 products with shift-add reduction for 2^61 - 1, the plain uint64 product
@@ -22,6 +22,9 @@ cannot interfere.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -149,16 +152,9 @@ def pow_muls(e: int) -> int:
     multiplication per further 1-bit: at most 2*floor(log2 e) for e >= 1,
     depending only on the bit pattern of e.
     """
-    return e.bit_length() + e.bit_count() - 2 if e else 0
-
-
-def field_pow(field: PrimeField, x: int, e: int, counter: OpCounter | None = None) -> int:
-    """x^e, counted as square-and-multiply (see pow_muls)."""
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    if counter is not None:
-        counter.mul_count += pow_muls(e)
-    return pow(x, e, field.modulus)
+    return e.bit_length() + e.bit_count() - 2 if e else 0
 
 
 class FieldMatrix:
@@ -249,34 +245,49 @@ def mat_mul(
     return FieldMatrix(n, m, out)
 
 
-def mat_muladd(
-    field: PrimeField,
-    x: FieldMatrix,
-    s: int,
-    y: FieldMatrix,
-    counter: OpCounter | None = None,
-) -> FieldMatrix:
-    """x + s*y in one pass; counts one multiplication per entry."""
-    if x.rows != y.rows or x.cols != y.cols:
-        raise DimensionMismatch("multiply-add shape mismatch")
-    p = field.modulus
-    out = [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
-    if counter is not None:
-        counter.mul_count += x.rows * x.cols
-    return FieldMatrix(x.rows, x.cols, out)
+# Lazy terms chained before the running sum is materialized: every term
+# nests one more C-level iterator, and deep nesting overflows the C stack.
+_NEST = 256
 
 
-def mat_scale(
+def mat_lincomb(
     field: PrimeField,
-    s: int,
-    a: FieldMatrix,
+    coeffs,
+    blocks,
     counter: OpCounter | None = None,
+    base: FieldMatrix | None = None,
 ) -> FieldMatrix:
+    """base + sum_i coeffs[i] * blocks[i]; counts one multiplication per
+    coefficient per entry, len(blocks) * rows * cols in all.
+
+    Each entry's products are summed as unreduced Python ints through
+    C-level maps and reduced mod p once.  Raises DimensionMismatch, counting
+    nothing, when the coefficients do not pair off with the blocks or a
+    shape differs from the first block's (or base's).
+    """
+    if len(coeffs) != len(blocks):
+        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(blocks)} blocks")
+    if base is None and not blocks:
+        raise DimensionMismatch("empty linear combination has no shape")
+    first = blocks[0] if base is None else base
+    rows, cols = first.rows, first.cols
+    if any(b.rows != rows or b.cols != cols for b in blocks):
+        raise DimensionMismatch("linear combination shape mismatch")
+    terms = zip(coeffs, blocks)
+    if base is None:
+        c, b = next(terms)
+        acc = map(mul, repeat(c), b.entries)
+    else:
+        acc = base.entries
+    for i, (c, b) in enumerate(terms, 1):
+        acc = map(add, acc, map(mul, repeat(c), b.entries))
+        if not i % _NEST:
+            acc = list(acc)
     p = field.modulus
-    out = [s * x % p for x in a.entries]
+    out = [v % p for v in acc]
     if counter is not None:
-        counter.mul_count += a.rows * a.cols
-    return FieldMatrix(a.rows, a.cols, out)
+        counter.mul_count += len(blocks) * rows * cols
+    return FieldMatrix(rows, cols, out)
 
 
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:

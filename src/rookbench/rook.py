@@ -9,14 +9,15 @@ off the diagonal coefficients A_k B_k.  The decoder solves the system of
 every response received, so it succeeds as soon as those responses
 determine the products, whichever they are.
 
-Encoding is division-free: a nested Horner scheme over the exponent gaps
-costs exactly the gap-power multiplications plus one scalar-matrix product
-per input block.
+Encoding is division-free: each share is one linear combination of the
+input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
+multiply products of the exponent gaps, delta(P, Q), plus one scalar-matrix
+product per input block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .exponents import ExponentPair, SumSupport, is_decodable, sum_support
 from .field import (
@@ -26,10 +27,8 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    field_pow,
+    mat_lincomb,
     mat_mul,
-    mat_muladd,
-    mat_scale,
     pow_muls,
     solve_linear,
 )
@@ -49,6 +48,10 @@ class RookScheme:
     support: SumSupport
     field: PrimeField
     eval_points: tuple
+    delta: int = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta", encode_delta(self.pair))
 
     @property
     def threshold(self) -> int:
@@ -122,18 +125,22 @@ class WorkerProduct:
         )
 
 
-def gap_powers(field: PrimeField, exponents, x: int, counter: OpCounter | None = None):
-    """Powers x^{e_0 - 0}, x^{e_1 - e_0}, ... for an increasing exponent list.
-
-    Each gap power is computed by square-and-multiply; the multiplication
-    tally is the delta term of the encoding cost.
-    """
-    out = []
+def _gaps(exponents) -> list[int]:
+    """e_0 - 0, e_1 - e_0, ... for non-negative, non-decreasing exponents."""
+    gaps = []
     prev = 0
     for e in exponents:
-        out.append(field_pow(field, x, e - prev, counter))
+        if e < prev:
+            raise ValueError("exponents must be non-negative and non-decreasing")
+        gaps.append(e - prev)
         prev = e
-    return out
+    return gaps
+
+
+def encode_delta(pair: ExponentPair) -> int:
+    """delta(P, Q): the square-and-multiply products of one share's gap
+    powers x^{p_0}, x^{p_1 - p_0}, ... and x^{q_0}, x^{q_1 - q_0}, ...."""
+    return sum(map(pow_muls, _gaps(pair.p) + _gaps(pair.q)))
 
 
 def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = None):
@@ -144,13 +151,7 @@ def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = Non
     plus one product per entry after the first.  Every decoder builds its
     system rows here.
     """
-    gaps = []
-    prev = 0
-    for e in exponents:
-        if e < prev:
-            raise ValueError("exponents must be non-negative and non-decreasing")
-        gaps.append(e - prev)
-        prev = e
+    gaps = _gaps(exponents)
     p = field.modulus
     rows = []
     for x in xs:
@@ -165,24 +166,16 @@ def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = Non
     return rows
 
 
-def _horner(field, blocks, gaps, counter):
-    # B_0 + g_1(B_1 + g_2(B_2 + ...)): one scalar-matrix product per step.
-    acc = blocks[-1]
-    for k in range(len(blocks) - 1, 0, -1):
-        acc = mat_muladd(field, blocks[k - 1], gaps[k], acc, counter)
-    return acc
-
-
 def rook_encode_share(
     scheme: RookScheme,
     inputs,
     worker_id: int,
     counter: OpCounter | None = None,
 ) -> WorkerShare:
-    """Encode (A~(x_w), B~(x_w)) for one worker via gap-power Horner.
+    """Encode (A~(x_w), B~(x_w)) for one worker, one mat_lincomb each.
 
     Total multiplications are exactly delta(P, Q) (the gap powers) plus
-    (rows(A) + cols(B)) * inner * n for the scalar-matrix steps; no
+    (rows(A) + cols(B)) * inner * n for the scalar-matrix products; no
     inversions ever occur on this path.
     """
     pair = scheme.pair
@@ -197,11 +190,11 @@ def rook_encode_share(
             raise DimensionMismatch("A.cols must equal B.rows")
     x = scheme.eval_points[worker_id]
     field = scheme.field
-    cp = gap_powers(field, pair.p, x, counter)
-    cq = gap_powers(field, pair.q, x, counter)
-    # A~(x) = x^{p_0}(A_0 + x^{p_1-p_0}(A_1 + ...)): n scalar-matrix products.
-    a_tilde = mat_scale(field, cp[0], _horner(field, [a for a, _ in inputs], cp, counter), counter)
-    b_tilde = mat_scale(field, cq[0], _horner(field, [b for _, b in inputs], cq, counter), counter)
+    p = field.modulus
+    a_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.p], [a for a, _ in inputs], counter)
+    b_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.q], [b for _, b in inputs], counter)
+    if counter is not None:
+        counter.mul_count += scheme.delta
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a_tilde, b_tilde=b_tilde)
 
 

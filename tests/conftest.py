@@ -40,3 +40,32 @@ def to_rows(m: FieldMatrix) -> list[list[int]]:
 def direct_products(field, inputs):
     """The uncoded oracle: one schoolbook product per input pair."""
     return [mat_mul(field, a, b) for a, b in inputs]
+
+
+def reference_pow(p: int, x: int, e: int) -> tuple[int, int]:
+    """Left-to-right square-and-multiply: (x^e mod p, multiplications)."""
+    if e == 0:
+        return 1, 0
+    muls = 0
+    result = x % p
+    for bit in bin(e)[3:]:
+        result = result * result % p
+        muls += 1
+        if bit == "1":
+            result = result * x % p
+            muls += 1
+    return result, muls
+
+
+def gap_powers(field, exponents, x: int, counter=None) -> list[int]:
+    """Oracle gap powers x^{e_0}, x^{e_1 - e_0}, ... run by square-and-multiply;
+    `counter` is charged their multiplications, delta's share of them."""
+    out = []
+    prev = 0
+    for e in exponents:
+        value, muls = reference_pow(field.modulus, x, e - prev)
+        out.append(value)
+        if counter is not None:
+            counter.mul_count += muls
+        prev = e
+    return out

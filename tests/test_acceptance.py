@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 
-from conftest import rng, scalar
+from conftest import gap_powers, rng, scalar
 from kill_sets import production_exhaustive_kill_sets, rook_exhaustive_kill_sets
 from rookbench.baselines import (
     ReplicationScheme,
@@ -33,7 +33,6 @@ from rookbench.exponents import (
 )
 from rookbench.field import M61, OpCounter, PrimeField, mat_random
 from rookbench.rook import (
-    gap_powers,
     make_rook_scheme,
     rook_decode,
     rook_encode_share,

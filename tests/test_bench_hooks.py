@@ -13,17 +13,33 @@ from pathlib import Path
 
 import pytest
 
-from rookbench.baselines import ALL_SCHEMES, SchemeDescriptor, scheme_threshold
+from rookbench import rook
+from rookbench.baselines import ALL_SCHEMES, ROOK_SCHEMES, SchemeDescriptor, rook_exponents_for, scheme_threshold
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_every_traced_point_resolves():
     for module, attr, name in spans.POINTS:
         assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
+
+
+def test_gate_delta_matches_package_delta():
+    # The gate checks encode_muls against its own copy of delta(P, Q).
+    templates = [
+        t
+        for ts in workloads.WORKLOADS.values()
+        for t in ts
+        if isinstance(t, workloads.SimTemplate) and t.scheme in ROOK_SCHEMES
+    ]
+    assert templates
+    for t in templates:
+        pair = rook_exponents_for(SchemeDescriptor(scheme=t.scheme, n=t.n))
+        assert workloads.encode_delta(pair) == rook.encode_delta(pair), t.label
 
 
 def _cross_check_each(configs):

@@ -166,6 +166,13 @@ def test_simulate_replication_defaults_to_lambda_n_workers(capsys):
     assert report["m"] == 4 and report["success"] is True
 
 
+def test_simulate_replication_rejects_lambda_zero(capsys):
+    code, out, err = run_cli(["simulate", "--scheme", "replication", "--n", "2", "--lambda", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "replication needs lambda >= 1" in err
+
+
 def test_simulate_deterministic_given_seed(capsys):
     argv = ["simulate", "--scheme", "csa", "--n", "3", "--seed", "5",
             "--straggle-mean", "2.0", "--fail-prob", "0.2"]
@@ -181,6 +188,17 @@ def test_simulate_env_seed(monkeypatch, capsys):
     monkeypatch.delenv("ROOKBENCH_SEED")
     _, out_default, _ = run_cli(argv + ["--seed", "42"], capsys)
     assert json.loads(out_env) == json.loads(out_default)
+
+
+def test_bad_env_seed_is_read_only_where_a_seed_is_taken(monkeypatch, capsys):
+    monkeypatch.setenv("ROOKBENCH_SEED", "abc")
+    code, out, _ = run_cli(["gen", "--scheme", "poly", "--n", "2"], capsys)
+    assert (code, out.strip()) == (0, "L=4 decodable=true")
+    code, out, err = run_cli(["simulate", "--scheme", "rook-base3", "--n", "2", "--workers", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: ROOKBENCH_SEED must be an integer, got 'abc'\n"
+    code, _, _ = run_cli(["simulate", "--scheme", "rook-base3", "--n", "2", "--workers", "5", "--seed", "1"], capsys)
+    assert code == 0
 
 
 def test_sweep_csv(tmp_path, capsys):

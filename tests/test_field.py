@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import direct_products, identity, rng, to_rows, zeros
+from conftest import identity, reference_pow, rng, to_rows
 from rookbench.field import (
     M61,
     _muladd_m61,
@@ -14,15 +14,41 @@ from rookbench.field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    field_pow,
     is_prime_u64,
+    mat_lincomb,
     mat_mul,
-    mat_muladd,
     mat_random,
-    mat_scale,
     pow_muls,
     solve_linear,
 )
+
+
+def field_pow(field, x, e, counter=None):
+    """A counted power as the package computes one: builtin pow, charged pow_muls(e)."""
+    muls = pow_muls(e)
+    if counter is not None:
+        counter.mul_count += muls
+    return pow(x, e, field.modulus)
+
+
+def mat_scale(field, s, a):
+    """The scale the encoders used before mat_lincomb: s*a, reduced per entry."""
+    return FieldMatrix(a.rows, a.cols, [s * v % field.modulus for v in a.entries])
+
+
+def mat_muladd(field, x, s, y):
+    """The multiply-add the encoders chained before mat_lincomb: x + s*y."""
+    return FieldMatrix(x.rows, x.cols, [(a + s * b) % field.modulus for a, b in zip(x.entries, y.entries)])
+
+
+def chained_lincomb(field, coeffs, blocks, base=None):
+    """base + sum_i c_i B_i as the old encoders built it: one mat_scale (or
+    the base), then one mat_muladd per further term."""
+    terms = list(zip(coeffs, blocks))
+    acc = base if base is not None else mat_scale(field, *terms.pop(0))
+    for c, b in terms:
+        acc = mat_muladd(field, acc, c, b)
+    return acc
 
 
 def test_primality_checker():
@@ -81,23 +107,10 @@ def test_field_pow_mul_count_bounded_and_deterministic():
 
 
 def test_field_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        field_pow(PrimeField(101), 2, -1)
-
-
-def reference_pow(p: int, x: int, e: int) -> tuple[int, int]:
-    """Left-to-right square-and-multiply: (x^e mod p, multiplications)."""
-    if e == 0:
-        return 1, 0
-    muls = 0
-    result = x % p
-    for bit in bin(e)[3:]:
-        result = result * result % p
-        muls += 1
-        if bit == "1":
-            result = result * x % p
-            muls += 1
-    return result, muls
+    # A negative exponent has no square-and-multiply count.
+    for e in (-1, -8):
+        with pytest.raises(ValueError):
+            pow_muls(e)
 
 
 def test_field_pow_matches_square_and_multiply():
@@ -169,9 +182,10 @@ def test_mat_mul_counts_and_dimension_error(gf101):
 def test_mat_helpers(gf101):
     a = FieldMatrix.from_rows([[1, 2], [3, 4]])
     b = FieldMatrix.from_rows([[100, 100], [100, 100]])
-    assert to_rows(mat_muladd(gf101, a, 1, b)) == [[0, 1], [2, 3]]
-    assert to_rows(mat_muladd(gf101, a, 2, b)) == [[100, 0], [1, 2]]
-    assert to_rows(mat_scale(gf101, 2, a)) == [[2, 4], [6, 8]]
+    assert to_rows(mat_lincomb(gf101, [1], [b], base=a)) == [[0, 1], [2, 3]]
+    assert to_rows(mat_lincomb(gf101, [2], [b], base=a)) == [[100, 0], [1, 2]]
+    assert to_rows(mat_lincomb(gf101, [2], [a])) == [[2, 4], [6, 8]]
+    assert to_rows(mat_lincomb(gf101, [2, 1], [a, b])) == [[1, 3], [5, 7]]
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1, 2, 3])
 
@@ -184,6 +198,7 @@ LIMB_EDGES = (0, 1, 2, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31, (1 << 32)
     "p", [7, 257, M61, 18446744073709551557], ids=["p7", "p257", "m61", "p2^64-59"]
 )
 def test_mat_muladd_matches_int_oracle(p):
+    # x + s*y, the multiply-add the encoders used to chain, is one term on a base.
     field = PrimeField(p)
     r = rng(p % 1000 + 23)
     edges = sorted({e % p for e in LIMB_EDGES} | {p - 2, p - 1})
@@ -194,7 +209,7 @@ def test_mat_muladd_matches_int_oracle(p):
     for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 1)):
         cases.append((mat_random(field, rows, cols, r), r.randrange(p), mat_random(field, rows, cols, r)))
     for x, s, y in cases:
-        got = mat_muladd(field, x, s, y)
+        got = mat_lincomb(field, [s], [y], base=x)
         assert (got.rows, got.cols) == (x.rows, x.cols)
         assert got.entries == [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
 
@@ -204,14 +219,98 @@ def test_mat_muladd_counts_checks_shape_and_leaves_inputs(gf101):
     y = mat_random(gf101, 2, 3, rng(25))
     x_before, y_before = list(x.entries), list(y.entries)
     ctr = OpCounter()
-    out = mat_muladd(gf101, x, 5, y, ctr)
+    out = mat_lincomb(gf101, [5], [y], ctr, base=x)
     assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
     assert x.entries == x_before and y.entries == y_before
     assert out.entries is not x.entries and out.entries is not y.entries
     for bad in (mat_random(gf101, 3, 2, rng(26)), mat_random(gf101, 2, 2, rng(27))):
         with pytest.raises(DimensionMismatch):
-            mat_muladd(gf101, x, 5, bad, ctr)
+            mat_lincomb(gf101, [5], [bad], ctr, base=x)
     assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [7, 257, 4294967291, M61, 18446744073709551557],
+    ids=["p7", "p257", "p2^32-5", "m61", "p2^64-59"],
+)
+def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
+    field = PrimeField(p)
+    r = rng(p % 1000 + 31)
+    cases = []
+    for rows, cols in ((1, 1), (2, 3)):
+        for count in (1, 2, 3, 7, 16, 40):
+            blocks = [mat_random(field, rows, cols, r) for _ in range(count)]
+            cases.append(([r.randrange(p) for _ in range(count)], blocks))
+    for count in (1, 4, 7):
+        cases.append(([r.randrange(p) for _ in range(count)], [mat_random(field, 32, 32, r) for _ in range(count)]))
+    # Every entry and coefficient p - 1: the unreduced sums are largest.
+    for rows, cols, count in ((1, 1, 40), (2, 3, 40), (32, 32, 7)):
+        cases.append(([p - 1] * count, [FieldMatrix(rows, cols, [p - 1] * (rows * cols))] * count))
+    for coeffs, blocks in cases:
+        rows, cols = blocks[0].rows, blocks[0].cols
+        full = FieldMatrix(rows, cols, [p - 1] * (rows * cols))
+        for base in (None, mat_random(field, rows, cols, r), full):
+            got = mat_lincomb(field, coeffs, blocks, base=base)
+            start = base.entries if base is not None else [0] * (rows * cols)
+            want = [
+                (start[j] + sum(c * b.entries[j] for c, b in zip(coeffs, blocks))) % p
+                for j in range(rows * cols)
+            ]
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got.entries == want
+            assert got == chained_lincomb(field, coeffs, blocks, base)
+
+
+def test_mat_lincomb_counts_and_leaves_inputs(gf101):
+    r = rng(32)
+    blocks = [mat_random(gf101, 2, 3, r) for _ in range(4)]
+    base = mat_random(gf101, 2, 3, r)
+    coeffs = [3, 0, 100, 7]
+    before = [list(b.entries) for b in blocks + [base]]
+    for use_base in (False, True):
+        ctr = OpCounter()
+        out = mat_lincomb(gf101, coeffs, blocks, ctr, base=base if use_base else None)
+        assert (ctr.mul_count, ctr.inv_count) == (4 * 2 * 3, 0)
+        assert [list(b.entries) for b in blocks + [base]] == before
+        assert all(out.entries is not b.entries for b in blocks + [base])
+    ctr = OpCounter()
+    out = mat_lincomb(gf101, [], [], ctr, base=base)
+    assert out == base and out.entries is not base.entries
+    assert (ctr.mul_count, ctr.inv_count) == (0, 0)
+
+
+def test_mat_lincomb_dimension_errors_count_nothing(gf101):
+    r = rng(33)
+    a, b = mat_random(gf101, 2, 3, r), mat_random(gf101, 2, 3, r)
+    cases = [
+        ([1, 2, 3], [a, b], None),  # more coefficients than blocks
+        ([1], [a, b], None),  # fewer
+        ([], [], None),  # nothing to take a shape from
+        ([1, 2], [a, mat_random(gf101, 3, 2, r)], None),
+        ([1, 2], [a, mat_random(gf101, 2, 2, r)], None),
+        ([1], [a], mat_random(gf101, 3, 2, r)),
+        ([1], [a], mat_random(gf101, 1, 3, r)),
+    ]
+    for coeffs, blocks, base in cases:
+        ctr = OpCounter()
+        with pytest.raises(DimensionMismatch):
+            mat_lincomb(gf101, coeffs, blocks, ctr, base=base)
+        assert (ctr.mul_count, ctr.inv_count) == (0, 0)
+
+
+def test_mat_lincomb_long_combination():
+    # Far more terms than a nested chain of lazy maps survives.
+    field = PrimeField(M61)
+    r = rng(34)
+    count = 200_000
+    coeffs = [r.randrange(M61) for _ in range(count)]
+    blocks = [FieldMatrix(1, 1, [r.randrange(M61)]) for _ in range(count)]
+    want = sum(c * b.entries[0] for c, b in zip(coeffs, blocks))
+    ctr = OpCounter()
+    assert mat_lincomb(field, coeffs, blocks, ctr).entries == [want % M61]
+    assert ctr.mul_count == count
+    assert mat_lincomb(field, coeffs, blocks, base=FieldMatrix(1, 1, [5])).entries == [(want + 5) % M61]
 
 
 def test_mat_random_determinism(gf_m61):
@@ -256,12 +355,7 @@ def test_solve_roundtrip_random_systems(gf_m61):
         size = r.choice([1, 2, 3, 5, 8, 13, 21, 32])
         v = mat_random(gf_m61, size, size, r)
         want = [mat_random(gf_m61, 2, 3, r) for _ in range(size)]
-        rhs = []
-        for i in range(size):
-            acc = zeros(2, 3)
-            for j in range(size):
-                acc = mat_muladd(gf_m61, acc, v.row(i)[j], want[j])
-            rhs.append(acc)
+        rhs = [mat_lincomb(gf_m61, v.row(i), want) for i in range(size)]
         try:
             got = solve_linear(gf_m61, v, rhs)
         except SingularMatrix:

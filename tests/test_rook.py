@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import direct_products, identity, rng, scalar, zeros
+from conftest import direct_products, gap_powers, identity, rng, scalar, zeros
 from rookbench.exponents import (
     ExponentPair,
     base3_exponents,
@@ -24,7 +24,7 @@ from rookbench.rook import (
     RookScheme,
     SingularAfterRetry,
     WorkerProduct,
-    gap_powers,
+    encode_delta,
     make_rook_scheme,
     power_rows,
     rook_decode,
@@ -70,6 +70,20 @@ def test_gap_powers_count_is_own_delta():
     # gaps 0, 2, 1, 8 cost 0 + 1 + 0 + 3 square-and-multiply products
     assert ctr.mul_count == 4
     assert ctr.inv_count == 0
+    assert encode_delta(ExponentPair(4, (0, 2, 3, 11), (0, 2, 3, 11))) == 2 * 4
+    assert encode_delta(ExponentPair(2, (5, 6), (0, 1))) == 3 + 0 + 0 + 0
+
+
+def test_encode_delta_matches_square_and_multiply_oracle():
+    for maker in (poly_code_exponents, base3_exponents, behrend_exponents):
+        for n in (1, 2, 3, 5, 8, 13, 16, 31, 64):
+            pair = maker(n)
+            want = OpCounter()
+            gap_powers(GFM61, pair.p, 2, want)
+            gap_powers(GFM61, pair.q, 2, want)
+            assert encode_delta(pair) == want.mul_count, (maker.__name__, n)
+            scheme = make_rook_scheme(pair, GFM61, 1, eval_points=(3,))
+            assert scheme.delta == want.mul_count
 
 
 def test_power_rows_are_running_products_of_gap_powers():
@@ -124,8 +138,8 @@ def test_encode_single_pair():
 
 
 def test_encode_at_zero_keeps_constant_term():
-    # 0 is barred from eval points, but the Horner algebra itself is sound
-    # there: only the exponent-zero term survives.
+    # 0 is barred from eval points, but the encoding itself is sound there:
+    # only the exponent-zero term survives.
     pair = base3_exponents(2)
     scheme = RookScheme(
         pair=pair, support=sum_support(pair), field=GF101, eval_points=(0, 5)
