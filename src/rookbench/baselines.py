@@ -10,7 +10,7 @@ rounds out the comparison.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
@@ -40,19 +40,11 @@ def _anchors_and_points(n, field, m, rng, z, eval_points):
         z = tuple(range(1, n + 1))
     else:
         z = tuple(v % field.modulus for v in z)
+    if len(z) != n:
+        raise ValueError(f"expected {n} anchors, got {len(z)}")
     if len(set(z)) != n:
         raise ValueError("anchors must be pairwise distinct")
-    if eval_points is None:
-        if rng is None:
-            raise ValueError("need rng or explicit eval_points")
-        eval_points = tuple(field.distinct_nonzero(rng, m, exclude=z))
-    else:
-        eval_points = tuple(x % field.modulus for x in eval_points)
-        if len(eval_points) != m:
-            raise ValueError(f"expected {m} eval points, got {len(eval_points)}")
-        if len(set(eval_points)) != m:
-            raise ValueError("evaluation points must be pairwise distinct")
-    return z, eval_points
+    return z, rook.bind_points(field, m, rng, eval_points, exclude=z)
 
 
 # --- LCC --------------------------------------------------------------------
@@ -63,6 +55,11 @@ class LccScheme:
     field: PrimeField
     z: tuple
     eval_points: tuple
+    # Rows [z, z^2, ..., z^{2n-2}] per anchor, for evaluating at the anchors.
+    zpows: list = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "zpows", power_rows(self.field, range(1, self.threshold), self.z))
 
     @property
     def n(self) -> int:
@@ -131,9 +128,9 @@ def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     rows = power_rows(field, range(L), [pr.x for pr in products], counter)
     coeffs = _solve_responses(field, rows, products, counter)
     # C_0 + z C_1 + z^2 C_2 + ...: (L - 1) scalar-matrix products per anchor,
-    # the cost of Horner's rule; the scalar powers of z go uncounted.
-    zpows = power_rows(field, range(1, L), scheme.z)
-    return [mat_lincomb(field, zk, coeffs[1:], counter, base=coeffs[0]) for zk in zpows]
+    # the cost of Horner's rule; the scalar powers of z, computed once at
+    # binding, go uncounted.
+    return [mat_lincomb(field, zk, coeffs[1:], counter, base=coeffs[0]) for zk in scheme.zpows]
 
 
 # --- CSA --------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line surface: generators, checkers, simulator, and benchmarks.
 
 Exit codes: 0 success, 1 negative result (e.g. a pair that is not
-decodable, or a failed simulation), 2 usage or input errors.
+decodable, or a failed simulation), 2 usage or input errors.  Every command
+raises its input errors, an unwritable --out included, to `main`, which
+prints one `error: <message>` line on stderr and returns 2.
 """
 
 from __future__ import annotations
@@ -70,15 +72,11 @@ def _int_list(text: str) -> list:
 
 
 def cmd_gen(args) -> int:
-    try:
-        pair = _GENERATORS[args.scheme](args.n)
-        support = sum_support(pair)
-        if args.modulus is not None:
-            # Binding needs the largest product exponent, not the largest input one.
-            PrimeField(args.modulus).check_exponent_bound(support.support[-1])
-    except (ParameterSearchExhausted, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pair = _GENERATORS[args.scheme](args.n)
+    support = sum_support(pair)
+    if args.modulus is not None:
+        # Binding needs the largest product exponent, not the largest input one.
+        PrimeField(args.modulus).check_exponent_bound(support.support[-1])
     _write_out(args.out, json.dumps(pair.to_json_dict()) + "\n")
     print(f"L={support.L} decodable={str(is_decodable(pair)).lower()}")
     return 0
@@ -89,8 +87,7 @@ def cmd_check(args) -> int:
         with open(args.exponents) as fh:
             pair = ExponentPair.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse exponent file: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse exponent file: {exc}") from exc
     ok = is_decodable(pair)
     parts = [f"decodable={str(ok).lower()}", f"L={sum_support(pair).L}"]
     if pair.p == pair.q:
@@ -101,11 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_minsearch(args) -> int:
-    try:
-        l_min, witness = min_recovery_bruteforce(args.n, args.max_exponent)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    l_min, witness = min_recovery_bruteforce(args.n, args.max_exponent)
     print(f"Lmin={l_min} P={list(witness.p)} Q={list(witness.q)}")
     return 0
 
@@ -115,12 +108,7 @@ def cmd_bench_delta(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "delta_muls", "ratio"])
     for n in args.n_list:
-        try:
-            pair = behrend_exponents(n)
-        except ParameterSearchExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        delta = encode_delta(pair)
+        delta = encode_delta(behrend_exponents(n))
         if n > 1:
             ratio = delta / (n * math.sqrt(math.log2(n)))
         else:
@@ -132,27 +120,27 @@ def cmd_bench_delta(args) -> int:
     return 0
 
 
+def _fault(args) -> FaultModel:
+    return FaultModel(
+        fail_prob=args.fail_prob,
+        straggle_mean=args.straggle_mean,
+        base_delay=args.base_delay,
+    )
+
+
 def cmd_simulate(args) -> int:
-    try:
-        desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam)
-        m = args.workers if args.workers is not None else desc.fixed_m or scheme_threshold(desc) + 4
-        config = SimConfig(
-            descriptor=desc,
-            m=m,
-            dims=(args.rows, args.inner, args.cols),
-            seed=_seed(args),
-            encode_at=args.encode_at,
-            fault=FaultModel(
-                fail_prob=args.fail_prob,
-                straggle_mean=args.straggle_mean,
-                base_delay=args.base_delay,
-            ),
-            modulus=args.modulus,
-        )
-        report = run_simulation(config)
-    except (ConfigInvalid, ParameterSearchExhausted, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    desc = SchemeDescriptor(scheme=args.scheme, n=args.n, lam=args.lam)
+    m = args.workers if args.workers is not None else desc.fixed_m or scheme_threshold(desc) + 4
+    config = SimConfig(
+        descriptor=desc,
+        m=m,
+        dims=(args.rows, args.inner, args.cols),
+        seed=_seed(args),
+        encode_at=args.encode_at,
+        fault=_fault(args),
+        modulus=args.modulus,
+    )
+    report = run_simulation(config)
     text = report.to_json()
     _write_out(args.out, text + "\n")
     print(text)
@@ -160,26 +148,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        rows = sweep(
-            schemes=args.schemes,
-            n_values=args.n_list,
-            trials=args.trials,
-            extra_workers=args.workers if args.workers is not None else 4,
-            dims=(args.rows, args.inner, args.cols),
-            seed=_seed(args),
-            encode_at=args.encode_at,
-            fault=FaultModel(
-                fail_prob=args.fail_prob,
-                straggle_mean=args.straggle_mean,
-                base_delay=args.base_delay,
-            ),
-            modulus=args.modulus,
-            lam=args.lam,
-        )
-    except (ConfigInvalid, ParameterSearchExhausted, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = sweep(
+        schemes=args.schemes,
+        n_values=args.n_list,
+        trials=args.trials,
+        extra_workers=args.workers if args.workers is not None else 4,
+        dims=(args.rows, args.inner, args.cols),
+        seed=_seed(args),
+        encode_at=args.encode_at,
+        fault=_fault(args),
+        modulus=args.modulus,
+        lam=args.lam,
+    )
     text = sweep_to_csv(rows)
     _write_out(args.out, text)
     print(text, end="")
@@ -251,7 +231,11 @@ def main(argv=None) -> int:
     bad = [s for s in getattr(args, "schemes", ()) if s not in ALL_SCHEMES]
     if bad:
         parser.error(f"unknown schemes: {', '.join(bad)}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigInvalid, ParameterSearchExhausted, SearchBudgetExceeded, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,8 +84,6 @@ class SumSupport:
 
 def poly_code_exponents(n: int) -> ExponentPair:
     """P = {0..n-1}, Q = {0, n, ..., n(n-1)}; threshold exactly n^2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return ExponentPair(n=n, p=tuple(range(n)), q=tuple(n * j for j in range(n)))
 
 
@@ -97,8 +95,6 @@ def base3_exponents(n: int) -> ExponentPair:
     ceil(log2 n) construction, which stays decodable since any subset of a
     3-AP-free set is 3-AP-free.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     vals = []
     for k in range(n):
         v = 0

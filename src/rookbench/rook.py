@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .exponents import ExponentPair, SumSupport, is_decodable, sum_support
 from .field import (
-    DimensionMismatch,
     FieldError,
     FieldMatrix,
     OpCounter,
@@ -84,19 +83,25 @@ def make_rook_scheme(
         raise ValueError("exponent pair is not decodable")
     support = sum_support(pair)
     field.check_exponent_bound(support.support[-1])
-    if eval_points is None:
+    eval_points = bind_points(field, m, rng, eval_points)
+    if 0 in eval_points:
+        raise ValueError("evaluation points must be nonzero")
+    return RookScheme(pair=pair, support=support, field=field, eval_points=eval_points)
+
+
+def bind_points(field: PrimeField, m: int, rng, points=None, exclude=()) -> tuple:
+    """m distinct evaluation points: drawn nonzero and off `exclude` from
+    `rng`, or given explicitly, reduced mod p and checked to be m distinct."""
+    if points is None:
         if rng is None:
             raise ValueError("need rng or explicit eval_points")
-        eval_points = tuple(field.distinct_nonzero(rng, m))
-    else:
-        eval_points = tuple(x % field.modulus for x in eval_points)
-        if len(eval_points) != m:
-            raise ValueError(f"expected {m} eval points, got {len(eval_points)}")
-        if len(set(eval_points)) != m:
-            raise ValueError("evaluation points must be pairwise distinct")
-        if any(x == 0 for x in eval_points):
-            raise ValueError("evaluation points must be nonzero")
-    return RookScheme(pair=pair, support=support, field=field, eval_points=eval_points)
+        return tuple(field.distinct_nonzero(rng, m, exclude=exclude))
+    points = tuple(x % field.modulus for x in points)
+    if len(points) != m:
+        raise ValueError(f"expected {m} eval points, got {len(points)}")
+    if len(set(points)) != m:
+        raise ValueError("evaluation points must be pairwise distinct")
+    return points
 
 
 @dataclass(frozen=True)
@@ -176,18 +181,10 @@ def rook_encode_share(
 
     Total multiplications are exactly delta(P, Q) (the gap powers) plus
     (rows(A) + cols(B)) * inner * n for the scalar-matrix products; no
-    inversions ever occur on this path.
+    inversions ever occur on this path.  mat_lincomb rejects a wrong number
+    of inputs or a ragged block; the worker's mat_mul rejects A.cols != B.rows.
     """
     pair = scheme.pair
-    n = pair.n
-    if len(inputs) != n:
-        raise DimensionMismatch(f"expected {n} input pairs, got {len(inputs)}")
-    a0, b0 = inputs[0]
-    for a, b in inputs:
-        if a.rows != a0.rows or a.cols != a0.cols or b.rows != b0.rows or b.cols != b0.cols:
-            raise DimensionMismatch("input matrices must have uniform dimensions")
-        if a.cols != b.rows:
-            raise DimensionMismatch("A.cols must equal B.rows")
     x = scheme.eval_points[worker_id]
     field = scheme.field
     p = field.modulus

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -34,8 +35,8 @@ class FaultModel:
     def validate(self):
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ConfigInvalid(f"fail_prob {self.fail_prob} outside [0, 1]")
-        if self.straggle_mean < 0 or self.base_delay < 0:
-            raise ConfigInvalid("delays must be nonnegative")
+        if not all(math.isfinite(d) and d >= 0 for d in (self.straggle_mean, self.base_delay)):
+            raise ConfigInvalid("delays must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,8 @@ def sweep(
     Worker count is threshold + extra_workers (replication uses lambda * n).
     decode_time is an op-count proxy: decode multiplications + inversions.
     """
+    if trials < 0:
+        raise ConfigInvalid("trials must be >= 0")
     fault = fault or FaultModel()
     out_rows = []
     for scheme_name in schemes:

@@ -7,6 +7,7 @@ import pytest
 from conftest import direct_products, rng, scalar
 from rookbench.baselines import (
     CsaScheme,
+    LccScheme,
     PoleEvaluation,
     ReplicationScheme,
     SchemeDescriptor,
@@ -21,7 +22,7 @@ from rookbench.baselines import (
 )
 from rookbench.exponents import ExponentPair, base3_exponents
 from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, mat_random
-from rookbench.rook import NotEnoughProducts, SingularAfterRetry, rook_worker
+from rookbench.rook import NotEnoughProducts, SingularAfterRetry, power_rows, rook_worker
 
 GF101 = PrimeField(101)
 GFM61 = PrimeField(M61)
@@ -103,6 +104,15 @@ def test_lcc_roundtrip_any_subset():
         prods = run_workers(GFM61, scheme, inputs, lcc_encode)
         subset = r.sample(prods, 2 * n - 1)
         assert lcc_decode(subset, scheme) == direct_products(GFM61, inputs)
+
+
+def test_lcc_anchor_powers_bound_once():
+    # A directly built LccScheme computes the anchor powers itself, and a
+    # decode reads them rather than rebuilding them.
+    scheme = LccScheme(field=GF101, z=(0, 1), eval_points=(2, 3, 4))
+    assert scheme.zpows == power_rows(GF101, range(1, 3), (0, 1)) == [[0, 0], [1, 1]]
+    prods = run_workers(GF101, scheme, WORKED_INPUTS, lcc_encode)
+    assert [m.entries[0] for m in lcc_decode(prods, scheme)] == [6, 35]
 
 
 def test_lcc_anchor_coincident_eval_points_allowed():
@@ -220,6 +230,14 @@ def test_csa_single_pair_decode():
     inputs = [(scalar(6), scalar(7))]
     prods = run_workers(GF101, scheme, inputs, csa_encode)
     assert csa_decode(prods[:1], scheme) == direct_products(GF101, inputs)
+
+
+@pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])
+def test_anchor_count_checked_before_distinctness(make):
+    with pytest.raises(ValueError, match="expected 3 anchors, got 2"):
+        make(3, GF101, 5, z=(1, 2))
+    with pytest.raises(ValueError, match="anchors must be pairwise distinct"):
+        make(2, GF101, 5, z=(1, 102))
 
 
 @pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])

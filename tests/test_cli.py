@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from rookbench.cli import main
+from rookbench.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -248,3 +249,33 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "L=3 decodable=true"
+
+
+# One input error per case, keyed by subcommand; every subcommand has a case.
+INPUT_ERRORS = {
+    "gen": [
+        ["--scheme", "poly", "--n", "0"],
+        ["--scheme", "poly", "--n", "2", "--out", "/nonexistent/dir/x"],
+    ],
+    "check": [["--exponents", "/nonexistent/x.json"]],
+    "minsearch": [["--n", "0", "--max-exponent", "4"], ["--n", "3", "--max-exponent", "1"]],
+    "bench-delta": [["--n-list", "0"]],
+    "simulate": [["--scheme", "lcc", "--n", "2", "--straggle-mean", "inf"]],
+    "sweep": [["--schemes", "lcc", "--n-list", "2", "--trials", "-1"]],
+}
+
+
+def test_input_error_table_covers_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(INPUT_ERRORS) == set(sub.choices)
+
+
+@pytest.mark.parametrize(
+    "argv", [[cmd] + args for cmd, cases in INPUT_ERRORS.items() for args in cases], ids=" ".join
+)
+def test_input_errors_exit_two_with_one_error_line(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -24,6 +24,7 @@ from rookbench.rook import (
     RookScheme,
     SingularAfterRetry,
     WorkerProduct,
+    bind_points,
     encode_delta,
     make_rook_scheme,
     power_rows,
@@ -156,6 +157,15 @@ def test_encode_rejects_ragged_inputs():
         rook_encode_share(scheme, bad, 0)
     with pytest.raises(DimensionMismatch):
         rook_encode_share(scheme, WORKED_INPUTS[:1], 0)
+
+
+def test_inner_dimension_mismatch_raises_when_the_worker_multiplies():
+    # The encoder leaves A.cols == B.rows to the worker's mat_mul.
+    scheme = worked_scheme()
+    a = FieldMatrix.from_rows([[1, 2]])
+    share = rook_encode_share(scheme, [(a, scalar(3)), (a, scalar(4))], 0)
+    with pytest.raises(DimensionMismatch):
+        rook_worker(GF101, share)
 
 
 def test_encode_mul_count_identity():
@@ -440,6 +450,14 @@ def test_scheme_random_points_are_distinct_nonzero():
     scheme = make_rook_scheme(base3_exponents(8), GFM61, 40, rng=rng(73))
     assert len(set(scheme.eval_points)) == 40
     assert all(x != 0 for x in scheme.eval_points)
+
+
+def test_bind_points_draws_off_exclusions_or_checks_explicit_points():
+    drawn = bind_points(PrimeField(11), 7, rng(74), exclude=(1, 2, 3))
+    assert sorted(drawn) == list(range(4, 11))
+    assert bind_points(GF101, 3, None, (102, -1, 0)) == (1, 100, 0)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        bind_points(GF101, 2, None, (1, 102))  # distinct only before reduction
 
 
 def test_worker_product_json_roundtrip():

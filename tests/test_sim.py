@@ -206,6 +206,20 @@ def test_config_validation():
         run_simulation(cfg(encode_at="nowhere"))
 
 
+@pytest.mark.parametrize(
+    "fault", [FaultModel(straggle_mean=float("inf")), FaultModel(base_delay=float("nan"))]
+)
+def test_non_finite_fault_parameters_rejected(fault):
+    with pytest.raises(ConfigInvalid, match="finite"):
+        run_simulation(cfg(fault=fault))
+
+
+def test_sweep_rejects_negative_trials():
+    with pytest.raises(ConfigInvalid, match="trials must be >= 0"):
+        sweep(schemes=["lcc"], n_values=[2], trials=-1)
+    assert sweep(schemes=["lcc"], n_values=[2], trials=0) == []
+
+
 def test_report_json_shape():
     rep = run_simulation(cfg(seed=21))
     d = json.loads(rep.to_json())
