@@ -43,7 +43,6 @@ from .baselines import (
     ALL_SCHEMES,
     CsaScheme,
     LccScheme,
-    PoleEvaluation,
     ReplicationScheme,
     SchemeDescriptor,
     UncoveredPair,

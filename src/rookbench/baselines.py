@@ -9,22 +9,19 @@ rounds out the comparison.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
 from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
-from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
+from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
 from .field import FieldError, OpCounter, PrimeField, mat_lincomb, solve_linear  # noqa: F401
 from .rook import WorkerShare, _require_products, _solve_responses, power_rows
 
 
 class ConfigInvalid(Exception):
-    pass
-
-
-class PoleEvaluation(FieldError):
     pass
 
 
@@ -141,7 +138,18 @@ class CsaScheme:
     field: PrimeField
     z: tuple
     eval_points: tuple
-    residues: tuple  # c_i = prod_{k != i} (z_k - z_i)
+    # c_i = prod_{k != i} (z_k - z_i), the residue at the pole z_i.
+    residues: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Checked here, whoever builds the scheme: no point may sit on a pole.
+        if set(self.eval_points) & set(self.z):
+            raise ValueError("evaluation points must avoid the anchors")
+        p = self.field.modulus
+        residues = tuple(
+            math.prod((zk - zi) % p for k, zk in enumerate(self.z) if k != i) % p for i, zi in enumerate(self.z)
+        )
+        object.__setattr__(self, "residues", residues)
 
     @property
     def n(self) -> int:
@@ -162,17 +170,7 @@ class CsaScheme:
 def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaScheme:
     """Anchors 1..n; eval points drawn disjoint from the anchors."""
     z, eval_points = _anchors_and_points(n, field, m, rng, z, eval_points)
-    if set(eval_points) & set(z):
-        raise ValueError("evaluation points must avoid the anchors")
-    p = field.modulus
-    residues = []
-    for i, zi in enumerate(z):
-        c = 1
-        for k, zk in enumerate(z):
-            if k != i:
-                c = c * (zk - zi) % p
-        residues.append(c)
-    return CsaScheme(field=field, z=z, eval_points=eval_points, residues=tuple(residues))
+    return CsaScheme(field=field, z=z, eval_points=eval_points)
 
 
 def csa_encode(scheme: CsaScheme, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
@@ -180,8 +178,6 @@ def csa_encode(scheme: CsaScheme, inputs, worker_id: int, counter: OpCounter | N
     field = scheme.field
     p = field.modulus
     x = scheme.eval_points[worker_id]
-    if x in scheme.z:
-        raise PoleEvaluation(f"x = {x} is an anchor pole")
     invs = [field.inv((zi - x) % p, counter) for zi in scheme.z]
     f = (scheme.z[0] - x) % p
     for zi in scheme.z[1:]:
@@ -268,7 +264,6 @@ class SchemeDescriptor:
     scheme: str
     n: int
     lam: int | None = None
-    exponents: ExponentPair | None = None
 
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
@@ -282,24 +277,6 @@ class SchemeDescriptor:
     def fixed_m(self) -> int | None:
         """Replication runs on exactly lambda * n workers; coded schemes on any m."""
         return self.lam * self.n if self.scheme == "replication" else None
-
-    def to_json_dict(self) -> dict:
-        d = {"scheme": self.scheme, "n": self.n}
-        if self.lam is not None:
-            d["lambda"] = self.lam
-        if self.exponents is not None:
-            d["exponents"] = self.exponents.to_json_dict()
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SchemeDescriptor":
-        exps = d.get("exponents")
-        return cls(
-            scheme=d["scheme"],
-            n=int(d["n"]),
-            lam=int(d["lambda"]) if "lambda" in d else None,
-            exponents=ExponentPair.from_json_dict(exps) if exps else None,
-        )
 
 
 def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
@@ -321,16 +298,13 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
             if m != desc.fixed_m:
                 raise ValueError(f"replication needs m = lambda*n = {desc.fixed_m}, got {m}")
             return ReplicationScheme(n=desc.n, lam=desc.lam)
-        pair = desc.exponents
-        if pair is None:
-            # Built per call, so a replaced module attribute is the one called.
-            generators = {
-                "rook-poly": poly_code_exponents,
-                "rook-base3": base3_exponents,
-                "rook-behrend": behrend_exponents,
-            }
-            pair = generators[desc.scheme](desc.n)
-        return rook.make_rook_scheme(pair, field, m, rng=rng)
+        # Built per call, so a replaced module attribute is the one called.
+        generators = {
+            "rook-poly": poly_code_exponents,
+            "rook-base3": base3_exponents,
+            "rook-behrend": behrend_exponents,
+        }
+        return rook.make_rook_scheme(generators[desc.scheme](desc.n), field, m, rng=rng)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -344,10 +318,8 @@ def _bind_anywhere(descriptor: SchemeDescriptor):
     return bind_scheme(descriptor, _ANY_FIELD, descriptor.fixed_m or 0, random.Random(0))
 
 
-def rook_exponents_for(descriptor: SchemeDescriptor) -> ExponentPair:
-    """A rook descriptor's exponent pair: its explicit one, else its generator's."""
-    if descriptor.exponents is not None:
-        return descriptor.exponents
+def rook_exponents_for(descriptor: SchemeDescriptor):
+    """A rook descriptor's exponent pair, the one its generator makes."""
     scheme = _bind_anywhere(descriptor)
     if not isinstance(scheme, rook.RookScheme):
         raise ValueError(f"{descriptor.scheme} has no exponent pair")

@@ -65,9 +65,13 @@ class ExponentPair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExponentPair":
-        p = tuple(int(v) for v in d["p"])
-        q = tuple(int(v) for v in d["q"])
-        return cls(n=int(d["n"]), p=p, q=q)
+        """Read what to_json_dict writes; any other value (a float, a bool) raises ValueError."""
+        if type(d["p"]) is not list or type(d["q"]) is not list:
+            raise ValueError("p and q must be lists")
+        for v in (d["n"], *d["p"], *d["q"]):
+            if not (type(v) is int or (isinstance(v, str) and v.isascii() and v.isdigit())):
+                raise ValueError(f"{v!r} is neither an integer nor a decimal string")
+        return cls(n=int(d["n"]), p=tuple(map(int, d["p"])), q=tuple(map(int, d["q"])))
 
 
 @dataclass(frozen=True)

@@ -199,23 +199,6 @@ class FieldMatrix:
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
-    def to_json_dict(self) -> dict:
-        # Entries as decimal strings: JSON numbers lose exactness past 2^53.
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(e) for e in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, field: PrimeField | None = None) -> "FieldMatrix":
-        entries = [int(e) for e in d["entries"]]
-        if field is not None:
-            p = field.modulus
-            if any(e < 0 or e >= p for e in entries):
-                raise ValueError("entry out of field range")
-        return cls(int(d["rows"]), int(d["cols"]), entries)
-
 
 def mat_mul(
     field: PrimeField,

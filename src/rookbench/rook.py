@@ -118,17 +118,6 @@ class WorkerProduct:
     x: int
     e: FieldMatrix
 
-    def to_json_dict(self) -> dict:
-        return {"worker": self.worker_id, "x": str(self.x), "e": self.e.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WorkerProduct":
-        return cls(
-            worker_id=int(d["worker"]),
-            x=int(d["x"]),
-            e=FieldMatrix.from_json_dict(d["e"]),
-        )
-
 
 def _gaps(exponents) -> list[int]:
     """e_0 - 0, e_1 - e_0, ... for non-negative, non-decreasing exponents."""

@@ -70,11 +70,8 @@ class SimReport:
     verified: bool
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def stream(seed: int, *key) -> random.Random:
@@ -84,24 +81,25 @@ def stream(seed: int, *key) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _validate(config: SimConfig):
-    if config.m < 1:
-        raise ConfigInvalid("m must be >= 1")
-    if len(config.dims) != 3 or any(d < 1 for d in config.dims):
+def _validate(dims, encode_at: str, fault: FaultModel, modulus: int) -> PrimeField:
+    """Check a run's settings other than its scheme and m; return its field."""
+    if len(dims) != 3 or any(d < 1 for d in dims):
         raise ConfigInvalid("dims must be three positive integers")
-    if config.encode_at not in ("master", "workers"):
-        raise ConfigInvalid(f"encode_at must be master or workers, got {config.encode_at!r}")
-    config.fault.validate()
+    if encode_at not in ("master", "workers"):
+        raise ConfigInvalid(f"encode_at must be master or workers, got {encode_at!r}")
+    fault.validate()
+    try:
+        return PrimeField(modulus)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def run_simulation(config: SimConfig) -> SimReport:
     """One full encode / fault-inject / collect / decode / verify round."""
-    _validate(config)
+    if config.m < 1:
+        raise ConfigInvalid("m must be >= 1")
+    fld = _validate(config.dims, config.encode_at, config.fault, config.modulus)
     desc = config.descriptor
-    try:
-        fld = PrimeField(config.modulus)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
     rows, inner, cols = config.dims
     seed = config.seed
 
@@ -215,6 +213,7 @@ def sweep(
     if trials < 0:
         raise ConfigInvalid("trials must be >= 0")
     fault = fault or FaultModel()
+    _validate(dims, encode_at, fault, modulus)
     out_rows = []
     for scheme_name in schemes:
         for n in n_values:

@@ -83,6 +83,26 @@ def test_check_malformed_file(tmp_path, capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "p": [0, 1.9], "q": [0, 1]},  # a float exponent
+        {"n": 2, "p": [0, True], "q": [0, 1]},  # a bool exponent
+        {"n": 2.9, "p": [0, 1], "q": [0, 1]},  # a float n
+        {"n": 2, "p": [0, " 1"], "q": [0, 1]},  # a padded decimal string
+        {"n": 2, "p": "01", "q": [0, 1]},  # a string in place of a list
+    ],
+    ids=["float", "bool", "float-n", "padded-string", "string-list"],
+)
+def test_check_rejects_values_it_would_have_to_change(tmp_path, capsys, data):
+    # Each of these used to be read as a nearby integer pair and checked.
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run_cli(["check", "--exponents", str(f)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse exponent file")
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(["check", "--exponents", "/nonexistent/x.json"], capsys)
     assert code == 2
@@ -261,7 +281,11 @@ INPUT_ERRORS = {
     "minsearch": [["--n", "0", "--max-exponent", "4"], ["--n", "3", "--max-exponent", "1"]],
     "bench-delta": [["--n-list", "0"]],
     "simulate": [["--scheme", "lcc", "--n", "2", "--straggle-mean", "inf"]],
-    "sweep": [["--schemes", "lcc", "--n-list", "2", "--trials", "-1"]],
+    "sweep": [
+        ["--schemes", "lcc", "--n-list", "2", "--trials", "-1"],
+        # checked before the first trial, so zero trials still reject it
+        ["--schemes", "lcc", "--n-list", "2", "--trials", "0", "--rows", "0", "--fail-prob", "7"],
+    ],
 }
 
 

@@ -387,18 +387,6 @@ def test_op_counts_deterministic_for_fixed_inputs(gf101):
     assert counts[0] == counts[1]
 
 
-def test_matrix_json_roundtrip(gf_m61):
-    m = mat_random(gf_m61, 2, 3, rng(13))
-    d = m.to_json_dict()
-    assert all(isinstance(e, str) for e in d["entries"])  # decimal strings
-    back = FieldMatrix.from_json_dict(d, gf_m61)
-    assert back == m
-    with pytest.raises(ValueError):
-        FieldMatrix.from_json_dict(
-            {"rows": 1, "cols": 1, "entries": [str(M61)]}, gf_m61
-        )
-
-
 def test_distinct_nonzero_draw(gf101):
     pts = gf101.distinct_nonzero(rng(14), 100)
     assert len(set(pts)) == 100

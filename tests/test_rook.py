@@ -458,11 +458,3 @@ def test_bind_points_draws_off_exclusions_or_checks_explicit_points():
     assert bind_points(GF101, 3, None, (102, -1, 0)) == (1, 100, 0)
     with pytest.raises(ValueError, match="pairwise distinct"):
         bind_points(GF101, 2, None, (1, 102))  # distinct only before reduction
-
-
-def test_worker_product_json_roundtrip():
-    prod = WorkerProduct(worker_id=3, x=12345678901234567890 % M61, e=scalar(7))
-    d = prod.to_json_dict()
-    assert d["worker"] == 3
-    assert isinstance(d["x"], str)
-    assert WorkerProduct.from_json_dict(d) == prod

@@ -6,7 +6,6 @@ import pytest
 
 from rookbench import baselines
 from rookbench.baselines import SchemeDescriptor
-from rookbench.exponents import ExponentPair
 from rookbench.sim import (
     SWEEP_COLUMNS,
     ConfigInvalid,
@@ -154,11 +153,7 @@ _CONFIG_ERRORS = [
     for s in ("lcc", "csa", "rook-poly", "rook-behrend")
 ] + [
     (SchemeDescriptor(scheme="rook-poly", n=17), 257, "too large for modulus 257"),
-    (
-        SchemeDescriptor(scheme="rook-poly", n=3, exponents=ExponentPair(3, (0, 1, 2), (0, 1, 2))),
-        257,
-        "exponent pair is not decodable",
-    ),
+    (SchemeDescriptor(scheme="replication", n=2, lam=2), 257, "replication needs m"),
     (SchemeDescriptor(scheme="lcc", n=2), 100, "modulus 100 is not prime"),
     (SchemeDescriptor(scheme="lcc", n=2), 1 << 64, "does not fit in 64 bits"),
 ]
@@ -218,6 +213,21 @@ def test_sweep_rejects_negative_trials():
     with pytest.raises(ConfigInvalid, match="trials must be >= 0"):
         sweep(schemes=["lcc"], n_values=[2], trials=-1)
     assert sweep(schemes=["lcc"], n_values=[2], trials=0) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dims": (0, 2, 2)}, "dims must be three positive integers"),
+        ({"encode_at": "nowhere"}, "encode_at must be master or workers"),
+        ({"fault": FaultModel(fail_prob=7)}, "outside"),
+        ({"modulus": 100}, "not prime"),
+    ],
+)
+def test_sweep_checks_its_settings_before_the_first_trial(kwargs, message):
+    for schemes, trials in ((["lcc"], 0), ([], 1)):
+        with pytest.raises(ConfigInvalid, match=message):
+            sweep(schemes=schemes, n_values=[2], trials=trials, **kwargs)
 
 
 def test_report_json_shape():
