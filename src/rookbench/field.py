@@ -2,16 +2,19 @@
 
 Field elements are canonical Python ints in [0, p) for a prime p below
 2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
-to ~2^61 stay representable as monomial degrees.  Scalar and matrix
-products use Python ints; powers and inverses use builtin pow.  Every
-linear combination of blocks (an encoder's share, a decoder's evaluation at
-an anchor or rescale) is one mat_lincomb call: each entry's products are
-summed as unreduced Python ints and reduced mod p once, and the call counts
-one multiplication per coefficient per entry.
-solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
-whose row multiply-add is picked by the modulus: uint64 31/30-bit limb
-products with shift-add reduction for 2^61 - 1, the plain uint64 product
-for p < 2^32, and Python ints in an object array for any other prime.
+to ~2^61 stay representable as monomial degrees.  Powers and inverses use
+builtin pow.  Every block product (a worker's, the oracle's) is one mat_mul
+call and every linear combination of blocks (an encoder's share, a
+decoder's evaluation at an anchor or rescale) one mat_lincomb call, which
+is the 1 x len(blocks) by len(blocks) x entries product.  Each call counts
+the multiplications of the schoolbook product and picks its path by that
+count: below NUMPY_MIN_MULS, Python ints summed unreduced and reduced mod p
+once; from it on, one exact numpy kernel of 21-bit limb products.
+solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
+Both numpy kernels do modular arithmetic through one multiply-add picked by
+the modulus: uint64 31/30-bit limb products with shift-add reduction for
+2^61 - 1, the plain uint64 product for p < 2^32, and Python ints in an
+object array for any other prime.
 
 Operation counts are derived by formula from the algorithm they describe
 (square-and-multiply for powers, elimination that skips zero multipliers
@@ -200,29 +203,52 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
+# mat_mul and mat_lincomb run the numpy kernel (_mod_matmul) on products
+# they charge at least this many multiplications, and the Python loops,
+# whose fixed cost per call is lower, below it.  Timed per call, both paths
+# interleaved, over 2^61 - 1 and 257 on a 2-vCPU Xeon VM: numpy breaks even
+# near 384 muls for mat_mul and near 768-1,024 for mat_lincomb, which
+# converts every entry and so saves less per multiplication; 512 lies
+# between.  Every product of the decode-bound and retry-gf257 benchmark
+# workloads (at most 256 muls) stays in Python, and every one of
+# block-bound's (at least 1,024) runs in numpy.
+NUMPY_MIN_MULS = 512
+
+
+def _as_u64(entries, rows: int, cols: int):
+    return np.array(entries, dtype=np.uint64).reshape(rows, cols)
+
+
 def mat_mul(
     field: PrimeField,
     a: FieldMatrix,
     b: FieldMatrix,
     counter: OpCounter | None = None,
 ) -> FieldMatrix:
-    """Schoolbook product; counts a.rows * a.cols * b.cols multiplications."""
+    """Schoolbook product; counts a.rows * a.cols * b.cols multiplications.
+
+    From NUMPY_MIN_MULS of them on, the numpy kernel computes it; below,
+    one unreduced Python int sum per entry, reduced mod p once.
+    """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     p = field.modulus
     n, k, m = a.rows, a.cols, b.cols
-    ae, be = a.entries, b.entries
-    out = [0] * (n * m)
-    for i in range(n):
-        arow = ae[i * k : (i + 1) * k]
-        base = i * m
-        for j in range(m):
-            acc = 0
-            idx = j
-            for t in range(k):
-                acc += arow[t] * be[idx]
-                idx += m
-            out[base + j] = acc % p
+    if n * k * m >= NUMPY_MIN_MULS:
+        out = _mod_matmul(p, _as_u64(a.entries, n, k), _as_u64(b.entries, k, m)).ravel().tolist()
+    else:
+        ae, be = a.entries, b.entries
+        out = [0] * (n * m)
+        for i in range(n):
+            arow = ae[i * k : (i + 1) * k]
+            base = i * m
+            for j in range(m):
+                acc = 0
+                idx = j
+                for t in range(k):
+                    acc += arow[t] * be[idx]
+                    idx += m
+                out[base + j] = acc % p
     if counter is not None:
         counter.mul_count += n * k * m
     return FieldMatrix(n, m, out)
@@ -243,10 +269,14 @@ def mat_lincomb(
     """base + sum_i coeffs[i] * blocks[i]; counts one multiplication per
     coefficient per entry, len(blocks) * rows * cols in all.
 
-    Each entry's products are summed as unreduced Python ints through
-    C-level maps and reduced mod p once.  Raises DimensionMismatch, counting
-    nothing, when the coefficients do not pair off with the blocks or a
-    shape differs from the first block's (or base's).
+    Coefficients act as their residues mod p.  From NUMPY_MIN_MULS counted
+    multiplications on, the numpy kernel computes the 1 x len(blocks) by
+    len(blocks) x entries product, base being one more block with
+    coefficient 1.  Below, each entry's products are summed as unreduced
+    Python ints through C-level maps and reduced mod p once.  Raises
+    DimensionMismatch, counting nothing, when the coefficients do not pair
+    off with the blocks or a shape differs from the first block's (or
+    base's).
     """
     if len(coeffs) != len(blocks):
         raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(blocks)} blocks")
@@ -256,20 +286,29 @@ def mat_lincomb(
     rows, cols = first.rows, first.cols
     if any(b.rows != rows or b.cols != cols for b in blocks):
         raise DimensionMismatch("linear combination shape mismatch")
-    terms = zip(coeffs, blocks)
-    if base is None:
-        c, b = next(terms)
-        acc = map(mul, repeat(c), b.entries)
-    else:
-        acc = base.entries
-    for i, (c, b) in enumerate(terms, 1):
-        acc = map(add, acc, map(mul, repeat(c), b.entries))
-        if not i % _NEST:
-            acc = list(acc)
     p = field.modulus
-    out = [v % p for v in acc]
+    muls = len(blocks) * rows * cols
+    if muls >= NUMPY_MIN_MULS:
+        row = [c % p for c in coeffs]
+        entries = [b.entries for b in blocks]
+        if base is not None:
+            row.append(1)
+            entries.append(base.entries)
+        out = _mod_matmul(p, _as_u64(row, 1, len(row)), _as_u64(entries, len(row), rows * cols))[0].tolist()
+    else:
+        terms = zip(coeffs, blocks)
+        if base is None:
+            c, b = next(terms)
+            acc = map(mul, repeat(c), b.entries)
+        else:
+            acc = base.entries
+        for i, (c, b) in enumerate(terms, 1):
+            acc = map(add, acc, map(mul, repeat(c), b.entries))
+            if not i % _NEST:
+                acc = list(acc)
+        out = [v % p for v in acc]
     if counter is not None:
-        counter.mul_count += len(blocks) * rows * cols
+        counter.mul_count += muls
     return FieldMatrix(rows, cols, out)
 
 
@@ -301,6 +340,62 @@ def _muladd_m61(x, a, b):
     s = (s & _M61) + (s >> 61)
     # s - M61 wraps past s exactly when s < M61.
     return np.minimum(s, s - _M61)
+
+
+def _modular(p: int):
+    """(muladd, dtype): x + a*b mod p on numpy arrays of entries below p.
+
+    For 2^61 - 1, _muladd_m61 on uint64; for p < 2^32 the plain uint64
+    product, since the largest term, (p-1) + (p-1)^2, fits in uint64; for
+    any other prime, Python ints in an object array.
+    """
+    if p == M61:
+        return _muladd_m61, np.uint64
+
+    def muladd(x, a, b):
+        return (x + a * b) % p
+
+    return muladd, np.uint64 if p < (1 << 32) else object
+
+
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+# Limb products are below 2^42, so float64, exact below 2^53, sums 2^11 of
+# them exactly: the limb matmul takes the inner dimension in chunks of that.
+_CHUNK = 1 << 11
+
+
+def _mod_matmul(p: int, a, b):
+    """a @ b mod p for uint64 arrays a (n x k) and b (k x m) of entries below p.
+
+    Entries are split into 21-bit limbs.  One float64 matmul of a's limbs,
+    stacked as row blocks, by b's limbs, laid side by side as column blocks,
+    gives every limb product sum exactly for a chunk of the inner dimension.
+    Limb products of weight 2^(21d) add up to digit d (at most four terms,
+    below 2^55); the digits are reduced mod p, weighted by 2^(21d) mod p in
+    one call of the modulus's muladd, summed (at most seven residues, which
+    fit in uint64 whenever the dtype is uint64) and reduced again.  Chunks
+    are added with the muladd.  Returns an n x m array of residues of
+    _modular(p)'s dtype.
+    """
+    muladd, dtype = _modular(p)
+    count = -(-(p - 1).bit_length() // _LIMB_BITS)
+    (n, k), m = a.shape, b.shape[1]
+    shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)
+    a_limbs = ((a >> shifts[:, None, None]) & _LIMB_MASK).astype(np.float64).reshape(count * n, k)
+    b_limbs = ((b[:, None, :] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64).reshape(k, count * m)
+    weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * count - 1)], dtype=dtype)[:, None, None]
+    out = None
+    for lo in range(0, k, _CHUNK):
+        part = a_limbs[:, lo : lo + _CHUNK] @ b_limbs[lo : lo + _CHUNK]
+        # part[i, j] is limb i of a times limb j of b; it adds to digit i + j.
+        part = part.astype(np.uint64).reshape(count, n, count, m).transpose(0, 2, 1, 3)
+        digits = np.zeros((2 * count - 1, n, m), dtype=np.uint64)
+        for i in range(count):
+            digits[i : i + count] += part[i]
+        acc = muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
+        out = acc if out is None else muladd(out, acc, 1)
+    return out
 
 
 def solve_linear(
@@ -340,14 +435,7 @@ def solve_linear(
 
     p = field.modulus
     blen = br * bc
-    if p == M61:
-        muladd, dtype = _muladd_m61, np.uint64
-    else:
-        # Below 2^32 the largest term, (p-1) + (p-1)^2, fits in uint64.
-        def muladd(x, a, b):
-            return (x + a * b) % p
-
-        dtype = np.uint64 if p < (1 << 32) else object
+    muladd, dtype = _modular(p)
     aug = np.array([v.row(i) + blk.entries for i, blk in enumerate(rhs)], dtype=dtype)
 
     for col in range(n):

@@ -94,10 +94,14 @@ def _validate(dims, encode_at: str, fault: FaultModel, modulus: int) -> PrimeFie
         raise ConfigInvalid(str(exc)) from exc
 
 
+def _check_workers(m: int) -> None:
+    if m < 1:
+        raise ConfigInvalid("m must be >= 1")
+
+
 def run_simulation(config: SimConfig) -> SimReport:
     """One full encode / fault-inject / collect / decode / verify round."""
-    if config.m < 1:
-        raise ConfigInvalid("m must be >= 1")
+    _check_workers(config.m)
     fld = _validate(config.dims, config.encode_at, config.fault, config.modulus)
     desc = config.descriptor
     rows, inner, cols = config.dims
@@ -219,6 +223,7 @@ def sweep(
         for n in n_values:
             desc = SchemeDescriptor(scheme=scheme_name, n=n, lam=lam)
             m = desc.fixed_m or scheme_threshold(desc) + extra_workers
+            _check_workers(m)
             group = []
             for trial in range(trials):
                 cfg = SimConfig(

@@ -9,6 +9,7 @@ traced calls fails here rather than only under `perfbench/run.py --trace 1`.
 from __future__ import annotations
 
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -65,12 +66,14 @@ def _cross_check_each(configs):
 
 @pytest.mark.parametrize("modulus", [M61, 257], ids=["m61", "p257"])
 def test_span_counts_match_reports(modulus):
+    # 8x8x8 blocks put the worker products (512 muls) at field.NUMPY_MIN_MULS
+    # and 16x16x16 the n = 2 encodes too; 2x2x2 keeps every call below it.
     configs = []
-    for scheme in ALL_SCHEMES:
+    for scheme, dims in product(ALL_SCHEMES, ((2, 2, 2), (8, 8, 8), (16, 16, 16))):
         desc = SchemeDescriptor(scheme=scheme, n=2, lam=2)
         m = desc.fixed_m or scheme_threshold(desc) + 2
         fault = FaultModel(fail_prob=0.2, straggle_mean=1.0)
-        configs.append(SimConfig(descriptor=desc, m=m, seed=7, fault=fault, modulus=modulus))
+        configs.append(SimConfig(descriptor=desc, m=m, dims=dims, seed=7, fault=fault, modulus=modulus))
     _cross_check_each(configs)
 
 

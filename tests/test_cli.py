@@ -241,6 +241,18 @@ def test_sweep_rejects_unknown_scheme(capsys):
     assert exc.value.code == 2
 
 
+def test_sweep_rejects_negative_workers_before_any_trial(capsys):
+    # m = threshold + extra_workers is checked per group, so the error does
+    # not wait for a trial to run.
+    errors = []
+    for trials in ("0", "1"):
+        argv = ["sweep", "--schemes", "lcc", "--n-list", "2", "--trials", trials, "--workers", "-10"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: m must be >= 1\n"
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--scheme", "poly", "--n", "3", "--frobnicate"])

@@ -8,6 +8,7 @@ import pytest
 from conftest import identity, reference_pow, rng, to_rows
 from rookbench.field import (
     M61,
+    NUMPY_MIN_MULS,
     _muladd_m61,
     DimensionMismatch,
     FieldMatrix,
@@ -159,6 +160,22 @@ def test_inv_counts_inversions():
     assert ctr.inv_count == 2
 
 
+def schoolbook(p, a, b):
+    """The reference product: one unreduced int sum per entry, reduced once."""
+    return [
+        sum(a.entries[i * a.cols + t] * b.entries[t * b.cols + j] for t in range(a.cols)) % p
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ]
+
+
+# Past the numpy kernel's exact float64 chunk of 2^11 inner terms.
+LONG_INNER = 2100
+# Moduli of each numpy fold: uint64 below 2^32, 2^61 - 1's limb muladd and
+# the object fold.
+KERNEL_MODULI = [257, 4294967291, M61, 18446744073709551557]
+
+
 def test_mat_mul_examples(gf101):
     m = FieldMatrix.from_rows([[1, 2], [3, 4]])
     ident = identity(3)
@@ -167,6 +184,29 @@ def test_mat_mul_examples(gf101):
     assert mat_mul(gf101, FieldMatrix(1, 1, [3]), FieldMatrix(1, 1, [2])).entries == [6]
     prod = mat_mul(gf101, m, FieldMatrix.from_rows([[5, 6], [7, 8]]))
     assert to_rows(prod) == [[19, 22], [43, 50]]  # hand schoolbook check
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        r = rng(p % 1000 + 3)
+        # Shapes on both sides of NUMPY_MIN_MULS, one with an inner
+        # dimension past the kernel's chunk, each random and all p - 1.
+        for n, k, mm in ((3, 5, 2), (8, 8, 7), (8, 8, 8), (16, 16, 16), (2, LONG_INNER, 3)):
+            full = (FieldMatrix(n, k, [p - 1] * (n * k)), FieldMatrix(k, mm, [p - 1] * (k * mm)))
+            for a, b in ((mat_random(field, n, k, r), mat_random(field, k, mm, r)), full):
+                ctr = OpCounter()
+                got = mat_mul(field, a, b, ctr)
+                assert (got.rows, got.cols, got.entries) == (n, mm, schoolbook(p, a, b)), (p, n, k, mm)
+                assert (ctr.mul_count, ctr.inv_count) == (n * k * mm, 0)
+        # Just below the cutoff (Python) and at it (numpy): a zero term
+        # appended to the inner dimension leaves the product as it was.
+        a = mat_random(field, 1, NUMPY_MIN_MULS - 1, r)
+        b = mat_random(field, NUMPY_MIN_MULS - 1, 1, r)
+        below, at = OpCounter(), OpCounter()
+        want = mat_mul(field, a, b, below)
+        a_pad = FieldMatrix(1, NUMPY_MIN_MULS, a.entries + [0])
+        b_pad = FieldMatrix(NUMPY_MIN_MULS, 1, b.entries + [p - 1])
+        assert mat_mul(field, a_pad, b_pad, at) == want
+        assert want.entries == schoolbook(p, a, b)
+        assert (below.mul_count, at.mul_count) == (NUMPY_MIN_MULS - 1, NUMPY_MIN_MULS)
 
 
 def test_mat_mul_counts_and_dimension_error(gf101):
@@ -245,13 +285,31 @@ def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
     for count in (1, 4, 7):
         cases.append(([r.randrange(p) for _ in range(count)], [mat_random(field, 32, 32, r) for _ in range(count)]))
     # Every entry and coefficient p - 1: the unreduced sums are largest.
-    for rows, cols, count in ((1, 1, 40), (2, 3, 40), (32, 32, 7)):
+    for rows, cols, count in ((1, 1, 40), (2, 3, 40), (32, 32, 7), (1, 1, LONG_INNER)):
         cases.append(([p - 1] * count, [FieldMatrix(rows, cols, [p - 1] * (rows * cols))] * count))
+    # Coefficients outside [0, p) act as their residues, below the numpy
+    # cutoff and past it.
+    for rows, cols in ((2, 3), (16, 16)):
+        coeffs = [-1, p, p + 5, -(p + 3), 3 * p - 1, -(1 << 70)]
+        cases.append((coeffs, [mat_random(field, rows, cols, r) for _ in coeffs]))
+    # 1 x 1 blocks, so the term count is the inner dimension of the numpy
+    # kernel: past its chunk, and just below and at NUMPY_MIN_MULS, where a
+    # zero coefficient on one more block leaves the sum as it was.
+    long = [mat_random(field, 1, 1, r) for _ in range(LONG_INNER)]
+    cases.append(([r.randrange(p) for _ in long], long))
+    coeffs = [r.randrange(p) for _ in range(NUMPY_MIN_MULS - 1)]
+    below = long[: NUMPY_MIN_MULS - 1]
+    cases += [(coeffs, below), (coeffs + [0], below + [FieldMatrix(1, 1, [p - 1])])]
+    for base in (None, FieldMatrix(1, 1, [p - 1])):
+        sums = [mat_lincomb(field, cs, bs, base=base) for cs, bs in cases[-2:]]
+        assert sums[0] == sums[1]
     for coeffs, blocks in cases:
         rows, cols = blocks[0].rows, blocks[0].cols
         full = FieldMatrix(rows, cols, [p - 1] * (rows * cols))
         for base in (None, mat_random(field, rows, cols, r), full):
-            got = mat_lincomb(field, coeffs, blocks, base=base)
+            ctr = OpCounter()
+            got = mat_lincomb(field, coeffs, blocks, ctr, base=base)
+            assert (ctr.mul_count, ctr.inv_count) == (len(blocks) * rows * cols, 0)
             start = base.entries if base is not None else [0] * (rows * cols)
             want = [
                 (start[j] + sum(c * b.entries[j] for c, b in zip(coeffs, blocks))) % p

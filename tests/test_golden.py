@@ -24,6 +24,7 @@ from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to
 GRID_SHA256 = "4013b2aeffa54ec7e26f0caaa1883b8f78398c76e82936fe1da92b04f0f90339"
 SWEEP_SHA256 = "6f0b0113fcc0c57d1df090e2230b93e0a40eecfdd2e62d1f4448556d56365cac"
 RETRY_SHA256 = "a4fb06bec600d84f8732ffe992d869cde17440a3a3eb06b01b35282f6ebad7b7"
+BLOCK_SHA256 = "f3f98f346b0ac7c734caa6b59ab99b4802aba9a66cfd80803a35587629bfa162"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 
@@ -56,6 +57,21 @@ def test_simulate_reports_match_golden():
     reports = [run_simulation(cfg).to_json() for cfg in _grid_configs()]
     assert len(reports) == 216
     assert _digest("\n".join(reports)) == GRID_SHA256
+
+
+def test_block_reports_match_golden():
+    # 16x16x16 blocks put every worker product (4,096 muls) and the n = 4
+    # encodes (1,024) at or above field.NUMPY_MIN_MULS, where the grid's
+    # 2x2x2 blocks stay below it.  Recorded when every product still ran
+    # the pure-Python loops, so it pins the numpy kernel to them.
+    reports = []
+    for scheme, (seed, modulus) in product(ALL_SCHEMES, SEEDS[:2]):
+        desc = SchemeDescriptor(scheme=scheme, n=4, lam=2)
+        m = desc.fixed_m or scheme_threshold(desc) + 2
+        fault = FaultModel(fail_prob=0.1, straggle_mean=1.5)
+        cfg = SimConfig(descriptor=desc, m=m, dims=(16, 16, 16), seed=seed, fault=fault, modulus=modulus)
+        reports.append(run_simulation(cfg).to_json())
+    assert _digest("\n".join(reports)) == BLOCK_SHA256
 
 
 def test_sweep_csv_matches_golden():
