@@ -6,10 +6,11 @@ to ~2^61 stay representable as monomial degrees.  Powers and inverses use
 builtin pow.  Every block product (a worker's, the oracle's) is one mat_mul
 call and every linear combination of blocks (an encoder's share, a
 decoder's evaluation at an anchor or rescale) one mat_lincomb call, which
-is the 1 x len(blocks) by len(blocks) x entries product.  Each call counts
-the multiplications of the schoolbook product and picks its path by that
-count: below NUMPY_MIN_MULS, Python ints summed unreduced and reduced mod p
-once; from it on, one exact numpy kernel of 21-bit limb products.
+is the 1 x len(blocks) by len(blocks) x entries product.  Both count the
+multiplications of the schoolbook product and hand the product to one
+kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
+one unreduced Python int sum per entry, reduced mod p once; from it on,
+one exact numpy kernel of 21-bit limb products.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
 Both numpy kernels do modular arithmetic through one multiply-add picked by
 the modulus: uint64 31/30-bit limb products with shift-add reduction for
@@ -26,8 +27,7 @@ cannot interfere.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def is_prime_u64(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -132,16 +132,15 @@ class PrimeField:
             )
 
     def distinct_nonzero(self, rng, count: int, exclude=()) -> list[int]:
-        """Draw `count` distinct nonzero elements avoiding `exclude`."""
-        banned = set(exclude)
-        if count + len(banned) > self.modulus - 1:
-            raise ValueError(
-                f"cannot draw {count} distinct nonzero points from GF({self.modulus})"
-            )
+        """Draw `count` distinct nonzero elements avoiding `exclude`'s residues."""
+        p = self.modulus
+        # 0 is never drawn, so it takes nothing from the p - 1 candidates.
+        seen = {x % p for x in exclude} | {0}
+        if count + len(seen) > p:
+            raise ValueError(f"cannot draw {count} distinct nonzero points from GF({p})")
         out: list[int] = []
-        seen = set(banned)
         while len(out) < count:
-            x = rng.randrange(1, self.modulus)
+            x = rng.randrange(1, p)
             if x not in seen:
                 seen.add(x)
                 out.append(x)
@@ -203,20 +202,31 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
-# mat_mul and mat_lincomb run the numpy kernel (_mod_matmul) on products
-# they charge at least this many multiplications, and the Python loops,
-# whose fixed cost per call is lower, below it.  Timed per call, both paths
-# interleaved, over 2^61 - 1 and 257 on a 2-vCPU Xeon VM: numpy breaks even
-# near 384 muls for mat_mul and near 768-1,024 for mat_lincomb, which
-# converts every entry and so saves less per multiplication; 512 lies
-# between.  Every product of the decode-bound and retry-gf257 benchmark
-# workloads (at most 256 muls) stays in Python, and every one of
+# _product runs the numpy kernel (_mod_matmul) on products of at least this
+# many multiplications, and the Python sums, whose fixed cost per call is
+# lower, below it.  Timed per call with both paths interleaved on a 2-vCPU
+# Xeon VM, over 2^61 - 1 and 257: numpy breaks even near 384-512 muls for
+# n x 8 x 8 mat_mul products and near 768-1,024 or beyond for mat_lincomb
+# of 4 x 4 blocks, whose entries are all converted and each used once; 512
+# lies between.  Every product of the decode-bound and retry-gf257
+# benchmark workloads (at most 256 muls) stays in Python, and every one of
 # block-bound's (at least 1,024) runs in numpy.
 NUMPY_MIN_MULS = 512
 
 
-def _as_u64(entries, rows: int, cols: int):
-    return np.array(entries, dtype=np.uint64).reshape(rows, cols)
+def _product(p: int, a_rows, b_rows, m: int) -> list[int]:
+    """The n x k by k x m product mod p of row lists, entries in [0, p), as
+    a row-major list.
+
+    m is passed because B's rows cannot tell it when k = 0.  From
+    NUMPY_MIN_MULS multiplications on, the numpy kernel computes it; below,
+    each entry is one unreduced Python int sum, reduced mod p once.
+    """
+    if len(a_rows) * len(b_rows) * m >= NUMPY_MIN_MULS:
+        a, b = np.array(a_rows, dtype=np.uint64), np.array(b_rows, dtype=np.uint64)
+        return _mod_matmul(p, a, b).ravel().tolist()
+    cols = list(zip(*b_rows)) or [()] * m
+    return [sum(map(mul, row, col)) % p for row in a_rows for col in cols]
 
 
 def mat_mul(
@@ -225,38 +235,14 @@ def mat_mul(
     b: FieldMatrix,
     counter: OpCounter | None = None,
 ) -> FieldMatrix:
-    """Schoolbook product; counts a.rows * a.cols * b.cols multiplications.
-
-    From NUMPY_MIN_MULS of them on, the numpy kernel computes it; below,
-    one unreduced Python int sum per entry, reduced mod p once.
-    """
+    """Schoolbook product; counts a.rows * a.cols * b.cols multiplications."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    p = field.modulus
     n, k, m = a.rows, a.cols, b.cols
-    if n * k * m >= NUMPY_MIN_MULS:
-        out = _mod_matmul(p, _as_u64(a.entries, n, k), _as_u64(b.entries, k, m)).ravel().tolist()
-    else:
-        ae, be = a.entries, b.entries
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = ae[i * k : (i + 1) * k]
-            base = i * m
-            for j in range(m):
-                acc = 0
-                idx = j
-                for t in range(k):
-                    acc += arow[t] * be[idx]
-                    idx += m
-                out[base + j] = acc % p
+    out = _product(field.modulus, [a.row(i) for i in range(n)], [b.row(t) for t in range(k)], m)
     if counter is not None:
         counter.mul_count += n * k * m
     return FieldMatrix(n, m, out)
-
-
-# Lazy terms chained before the running sum is materialized: every term
-# nests one more C-level iterator, and deep nesting overflows the C stack.
-_NEST = 256
 
 
 def mat_lincomb(
@@ -269,11 +255,9 @@ def mat_lincomb(
     """base + sum_i coeffs[i] * blocks[i]; counts one multiplication per
     coefficient per entry, len(blocks) * rows * cols in all.
 
-    Coefficients act as their residues mod p.  From NUMPY_MIN_MULS counted
-    multiplications on, the numpy kernel computes the 1 x len(blocks) by
-    len(blocks) x entries product, base being one more block with
-    coefficient 1.  Below, each entry's products are summed as unreduced
-    Python ints through C-level maps and reduced mod p once.  Raises
+    Coefficients act as their residues mod p.  The sum is the 1 x terms by
+    terms x entries product of the coefficient row and the stacked block
+    entries, base being one more block with coefficient 1.  Raises
     DimensionMismatch, counting nothing, when the coefficients do not pair
     off with the blocks or a shape differs from the first block's (or
     base's).
@@ -287,28 +271,14 @@ def mat_lincomb(
     if any(b.rows != rows or b.cols != cols for b in blocks):
         raise DimensionMismatch("linear combination shape mismatch")
     p = field.modulus
-    muls = len(blocks) * rows * cols
-    if muls >= NUMPY_MIN_MULS:
-        row = [c % p for c in coeffs]
-        entries = [b.entries for b in blocks]
-        if base is not None:
-            row.append(1)
-            entries.append(base.entries)
-        out = _mod_matmul(p, _as_u64(row, 1, len(row)), _as_u64(entries, len(row), rows * cols))[0].tolist()
-    else:
-        terms = zip(coeffs, blocks)
-        if base is None:
-            c, b = next(terms)
-            acc = map(mul, repeat(c), b.entries)
-        else:
-            acc = base.entries
-        for i, (c, b) in enumerate(terms, 1):
-            acc = map(add, acc, map(mul, repeat(c), b.entries))
-            if not i % _NEST:
-                acc = list(acc)
-        out = [v % p for v in acc]
+    row = [c % p for c in coeffs]
+    entries = [b.entries for b in blocks]
+    if base is not None:
+        row.append(1)
+        entries.append(base.entries)
+    out = _product(p, [row], entries, rows * cols)
     if counter is not None:
-        counter.mul_count += muls
+        counter.mul_count += len(blocks) * rows * cols
     return FieldMatrix(rows, cols, out)
 
 

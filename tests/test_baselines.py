@@ -240,6 +240,15 @@ def test_anchor_count_checked_before_distinctness(make):
 
 
 @pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])
+def test_anchor_at_zero_leaves_the_nonzero_points_free(make):
+    # GF(5) has four nonzero points; with anchors 0 (written 0 or 5) and 1,
+    # the three workers take the other three.
+    for z in ((0, 1), (5, 1)):
+        scheme = make(2, PrimeField(5), 3, rng=rng(0), z=z)
+        assert sorted(scheme.eval_points) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])
 def test_explicit_eval_points_must_number_m(make):
     with pytest.raises(ValueError, match="expected 5 eval points, got 3"):
         make(2, GF101, 5, eval_points=(3, 4, 5))

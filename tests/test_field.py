@@ -207,6 +207,14 @@ def test_mat_mul_examples(gf101):
         assert mat_mul(field, a_pad, b_pad, at) == want
         assert want.entries == schoolbook(p, a, b)
         assert (below.mul_count, at.mul_count) == (NUMPY_MIN_MULS - 1, NUMPY_MIN_MULS)
+    # Empty shapes: an empty inner dimension gives the zero matrix (B has no
+    # rows to take columns from), an empty outer one an empty result; none
+    # charges a multiplication.
+    for n, k, mm in ((2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0)):
+        ctr = OpCounter()
+        got = mat_mul(gf101, FieldMatrix(n, k, [1] * (n * k)), FieldMatrix(k, mm, [1] * (k * mm)), ctr)
+        assert (got.rows, got.cols, got.entries) == (n, mm, [0] * (n * mm))
+        assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
 def test_mat_mul_counts_and_dimension_error(gf101):
@@ -294,14 +302,16 @@ def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
         cases.append((coeffs, [mat_random(field, rows, cols, r) for _ in coeffs]))
     # 1 x 1 blocks, so the term count is the inner dimension of the numpy
     # kernel: past its chunk, and just below and at NUMPY_MIN_MULS, where a
-    # zero coefficient on one more block leaves the sum as it was.
+    # zero coefficient on one more block leaves the sum as it was.  A base
+    # is one more term of the product, so with it the cutoff is a block
+    # earlier.
     long = [mat_random(field, 1, 1, r) for _ in range(LONG_INNER)]
     cases.append(([r.randrange(p) for _ in long], long))
     coeffs = [r.randrange(p) for _ in range(NUMPY_MIN_MULS - 1)]
     below = long[: NUMPY_MIN_MULS - 1]
     cases += [(coeffs, below), (coeffs + [0], below + [FieldMatrix(1, 1, [p - 1])])]
-    for base in (None, FieldMatrix(1, 1, [p - 1])):
-        sums = [mat_lincomb(field, cs, bs, base=base) for cs, bs in cases[-2:]]
+    for base, skip in ((None, 0), (FieldMatrix(1, 1, [p - 1]), 1)):
+        sums = [mat_lincomb(field, cs[skip:], bs[skip:], base=base) for cs, bs in cases[-2:]]
         assert sums[0] == sums[1]
     for coeffs, blocks in cases:
         rows, cols = blocks[0].rows, blocks[0].cols
@@ -336,6 +346,13 @@ def test_mat_lincomb_counts_and_leaves_inputs(gf101):
     out = mat_lincomb(gf101, [], [], ctr, base=base)
     assert out == base and out.entries is not base.entries
     assert (ctr.mul_count, ctr.inv_count) == (0, 0)
+    # Blocks without entries: B has rows but no columns to zip.
+    for rows, cols in ((0, 3), (3, 0)):
+        empty = [FieldMatrix(rows, cols, []) for _ in coeffs]
+        for base in (None, FieldMatrix(rows, cols, [])):
+            ctr = OpCounter()
+            assert mat_lincomb(gf101, coeffs, empty, ctr, base=base) == FieldMatrix(rows, cols, [])
+            assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
 def test_mat_lincomb_dimension_errors_count_nothing(gf101):
@@ -358,7 +375,8 @@ def test_mat_lincomb_dimension_errors_count_nothing(gf101):
 
 
 def test_mat_lincomb_long_combination():
-    # Far more terms than a nested chain of lazy maps survives.
+    # 200,000 1 x 1 terms are the numpy kernel's inner dimension, about 98
+    # of its exact float64 chunks of 2^11 terms, with and without base.
     field = PrimeField(M61)
     r = rng(34)
     count = 200_000
@@ -451,6 +469,10 @@ def test_distinct_nonzero_draw(gf101):
     assert all(0 < x < 101 for x in pts)
     with pytest.raises(ValueError):
         gf101.distinct_nonzero(rng(14), 101)
+    # Excluded residues count against the 100 nonzero points; 0 is not one.
+    assert sorted(gf101.distinct_nonzero(rng(14), 99, exclude=(0, 101, 1, 102))) == list(range(2, 101))
+    with pytest.raises(ValueError):
+        gf101.distinct_nonzero(rng(14), 99, exclude=(1, 2))
 
 
 def reference_solve(field, v, rhs, counter=None):
