@@ -17,7 +17,7 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, mat_lincomb, solve_linear  # noqa: F401
+from .field import FieldError, OpCounter, PrimeField, mat_lincomb, mat_lincombs, solve_linear  # noqa: F401
 from .rook import WorkerShare, _require_products, _solve_responses, power_rows
 
 
@@ -66,8 +66,8 @@ class LccScheme:
     def threshold(self) -> int:
         return 2 * self.n - 1
 
-    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
-        return lcc_encode(self, inputs, worker_id, counter)
+    def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
+        return lcc_encode(self, inputs, workers, counter)
 
     def decode(self, products, counter: OpCounter | None = None):
         _require_products(products, self.threshold)
@@ -106,14 +106,19 @@ def _lagrange_basis(field, z, x, counter):
     return out
 
 
-def lcc_encode(scheme: LccScheme, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
-    """Evaluate the Lagrange interpolants of the inputs at x_w."""
+def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
+    """Evaluate the Lagrange interpolants of the inputs at x_w for each
+    worker w: the Lagrange bases at the x_w, stacked, times the stacked
+    inputs, one mat_lincombs call per side."""
     field = scheme.field
-    x = scheme.eval_points[worker_id]
-    basis = _lagrange_basis(field, scheme.z, x, counter)
-    a = mat_lincomb(field, basis, [a for a, _ in inputs], counter)
-    b = mat_lincomb(field, basis, [b for _, b in inputs], counter)
-    return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
+    xs = [scheme.eval_points[w] for w in workers]
+    bases = [_lagrange_basis(field, scheme.z, x, counter) for x in xs]
+    a_tilde = mat_lincombs(field, bases, [a for a, _ in inputs], counter)
+    b_tilde = mat_lincombs(field, bases, [b for _, b in inputs], counter)
+    return [
+        WorkerShare(worker_id=w, x=x, a_tilde=a, b_tilde=b)
+        for w, x, a, b in zip(workers, xs, a_tilde, b_tilde)
+    ]
 
 
 def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
@@ -124,10 +129,10 @@ def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     _require_products(products, L)
     rows = power_rows(field, range(L), [pr.x for pr in products], counter)
     coeffs = _solve_responses(field, rows, products, counter)
-    # C_0 + z C_1 + z^2 C_2 + ...: (L - 1) scalar-matrix products per anchor,
-    # the cost of Horner's rule; the scalar powers of z, computed once at
-    # binding, go uncounted.
-    return [mat_lincomb(field, zk, coeffs[1:], counter, base=coeffs[0]) for zk in scheme.zpows]
+    # C_0 + z C_1 + z^2 C_2 + ... at every anchor in one product: (L - 1)
+    # scalar-matrix products per anchor, the cost of Horner's rule; the
+    # scalar powers of z, computed once at binding, go uncounted.
+    return mat_lincombs(field, scheme.zpows, coeffs[1:], counter, base=coeffs[0])
 
 
 # --- CSA --------------------------------------------------------------------
@@ -159,8 +164,8 @@ class CsaScheme:
     def threshold(self) -> int:
         return 2 * self.n - 1
 
-    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
-        return csa_encode(self, inputs, worker_id, counter)
+    def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
+        return csa_encode(self, inputs, workers, counter)
 
     def decode(self, products, counter: OpCounter | None = None):
         _require_products(products, self.threshold)
@@ -173,21 +178,27 @@ def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaSchem
     return CsaScheme(field=field, z=z, eval_points=eval_points)
 
 
-def csa_encode(scheme: CsaScheme, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
-    """A~(x) = f(x) * sum_i A_i/(z_i - x);  B~(x) = sum_i B_i/(z_i - x)."""
+def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
+    """A~(x) = f(x) * sum_i A_i/(z_i - x);  B~(x) = sum_i B_i/(z_i - x) at
+    x = x_w for each worker w.
+
+    The rows 1/(z_i - x_w), stacked, times the stacked inputs give both
+    sums in one mat_lincombs call per side; each A~ is then rescaled by its
+    own f(x_w), rows(A) * inner muls per share.
+    """
     field = scheme.field
     p = field.modulus
-    x = scheme.eval_points[worker_id]
-    invs = [field.inv((zi - x) % p, counter) for zi in scheme.z]
-    f = (scheme.z[0] - x) % p
-    for zi in scheme.z[1:]:
-        f = f * (zi - x) % p
+    xs = [scheme.eval_points[w] for w in workers]
+    invs = [[field.inv((zi - x) % p, counter) for zi in scheme.z] for x in xs]
+    fs = [math.prod((zi - x) % p for zi in scheme.z) % p for x in xs]
     if counter is not None:
-        counter.mul_count += scheme.n - 1
-    a = mat_lincomb(field, invs, [a for a, _ in inputs], counter)
-    b = mat_lincomb(field, invs, [b for _, b in inputs], counter)
-    a = mat_lincomb(field, [f], [a], counter)
-    return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
+        counter.mul_count += (scheme.n - 1) * len(xs)
+    sums = mat_lincombs(field, invs, [a for a, _ in inputs], counter)
+    b_tilde = mat_lincombs(field, invs, [b for _, b in inputs], counter)
+    return [
+        WorkerShare(worker_id=w, x=x, a_tilde=mat_lincomb(field, [f], [a], counter), b_tilde=b)
+        for w, x, f, a, b in zip(workers, xs, fs, sums, b_tilde)
+    ]
 
 
 def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
@@ -234,11 +245,12 @@ class ReplicationScheme:
         # Worst case: all lambda replicas of one pair may fail together.
         return self.m - self.lam + 1
 
-    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> WorkerShare:
-        """The worker's assigned pair, uncoded; x names the pair."""
-        i = self.assignment(worker_id)
-        a, b = inputs[i]
-        return WorkerShare(worker_id=worker_id, x=i, a_tilde=a, b_tilde=b)
+    def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
+        """Each worker's assigned pair, uncoded; x names the pair."""
+        return [
+            WorkerShare(worker_id=w, x=i, a_tilde=inputs[i][0], b_tilde=inputs[i][1])
+            for w, i in zip(workers, map(self.assignment, workers))
+        ]
 
     def decode(self, products, counter: OpCounter | None = None):
         """Each pair's first product; UncoveredPair while some pair has none."""
@@ -283,11 +295,11 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
     """Bind a descriptor to a field and m workers: the one place that picks a
     scheme's code by its name.
 
-    Every bound scheme has `threshold`, `encode(inputs, w, counter)` giving
-    worker w's share, and `decode(products, counter)` giving all n products
-    or raising a FieldError (NotEnoughProducts below the threshold). A
-    configuration the field or the worker count cannot hold raises
-    ConfigInvalid.
+    Every bound scheme has `threshold`, `encode(inputs, workers, counter)`
+    giving the shares of the listed workers in one call, in their order,
+    and `decode(products, counter)` giving all n products or raising a
+    FieldError (NotEnoughProducts below the threshold). A configuration the
+    field or the worker count cannot hold raises ConfigInvalid.
     """
     try:
         if desc.scheme == "lcc":

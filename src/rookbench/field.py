@@ -3,16 +3,19 @@
 Field elements are canonical Python ints in [0, p) for a prime p below
 2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
 to ~2^61 stay representable as monomial degrees.  Powers and inverses use
-builtin pow.  Every block product (a worker's, the oracle's) is one mat_mul
-call and every linear combination of blocks (an encoder's share, a
-decoder's evaluation at an anchor or rescale) one mat_lincomb call, which
-is the 1 x len(blocks) by len(blocks) x entries product.  Both count the
+builtin pow for single values; power_table computes x^e for many x and e
+at once, the encoders' generator matrices and the decoders' system rows.
+Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
+combinations of the same blocks (all the shares of an op, a decoder's
+evaluations at the anchors) are one mat_lincombs call, the len(rows) x
+len(blocks) by len(blocks) x entries product of a coefficient matrix and
+the stacked blocks; mat_lincomb is its one-row case.  Both count the
 multiplications of the schoolbook product and hand the product to one
 kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
 one unreduced Python int sum per entry, reduced mod p once; from it on,
 one exact numpy kernel of 21-bit limb products.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
-Both numpy kernels do modular arithmetic through one multiply-add picked by
+The numpy kernels do modular arithmetic through one multiply-add picked by
 the modulus: uint64 31/30-bit limb products with shift-add reduction for
 2^61 - 1, the plain uint64 product for p < 2^32, and Python ints in an
 object array for any other prime.
@@ -208,9 +211,10 @@ class FieldMatrix:
 # Xeon VM, over 2^61 - 1 and 257: numpy breaks even near 384-512 muls for
 # n x 8 x 8 mat_mul products and near 768-1,024 or beyond for mat_lincomb
 # of 4 x 4 blocks, whose entries are all converted and each used once; 512
-# lies between.  Every product of the decode-bound and retry-gf257
-# benchmark workloads (at most 256 muls) stays in Python, and every one of
-# block-bound's (at least 1,024) runs in numpy.
+# lies between.  In the benchmark workloads, the block products of
+# decode-bound and retry-gf257 (8 to 64 muls) stay in Python, while their
+# batched encodes (one product per side per op, 1,920 to 26,624 muls) and
+# every product of block-bound (at least 1,024) run in numpy.
 NUMPY_MIN_MULS = 512
 
 
@@ -245,25 +249,27 @@ def mat_mul(
     return FieldMatrix(n, m, out)
 
 
-def mat_lincomb(
+def mat_lincombs(
     field: PrimeField,
-    coeffs,
+    coeff_rows,
     blocks,
     counter: OpCounter | None = None,
     base: FieldMatrix | None = None,
-) -> FieldMatrix:
-    """base + sum_i coeffs[i] * blocks[i]; counts one multiplication per
-    coefficient per entry, len(blocks) * rows * cols in all.
+) -> list[FieldMatrix]:
+    """[base + sum_i row[i] * blocks[i] for row in coeff_rows]; counts one
+    multiplication per coefficient per entry, len(coeff_rows) *
+    len(blocks) * rows * cols in all.
 
-    Coefficients act as their residues mod p.  The sum is the 1 x terms by
-    terms x entries product of the coefficient row and the stacked block
-    entries, base being one more block with coefficient 1.  Raises
-    DimensionMismatch, counting nothing, when the coefficients do not pair
-    off with the blocks or a shape differs from the first block's (or
-    base's).
+    Coefficients act as their residues mod p.  All the sums are one
+    len(coeff_rows) x terms by terms x entries product of the coefficient
+    rows and the stacked block entries, base being one more block with
+    coefficient 1 in every row.  Raises DimensionMismatch, counting
+    nothing, when a coefficient row does not pair off with the blocks or a
+    shape differs from the first block's (or base's).  No rows give [].
     """
-    if len(coeffs) != len(blocks):
-        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(blocks)} blocks")
+    for row in coeff_rows:
+        if len(row) != len(blocks):
+            raise DimensionMismatch(f"{len(row)} coefficients for {len(blocks)} blocks")
     if base is None and not blocks:
         raise DimensionMismatch("empty linear combination has no shape")
     first = blocks[0] if base is None else base
@@ -271,15 +277,27 @@ def mat_lincomb(
     if any(b.rows != rows or b.cols != cols for b in blocks):
         raise DimensionMismatch("linear combination shape mismatch")
     p = field.modulus
-    row = [c % p for c in coeffs]
     entries = [b.entries for b in blocks]
+    tail = []
     if base is not None:
-        row.append(1)
         entries.append(base.entries)
-    out = _product(p, [row], entries, rows * cols)
+        tail.append(1)
+    size = rows * cols
+    out = _product(p, [[c % p for c in row] + tail for row in coeff_rows], entries, size)
     if counter is not None:
-        counter.mul_count += len(blocks) * rows * cols
-    return FieldMatrix(rows, cols, out)
+        counter.mul_count += len(coeff_rows) * len(blocks) * size
+    return [FieldMatrix(rows, cols, out[i * size : (i + 1) * size]) for i in range(len(coeff_rows))]
+
+
+def mat_lincomb(
+    field: PrimeField,
+    coeffs,
+    blocks,
+    counter: OpCounter | None = None,
+    base: FieldMatrix | None = None,
+) -> FieldMatrix:
+    """base + sum_i coeffs[i] * blocks[i]: mat_lincombs of one coefficient row."""
+    return mat_lincombs(field, [coeffs], blocks, counter, base)[0]
 
 
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:
@@ -333,6 +351,10 @@ _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 # Limb products are below 2^42, so float64, exact below 2^53, sums 2^11 of
 # them exactly: the limb matmul takes the inner dimension in chunks of that.
 _CHUNK = 1 << 11
+# The limb matmul takes the output in column slices of at most this many
+# entries, which bounds the digit array and the multiply-add temporaries
+# built from it however many rows a batched product has.
+_SLICE = 1 << 12
 
 
 def _mod_matmul(p: int, a, b):
@@ -345,7 +367,8 @@ def _mod_matmul(p: int, a, b):
     below 2^55); the digits are reduced mod p, weighted by 2^(21d) mod p in
     one call of the modulus's muladd, summed (at most seven residues, which
     fit in uint64 whenever the dtype is uint64) and reduced again.  Chunks
-    are added with the muladd.  Returns an n x m array of residues of
+    are added with the muladd.  The output is computed in column slices of
+    at most _SLICE entries.  Returns an n x m array of residues of
     _modular(p)'s dtype.
     """
     muladd, dtype = _modular(p)
@@ -353,19 +376,53 @@ def _mod_matmul(p: int, a, b):
     (n, k), m = a.shape, b.shape[1]
     shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)
     a_limbs = ((a >> shifts[:, None, None]) & _LIMB_MASK).astype(np.float64).reshape(count * n, k)
-    b_limbs = ((b[:, None, :] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64).reshape(k, count * m)
     weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * count - 1)], dtype=dtype)[:, None, None]
-    out = None
-    for lo in range(0, k, _CHUNK):
-        part = a_limbs[:, lo : lo + _CHUNK] @ b_limbs[lo : lo + _CHUNK]
-        # part[i, j] is limb i of a times limb j of b; it adds to digit i + j.
-        part = part.astype(np.uint64).reshape(count, n, count, m).transpose(0, 2, 1, 3)
-        digits = np.zeros((2 * count - 1, n, m), dtype=np.uint64)
-        for i in range(count):
-            digits[i : i + count] += part[i]
-        acc = muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
-        out = acc if out is None else muladd(out, acc, 1)
+    out = np.zeros((n, m), dtype=dtype)
+    width = max(1, _SLICE // n)
+    for start in range(0, m, width):
+        w = min(width, m - start)
+        cols = slice(start, start + w)
+        b_limbs = ((b[:, None, cols] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64).reshape(k, count * w)
+        for lo in range(0, k, _CHUNK):
+            part = a_limbs[:, lo : lo + _CHUNK] @ b_limbs[lo : lo + _CHUNK]
+            # part[i, j] is limb i of a times limb j of b; it adds to digit i + j.
+            part = part.astype(np.uint64).reshape(count, n, count, w).transpose(0, 2, 1, 3)
+            digits = np.zeros((2 * count - 1, n, w), dtype=np.uint64)
+            for i in range(count):
+                digits[i : i + count] += part[i]
+            acc = muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
+            out[:, cols] = acc if lo == 0 else muladd(out[:, cols], acc, 1)
     return out
+
+
+def power_table(p: int, exponents, xs):
+    """The len(xs) x len(exponents) array of x^e mod p, exponents e >= 0.
+
+    Square-and-multiply over windows of k bits of every exponent at once,
+    k about log2(len(exponents)) (the 2^k-ary method): for each window, k
+    doublings (fewer in the last window), each one multiply-add on a whole
+    array, turn [1, b] into the powers b^0 .. b^(2^k) of the window's base
+    b = x^(2^shift); the
+    window's digits of the exponents pick their columns, and one more
+    multiply-add folds them into the table.  x^0 is 1, 0^0 included.
+    Entries are residues of _modular(p)'s dtype.
+    """
+    muladd, dtype = _modular(p)
+    e = np.array(exponents, dtype=np.uint64)
+    base = np.array([x % p for x in xs], dtype=dtype).reshape(-1, 1)
+    top = int(e.max()).bit_length() if e.size else 0
+    k = max(1, min(top, e.size.bit_length()))
+    table = np.ones((base.shape[0], e.size), dtype=dtype)
+    for shift in range(0, top, k):
+        steps = min(k, top - shift)
+        powers = np.concatenate([np.ones_like(base), base], axis=1)
+        for _ in range(steps):
+            # Columns b^0 .. b^j times b^j, the last, are b^j .. b^(2j).
+            powers = np.concatenate([powers[:, :-1], muladd(0, powers, powers[:, -1:])], axis=1)
+        digits = ((e >> np.uint64(shift)) & np.uint64((1 << steps) - 1)).astype(np.intp)
+        table = powers[:, digits] if shift == 0 else muladd(0, table, powers[:, digits])
+        base = powers[:, -1:]
+    return table
 
 
 def solve_linear(

@@ -12,7 +12,8 @@ determine the products, whichever they are.
 Encoding is division-free: each share is one linear combination of the
 input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
 multiply products of the exponent gaps, delta(P, Q), plus one scalar-matrix
-product per input block.
+product per input block.  All the shares of an op are encoded together, as
+one generator-matrix product per side.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    mat_lincomb,
+    mat_lincombs,
     mat_mul,
     pow_muls,
+    power_table,
     solve_linear,
 )
 
@@ -56,8 +58,8 @@ class RookScheme:
     def threshold(self) -> int:
         return self.support.L
 
-    def encode(self, inputs, worker_id: int, counter: OpCounter | None = None) -> "WorkerShare":
-        return rook_encode_share(self, inputs, worker_id, counter)
+    def encode(self, inputs, workers, counter: OpCounter | None = None) -> list["WorkerShare"]:
+        return rook_encode_share(self, inputs, workers, counter)
 
     def decode(self, products, counter: OpCounter | None = None):
         """All A_k B_k; NotEnoughProducts until `threshold` responses are in."""
@@ -140,21 +142,13 @@ def encode_delta(pair: ExponentPair) -> int:
 def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = None):
     """Rows [x^{e_0}, x^{e_1}, ...] for each x in xs, for non-decreasing exponents.
 
-    Each row is the running product of the gap powers x^{e_0},
-    x^{e_1 - e_0}, ..., counted as square-and-multiply per gap (pow_muls)
-    plus one product per entry after the first.  Every decoder builds its
-    system rows here.
+    The values come from one power_table.  Each row is charged as the
+    running product of the gap powers x^{e_0}, x^{e_1 - e_0}, ...:
+    square-and-multiply per gap (pow_muls) plus one product per entry after
+    the first.  Every decoder builds its system rows here.
     """
     gaps = _gaps(exponents)
-    p = field.modulus
-    rows = []
-    for x in xs:
-        row = []
-        val = 1
-        for g in gaps:
-            val = val * pow(x, g, p) % p
-            row.append(val)
-        rows.append(row)
+    rows = power_table(field.modulus, exponents, xs).tolist()
     if counter is not None and gaps:
         counter.mul_count += len(rows) * (sum(map(pow_muls, gaps)) + len(gaps) - 1)
     return rows
@@ -163,25 +157,32 @@ def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = Non
 def rook_encode_share(
     scheme: RookScheme,
     inputs,
-    worker_id: int,
+    workers,
     counter: OpCounter | None = None,
-) -> WorkerShare:
-    """Encode (A~(x_w), B~(x_w)) for one worker, one mat_lincomb each.
+) -> list[WorkerShare]:
+    """Encode (A~(x_w), B~(x_w)) for each worker w in `workers`, in order.
 
-    Total multiplications are exactly delta(P, Q) (the gap powers) plus
+    The shares are one generator-matrix product per side: the rows
+    [x_w^{p_0}, x_w^{p_1}, ...] (and likewise for Q) of one power_table
+    times the stacked input blocks, one mat_lincombs call each.  Each share
+    is charged exactly delta(P, Q) (the gap powers) plus
     (rows(A) + cols(B)) * inner * n for the scalar-matrix products; no
-    inversions ever occur on this path.  mat_lincomb rejects a wrong number
-    of inputs or a ragged block; the worker's mat_mul rejects A.cols != B.rows.
+    inversions ever occur on this path.  mat_lincombs rejects a wrong
+    number of inputs or a ragged block; the worker's mat_mul rejects
+    A.cols != B.rows.
     """
     pair = scheme.pair
-    x = scheme.eval_points[worker_id]
     field = scheme.field
     p = field.modulus
-    a_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.p], [a for a, _ in inputs], counter)
-    b_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.q], [b for _, b in inputs], counter)
+    xs = [scheme.eval_points[w] for w in workers]
+    a_tilde = mat_lincombs(field, power_table(p, pair.p, xs).tolist(), [a for a, _ in inputs], counter)
+    b_tilde = mat_lincombs(field, power_table(p, pair.q, xs).tolist(), [b for _, b in inputs], counter)
     if counter is not None:
-        counter.mul_count += scheme.delta
-    return WorkerShare(worker_id=worker_id, x=x, a_tilde=a_tilde, b_tilde=b_tilde)
+        counter.mul_count += scheme.delta * len(xs)
+    return [
+        WorkerShare(worker_id=w, x=x, a_tilde=a, b_tilde=b)
+        for w, x, a, b in zip(workers, xs, a_tilde, b_tilde)
+    ]
 
 
 def rook_worker(field: PrimeField, share: WorkerShare, counter: OpCounter | None = None) -> WorkerProduct:

@@ -134,10 +134,11 @@ def run_simulation(config: SimConfig) -> SimReport:
     survivors = sorted(w for _, w in arrivals)
 
     # Encoding cost lands on the master (all m shares) or on each surviving
-    # worker, depending on where encoding is delegated.
+    # worker, depending on where encoding is delegated; either way the
+    # shares are encoded in one call.
     encode_ctr = OpCounter()
     encoded = range(config.m) if config.encode_at == "master" else survivors
-    shares = {w: scheme.encode(inputs, w, encode_ctr) for w in encoded}
+    shares = {share.worker_id: share for share in scheme.encode(inputs, encoded, encode_ctr)}
     worker_ctr = OpCounter()
     responses = {w: rook.rook_worker(fld, shares[w], worker_ctr) for w in survivors}
 

@@ -182,7 +182,7 @@ def test_criterion_4_exhaustive_kill_sets():
             inputs = _scalar_inputs(n, 4100 + n)
             true_vals = [a.entries[0] * b.entries[0] % M61 for a, b in inputs]
             products = [
-                rook_worker(GF, rook_encode_share(scheme, inputs, w)) for w in range(m)
+                rook_worker(GF, rook_encode_share(scheme, inputs, [w])[0]) for w in range(m)
             ]
             cases = math.comb(m, spare)
             stride = 1 if thr <= 16 else max(1, cases // 150)
@@ -205,7 +205,7 @@ def test_criterion_4_exhaustive_kill_sets():
             scheme = make(n, GF, m, rng=rng(4200 + 13 * n))
             inputs = _scalar_inputs(n, 4300 + n)
             true_vals = [a.entries[0] * b.entries[0] % M61 for a, b in inputs]
-            products = [rook_worker(GF, encode(scheme, inputs, w)) for w in range(m)]
+            products = [rook_worker(GF, encode(scheme, inputs, [w])[0]) for w in range(m)]
             summary = production_exhaustive_kill_sets(
                 scheme, products, true_vals, decode, kill_size=spare
             )
@@ -250,7 +250,7 @@ def test_criterion_5_encoding_costs():
             ]
             for w in range(5):
                 ectr = OpCounter()
-                share = rook_encode_share(scheme, inputs, w, ectr)
+                share = rook_encode_share(scheme, inputs, [w], ectr)[0]
                 delta = OpCounter()
                 gap_powers(GF, pair.p, scheme.eval_points[w], delta)
                 gap_powers(GF, pair.q, scheme.eval_points[w], delta)
@@ -267,9 +267,9 @@ def test_criterion_5_encoding_costs():
         inputs = _scalar_inputs(n, 5400 + n)
         for w in range(3):
             lctr = OpCounter()
-            lcc_encode(lcc, inputs, w, lctr)
+            lcc_encode(lcc, inputs, [w], lctr)
             cctr = OpCounter()
-            csa_encode(csa, inputs, w, cctr)
+            csa_encode(csa, inputs, [w], cctr)
             ok &= lctr.inv_count >= n - 1
             ok &= cctr.inv_count >= n - 1
     # (c) gap-power cost tracks n * sqrt(log2 n) within a bounded constant.
@@ -300,15 +300,15 @@ def test_criterion_6_golden_micro_examples():
     ok = True
 
     rook_scheme = make_rook_scheme(base3_exponents(2), gf101, 3, eval_points=(1, 2, 3))
-    prods = [rook_worker(gf101, rook_encode_share(rook_scheme, inputs, w)) for w in range(3)]
+    prods = [rook_worker(gf101, rook_encode_share(rook_scheme, inputs, [w])[0]) for w in range(3)]
     ok &= rook_decode(prods, rook_scheme) == want
 
     lcc = make_lcc_scheme(2, gf101, 3, z=(0, 1), eval_points=(2, 3, 4))
-    prods = [rook_worker(gf101, lcc_encode(lcc, inputs, w)) for w in range(3)]
+    prods = [rook_worker(gf101, lcc_encode(lcc, inputs, [w])[0]) for w in range(3)]
     ok &= lcc_decode(prods, lcc) == want
 
     csa = make_csa_scheme(2, gf101, 3, z=(1, 2), eval_points=(3, 4, 5))
-    prods = [rook_worker(gf101, csa_encode(csa, inputs, w)) for w in range(3)]
+    prods = [rook_worker(gf101, csa_encode(csa, inputs, [w])[0]) for w in range(3)]
     ok &= csa_decode(prods, csa) == want
 
     # Replication with n=2, lambda=2 fails exactly on same-pair kill sets.
@@ -319,7 +319,7 @@ def test_criterion_6_golden_micro_examples():
     for kill in combinations(range(4), 2):
         alive = [w for w in range(4) if w not in kill]
         try:
-            out = replication.decode([rook_worker(gf101, replication.encode(inputs, w)) for w in alive])
+            out = replication.decode([rook_worker(gf101, replication.encode(inputs, [w])[0]) for w in alive])
             ok &= out == want
         except UncoveredPair:
             fatal.add(kill)

@@ -40,7 +40,7 @@ def random_inputs(field, n, dims, seed):
 
 def run_workers(field, scheme, inputs, encode):
     return [
-        rook_worker(field, encode(scheme, inputs, w))
+        rook_worker(field, encode(scheme, inputs, [w])[0])
         for w in range(len(scheme.eval_points))
     ]
 
@@ -50,7 +50,7 @@ def run_workers(field, scheme, inputs, encode):
 
 def test_lcc_encode_worked_example():
     scheme = make_lcc_scheme(2, GF101, 3, z=(0, 1), eval_points=(2, 3, 4))
-    share = lcc_encode(scheme, WORKED_INPUTS, 0)
+    share = lcc_encode(scheme, WORKED_INPUTS, [0])[0]
     assert share.a_tilde.entries == [7]  # A~(x) = 3(1-x) + 5x evaluated at 2
     assert share.b_tilde.entries == [12]  # B~(x) = 2(1-x) + 7x at 2
 
@@ -60,7 +60,7 @@ def test_lcc_anchor_property():
     scheme = make_lcc_scheme(3, GFM61, 3, eval_points=(1, 2, 3))
     inputs = random_inputs(GFM61, 3, (2, 2, 2), 81)
     for i in range(3):
-        share = lcc_encode(scheme, inputs, i)
+        share = lcc_encode(scheme, inputs, [i])[0]
         assert share.a_tilde == inputs[i][0]
         assert share.b_tilde == inputs[i][1]
 
@@ -68,7 +68,7 @@ def test_lcc_anchor_property():
 def test_lcc_single_pair_is_constant():
     scheme = make_lcc_scheme(1, GF101, 3, eval_points=(5, 9, 14))
     inputs = random_inputs(GF101, 1, (2, 2, 2), 82)
-    shares = [lcc_encode(scheme, inputs, w) for w in range(3)]
+    shares = [lcc_encode(scheme, inputs, [w])[0] for w in range(3)]
     assert all(s.a_tilde == inputs[0][0] for s in shares)
 
 
@@ -129,14 +129,14 @@ def test_csa_single_pair_encoding_is_constant():
     scheme = make_csa_scheme(1, GF101, 4, rng=rng(91))
     inputs = random_inputs(GF101, 1, (2, 2, 2), 92)
     for w in range(4):
-        share = csa_encode(scheme, inputs, w)
+        share = csa_encode(scheme, inputs, [w])[0]
         assert share.a_tilde == inputs[0][0]  # f cancels the single pole
 
 
 def test_csa_encode_worked_example():
     scheme = make_csa_scheme(2, GF101, 1, z=(1, 2), eval_points=(3,))
     a0, a1 = 3, 5
-    share = csa_encode(scheme, [(scalar(a0), scalar(2)), (scalar(a1), scalar(7))], 0)
+    share = csa_encode(scheme, [(scalar(a0), scalar(2)), (scalar(a1), scalar(7))], [0])[0]
     inv_m2 = pow(101 - 2, 99, 101)  # (1-3)^-1 = 50
     inv_m1 = pow(101 - 1, 99, 101)  # (2-3)^-1 = 100
     assert (inv_m2, inv_m1) == (50, 100)
@@ -202,7 +202,7 @@ def test_csa_partial_fraction_identity():
         ab = [a.entries[0] * b.entries[0] % p for a, b in inputs]
         g_vals = []
         for w, x in enumerate(probes):
-            share = csa_encode(scheme, inputs, w)
+            share = csa_encode(scheme, inputs, [w])[0]
             prod = share.a_tilde.entries[0] * share.b_tilde.entries[0] % p
             pole_part = sum(
                 c * v % p * pow((z - x) % p, p - 2, p)
@@ -266,7 +266,7 @@ def test_rook_paths_are_division_free():
     inputs = random_inputs(GFM61, 4, (2, 2, 2), 98)
     ctr = OpCounter()
     prods = [
-        rook_worker(GFM61, rook_encode_share(scheme, inputs, w, ctr), ctr)
+        rook_worker(GFM61, rook_encode_share(scheme, inputs, [w], ctr)[0], ctr)
         for w in range(12)
     ]
     assert ctr.inv_count == 0  # encode and worker never divide
@@ -281,9 +281,9 @@ def test_lcc_and_csa_encode_must_divide(n):
     csa = make_csa_scheme(n, GFM61, 1, rng=rng(99))
     inputs = random_inputs(GFM61, n, (2, 2, 2), 100 + n)
     lctr = OpCounter()
-    lcc_encode(lcc, inputs, 0, lctr)
+    lcc_encode(lcc, inputs, [0], lctr)
     cctr = OpCounter()
-    csa_encode(csa, inputs, 0, cctr)
+    csa_encode(csa, inputs, [0], cctr)
     assert lctr.inv_count >= n - 1
     assert cctr.inv_count >= n - 1
 
@@ -294,7 +294,7 @@ def test_lcc_and_csa_encode_must_divide(n):
 def replicate(inputs, alive_workers):
     """Every alive worker multiplies its pair; decode keeps each pair's first product."""
     scheme = ReplicationScheme(n=len(inputs), lam=2)
-    return scheme.decode([rook_worker(GF101, scheme.encode(inputs, w)) for w in alive_workers])
+    return scheme.decode([rook_worker(GF101, scheme.encode(inputs, [w])[0]) for w in alive_workers])
 
 
 def test_replication_same_pair_kill_fails():

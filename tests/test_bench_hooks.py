@@ -16,7 +16,7 @@ import pytest
 
 from rookbench import rook
 from rookbench.baselines import ALL_SCHEMES, ROOK_SCHEMES, SchemeDescriptor, rook_exponents_for, scheme_threshold
-from rookbench.field import M61
+from rookbench.field import M61, NUMPY_MIN_MULS
 from rookbench.sim import FaultModel, SimConfig, run_simulation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -85,3 +85,29 @@ def test_span_counts_match_reports_over_repeated_decodes():
     fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
     configs = [SimConfig(descriptor=desc, m=60, seed=s, fault=fault, modulus=257) for s in range(4)]
     assert _cross_check_each(configs) == [3, 2, 1, 2]
+
+
+@pytest.mark.parametrize("modulus", [M61, 257], ids=["m61", "p257"])
+def test_span_counts_match_reports_when_workers_encode(modulus):
+    # The survivors' shares are encoded in one call, which the encode span
+    # wraps; failed workers are charged nothing.
+    configs = []
+    for scheme, dims in product(ALL_SCHEMES, ((2, 2, 2), (16, 16, 16))):
+        desc = SchemeDescriptor(scheme=scheme, n=2, lam=2)
+        m = desc.fixed_m or scheme_threshold(desc) + 2
+        fault = FaultModel(fail_prob=0.2, straggle_mean=1.0)
+        configs.append(
+            SimConfig(descriptor=desc, m=m, dims=dims, seed=7, encode_at="workers", fault=fault, modulus=modulus)
+        )
+    _cross_check_each(configs)
+
+
+def test_span_counts_match_reports_at_decode_bound_shape():
+    # decode-bound's first op: rook-base3 n=16, 4x4x4 blocks, about a hundred
+    # workers, so each side's generator-matrix product is past NUMPY_MIN_MULS.
+    op = workloads.Plan("decode-bound", 1).round(0)[0]
+    config = op.config
+    assert (config.descriptor.scheme, config.descriptor.n, config.dims) == ("rook-base3", 16, (4, 4, 4))
+    assert config.m * 16 * 4 * 4 >= NUMPY_MIN_MULS
+    _cross_check_each([config])
+    assert workloads.gate(op, run_simulation(config))

@@ -9,6 +9,8 @@ from conftest import identity, reference_pow, rng, to_rows
 from rookbench.field import (
     M61,
     NUMPY_MIN_MULS,
+    _CHUNK,
+    _SLICE,
     _muladd_m61,
     DimensionMismatch,
     FieldMatrix,
@@ -17,9 +19,11 @@ from rookbench.field import (
     SingularMatrix,
     is_prime_u64,
     mat_lincomb,
+    mat_lincombs,
     mat_mul,
     mat_random,
     pow_muls,
+    power_table,
     solve_linear,
 )
 
@@ -387,6 +391,91 @@ def test_mat_lincomb_long_combination():
     assert mat_lincomb(field, coeffs, blocks, ctr).entries == [want % M61]
     assert ctr.mul_count == count
     assert mat_lincomb(field, coeffs, blocks, base=FieldMatrix(1, 1, [5])).entries == [(want + 5) % M61]
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_mat_lincombs_matches_per_row_mat_lincomb(p):
+    field = PrimeField(p)
+    r = rng(p % 1000 + 35)
+    for (rows, cols), count, nrows in (((1, 1), 3, 5), ((2, 3), 7, 4), ((4, 4), 16, 40), ((16, 16), 4, 9)):
+        blocks = [mat_random(field, rows, cols, r) for _ in range(count)]
+        coeff_rows = [[r.choice((0, 1, p - 1, r.randrange(p), -3, p + 2)) for _ in blocks] for _ in range(nrows)]
+        for base in (None, mat_random(field, rows, cols, r)):
+            ctr = OpCounter()
+            got = mat_lincombs(field, coeff_rows, blocks, ctr, base=base)
+            assert (ctr.mul_count, ctr.inv_count) == (nrows * count * rows * cols, 0)
+            want_ctr = OpCounter()
+            want = [mat_lincomb(field, row, blocks, want_ctr, base=base) for row in coeff_rows]
+            assert got == want
+            assert ctr.mul_count == want_ctr.mul_count
+
+
+def test_mat_lincombs_ragged_rows_raise_and_no_rows_give_nothing(gf101):
+    r = rng(36)
+    blocks = [mat_random(gf101, 2, 3, r) for _ in range(3)]
+    base = mat_random(gf101, 2, 3, r)
+    for coeff_rows in ([[1, 2, 3], [1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [4, 5, 6], []]):
+        for b in (None, base):
+            ctr = OpCounter()
+            with pytest.raises(DimensionMismatch):
+                mat_lincombs(gf101, coeff_rows, blocks, ctr, base=b)
+            assert (ctr.mul_count, ctr.inv_count) == (0, 0)
+    for b in (None, base):
+        ctr = OpCounter()
+        assert mat_lincombs(gf101, [], blocks, ctr, base=b) == []
+        assert (ctr.mul_count, ctr.inv_count) == (0, 0)
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_mat_lincombs_across_slices_and_chunks_matches_int_oracle(p):
+    # 9 coefficient rows of LONG_INNER terms (past one float64 chunk) by
+    # blocks whose entries give 9 x 1,000 outputs, three column slices.
+    # The product is too large for a full Python oracle, so every row is
+    # checked at each slice's first and last column and at random ones.
+    field = PrimeField(p)
+    nrows, count, rows, cols = 9, LONG_INNER, 20, 50
+    entries = rows * cols
+    width = _SLICE // nrows
+    assert count > _CHUNK and nrows * entries > 2 * _SLICE and entries <= 3 * width
+    gen = np.random.default_rng(p % 1000 + 37)
+    data = gen.integers(0, p, size=(count + 1, entries), dtype=np.uint64).tolist()
+    blocks = [FieldMatrix(rows, cols, e) for e in data[:count]]
+    base = FieldMatrix(rows, cols, data[count])
+    coeff_rows = gen.integers(0, p, size=(nrows, count), dtype=np.uint64).tolist()
+    r = rng(p % 1000 + 38)
+    columns = sorted({0, width - 1, width, 2 * width - 1, 2 * width, entries - 1} | set(r.sample(range(entries), 20)))
+    ctr = OpCounter()
+    got = mat_lincombs(field, coeff_rows, blocks, ctr, base=base)
+    assert ctr.mul_count == nrows * count * entries
+    assert len(got) == nrows and all((g.rows, g.cols) == (rows, cols) for g in got)
+    for row, out in zip(coeff_rows, got):
+        for j in columns:
+            want = (base.entries[j] + sum(c * e[j] for c, e in zip(row, data))) % p
+            assert out.entries[j] == want, j
+    # Every coefficient and entry p - 1: the largest digits and chunk sums.
+    full = FieldMatrix(rows, cols, [p - 1] * entries)
+    got = mat_lincombs(field, [[p - 1] * count] * nrows, [full] * count, base=full)
+    want = (count * (p - 1) * (p - 1) + p - 1) % p
+    assert all(out.entries == [want] * entries for out in got)
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_power_table_matches_builtin_pow(p):
+    r = rng(p % 1000 + 39)
+    xs = [0, 1, p - 1] + [r.randrange(p) for _ in range(5)] + [p + 3]
+    top = min(p, 1 << 61)
+    cases = [
+        [0, 1, p - 2] + [r.randrange(top) for _ in range(5)],  # many windows
+        list(range(200)),  # one window
+        [p - 2, 5, 0, 5, 1],  # unsorted, repeated
+        [0, 0],
+    ]
+    for exponents in cases:
+        table = power_table(p, exponents, xs)
+        assert table.shape == (len(xs), len(exponents))
+        assert table.tolist() == [[pow(x, e, p) for e in exponents] for x in xs], exponents
+    assert power_table(p, cases[0], []).shape == (0, len(cases[0]))
+    assert power_table(p, [], xs).tolist() == [[] for _ in xs]
 
 
 def test_mat_random_determinism(gf_m61):

@@ -119,7 +119,7 @@ def test_power_rows_reject_decreasing_exponents():
 
 def test_encode_worked_example():
     scheme = worked_scheme()
-    share = rook_encode_share(scheme, WORKED_INPUTS, 1)
+    share = rook_encode_share(scheme, WORKED_INPUTS, [1])[0]
     assert share.x == 2
     assert share.a_tilde.entries == [13]  # 3 + 5*2
     assert share.b_tilde.entries == [16]  # 2 + 7*2
@@ -130,11 +130,11 @@ def test_encode_single_pair():
     scheme = make_rook_scheme(pair, GF101, 1, eval_points=(7,))
     a0 = FieldMatrix.from_rows([[1, 2], [3, 4]])
     b0 = FieldMatrix.from_rows([[5], [6]])
-    share = rook_encode_share(scheme, [(a0, b0)], 0)
+    share = rook_encode_share(scheme, [(a0, b0)], [0])[0]
     assert share.a_tilde == a0  # p_0 = 0: the constant term survives
     pair2 = ExponentPair(1, (2,), (0,))
     scheme2 = make_rook_scheme(pair2, GF101, 1, eval_points=(3,))
-    share2 = rook_encode_share(scheme2, [(a0, b0)], 0)
+    share2 = rook_encode_share(scheme2, [(a0, b0)], [0])[0]
     assert share2.a_tilde.entries == [(9 * v) % 101 for v in a0.entries]
 
 
@@ -145,7 +145,7 @@ def test_encode_at_zero_keeps_constant_term():
     scheme = RookScheme(
         pair=pair, support=sum_support(pair), field=GF101, eval_points=(0, 5)
     )
-    share = rook_encode_share(scheme, WORKED_INPUTS, 0)
+    share = rook_encode_share(scheme, WORKED_INPUTS, [0])[0]
     assert share.a_tilde.entries == [3]
     assert share.b_tilde.entries == [2]
 
@@ -154,16 +154,16 @@ def test_encode_rejects_ragged_inputs():
     scheme = worked_scheme()
     bad = [(scalar(3), scalar(2)), (FieldMatrix.from_rows([[1, 2]]), scalar(7))]
     with pytest.raises(DimensionMismatch):
-        rook_encode_share(scheme, bad, 0)
+        rook_encode_share(scheme, bad, [0])
     with pytest.raises(DimensionMismatch):
-        rook_encode_share(scheme, WORKED_INPUTS[:1], 0)
+        rook_encode_share(scheme, WORKED_INPUTS[:1], [0])
 
 
 def test_inner_dimension_mismatch_raises_when_the_worker_multiplies():
     # The encoder leaves A.cols == B.rows to the worker's mat_mul.
     scheme = worked_scheme()
     a = FieldMatrix.from_rows([[1, 2]])
-    share = rook_encode_share(scheme, [(a, scalar(3)), (a, scalar(4))], 0)
+    share = rook_encode_share(scheme, [(a, scalar(3)), (a, scalar(4))], [0])[0]
     with pytest.raises(DimensionMismatch):
         rook_worker(GF101, share)
 
@@ -180,7 +180,7 @@ def test_encode_mul_count_identity():
         rows, inner, cols = dims
         for w in range(6):
             ctr = OpCounter()
-            rook_encode_share(scheme, inputs, w, ctr)
+            rook_encode_share(scheme, inputs, [w], ctr)
             delta = OpCounter()
             gap_powers(GFM61, pair.p, scheme.eval_points[w], delta)
             gap_powers(GFM61, pair.q, scheme.eval_points[w], delta)
@@ -194,7 +194,7 @@ def test_encode_mul_count_identity():
 
 def test_worker_continues_worked_example():
     scheme = worked_scheme()
-    share = rook_encode_share(scheme, WORKED_INPUTS, 1)
+    share = rook_encode_share(scheme, WORKED_INPUTS, [1])[0]
     prod = rook_worker(GF101, share)
     assert prod.e.entries == [6]  # 13 * 16 mod 101
 
@@ -214,7 +214,7 @@ def test_worker_identity_and_zero():
 def test_worker_counts_schoolbook_muls():
     scheme = make_rook_scheme(base3_exponents(2), GFM61, 3, rng=rng(42))
     inputs = random_inputs(GFM61, 2, (3, 4, 5), 43)
-    share = rook_encode_share(scheme, inputs, 0)
+    share = rook_encode_share(scheme, inputs, [0])[0]
     ctr = OpCounter()
     rook_worker(GFM61, share, ctr)
     assert ctr.mul_count == 3 * 4 * 5
@@ -227,7 +227,7 @@ def test_worker_counts_schoolbook_muls():
 def run_pipeline(scheme, inputs, worker_ids=None):
     ids = range(len(scheme.eval_points)) if worker_ids is None else worker_ids
     return [
-        rook_worker(scheme.field, rook_encode_share(scheme, inputs, w)) for w in ids
+        rook_worker(scheme.field, rook_encode_share(scheme, inputs, [w])[0]) for w in ids
     ]
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rookbench import baselines
+from rookbench import baselines, rook
 from rookbench.baselines import SchemeDescriptor
 from rookbench.sim import (
     SWEEP_COLUMNS,
@@ -114,6 +114,32 @@ def test_encode_side_selection():
     assert master_f.failed_workers == workers_f.failed_workers
     # Failed workers never encode, so delegation shrinks the encode bill.
     assert workers_f.encode_muls < master_f.encode_muls
+
+
+@pytest.mark.parametrize("scheme", baselines.ALL_SCHEMES)
+def test_workers_encode_nothing_when_every_worker_fails(scheme, monkeypatch):
+    # With encoding delegated and no survivor, the op's one encode call
+    # gets an empty worker list: no share is encoded and nothing is counted.
+    calls = []
+
+    def recording(encode):
+        def record(owner, inputs, workers, counter=None):
+            calls.append(list(workers))
+            return encode(owner, inputs, workers, counter)
+
+        return record
+
+    for owner, name in (
+        (rook, "rook_encode_share"),
+        (baselines, "lcc_encode"),
+        (baselines, "csa_encode"),
+        (baselines.ReplicationScheme, "encode"),
+    ):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+    rep = run_simulation(cfg(scheme=scheme, m=4, lam=2, encode_at="workers", fault=FaultModel(fail_prob=1.0)))
+    assert calls == [[]]
+    assert len(rep.failed_workers) == 4 and not rep.success
+    assert (rep.encode_muls, rep.encode_invs) == (0, 0)
 
 
 def test_rook_sim_records_zero_encode_inversions():
