@@ -18,7 +18,7 @@ from . import rook
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
 from .field import FieldError, OpCounter, PrimeField, mat_lincomb, mat_lincombs, solve_linear  # noqa: F401
-from .rook import WorkerShare, _require_products, _solve_responses, power_rows
+from .rook import WorkerShare, _require_products, _solve_responses, generator_shares, power_rows
 
 
 class ConfigInvalid(Exception):
@@ -108,17 +108,12 @@ def _lagrange_basis(field, z, x, counter):
 
 def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
     """Evaluate the Lagrange interpolants of the inputs at x_w for each
-    worker w: the Lagrange bases at the x_w, stacked, times the stacked
-    inputs, one mat_lincombs call per side."""
+    worker w: the generator rows on both sides are the Lagrange bases at
+    the x_w, each charged n(2n - 1) muls and n inversions."""
     field = scheme.field
     xs = [scheme.eval_points[w] for w in workers]
     bases = [_lagrange_basis(field, scheme.z, x, counter) for x in xs]
-    a_tilde = mat_lincombs(field, bases, [a for a, _ in inputs], counter)
-    b_tilde = mat_lincombs(field, bases, [b for _, b in inputs], counter)
-    return [
-        WorkerShare(worker_id=w, x=x, a_tilde=a, b_tilde=b)
-        for w, x, a, b in zip(workers, xs, a_tilde, b_tilde)
-    ]
+    return generator_shares(field, workers, xs, bases, bases, inputs, counter)
 
 
 def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
@@ -180,25 +175,22 @@ def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaSchem
 
 def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
     """A~(x) = f(x) * sum_i A_i/(z_i - x);  B~(x) = sum_i B_i/(z_i - x) at
-    x = x_w for each worker w.
+    x = x_w for each worker w, with f(x) = prod_i (z_i - x).
 
-    The rows 1/(z_i - x_w), stacked, times the stacked inputs give both
-    sums in one mat_lincombs call per side; each A~ is then rescaled by its
-    own f(x_w), rows(A) * inner muls per share.
+    The generator rows are f(x_w)/(z_i - x_w) for A and 1/(z_i - x_w) for
+    B, so f is folded into the n coefficients rather than applied to A~.
+    Each share is charged n inversions, n - 1 muls for f(x_w) and n to
+    scale its A row, besides the two products.
     """
     field = scheme.field
     p = field.modulus
     xs = [scheme.eval_points[w] for w in workers]
-    invs = [[field.inv((zi - x) % p, counter) for zi in scheme.z] for x in xs]
+    rows_b = [[field.inv((zi - x) % p, counter) for zi in scheme.z] for x in xs]
     fs = [math.prod((zi - x) % p for zi in scheme.z) % p for x in xs]
+    rows_a = [[f * c % p for c in row] for f, row in zip(fs, rows_b)]
     if counter is not None:
-        counter.mul_count += (scheme.n - 1) * len(xs)
-    sums = mat_lincombs(field, invs, [a for a, _ in inputs], counter)
-    b_tilde = mat_lincombs(field, invs, [b for _, b in inputs], counter)
-    return [
-        WorkerShare(worker_id=w, x=x, a_tilde=mat_lincomb(field, [f], [a], counter), b_tilde=b)
-        for w, x, f, a, b in zip(workers, xs, fs, sums, b_tilde)
-    ]
+        counter.mul_count += (2 * scheme.n - 1) * len(xs)
+    return generator_shares(field, workers, xs, rows_a, rows_b, inputs, counter)
 
 
 def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):

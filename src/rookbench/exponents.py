@@ -327,25 +327,25 @@ def is_3ap_free(values) -> bool:
     return all(m == 1 for m in _sumset(a, a, counts=True)[2].tolist())
 
 
-def min_recovery_bruteforce(
-    n: int,
-    max_exponent: int,
-    n_limit: int = 4,
-    exponent_limit: int = 12,
-):
+# min_recovery_bruteforce's budget: the space grows as C(max_exponent, n-1)^2.
+BRUTEFORCE_MAX_N = 4
+BRUTEFORCE_MAX_EXPONENT = 12
+
+
+def min_recovery_bruteforce(n: int, max_exponent: int):
     """Minimal |P+Q| over all decodable pairs with 0 in P and 0 in Q.
 
     Exhausts all strictly increasing n-subsets of {0..max_exponent}
     containing 0.  Returns (L_min, witness); the witness is the first pair
-    in lexicographic order achieving the minimum.  Guards trip
-    SearchBudgetExceeded since the space grows as C(max_exponent, n-1)^2.
+    in lexicographic order achieving the minimum.  Raises
+    SearchBudgetExceeded past BRUTEFORCE_MAX_N or BRUTEFORCE_MAX_EXPONENT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > n_limit or max_exponent > exponent_limit:
+    if n > BRUTEFORCE_MAX_N or max_exponent > BRUTEFORCE_MAX_EXPONENT:
         raise SearchBudgetExceeded(
-            f"n={n} (limit {n_limit}), max_exponent={max_exponent} "
-            f"(limit {exponent_limit})"
+            f"n={n} (limit {BRUTEFORCE_MAX_N}), max_exponent={max_exponent} "
+            f"(limit {BRUTEFORCE_MAX_EXPONENT})"
         )
     if max_exponent < n - 1:
         raise ValueError("max_exponent too small to fit n distinct exponents")

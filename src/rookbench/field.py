@@ -482,10 +482,11 @@ def solve_linear(
             )
             counter.inv_count += 1
         # Row r gets -f_r * inv times the pivot row; the pivot row gets
-        # (inv - 1) times itself, which normalizes it.  A zero multiplier
-        # leaves its row unchanged, so no rows are gathered.
-        coef = [(p - f) * inv % p for f in aug[:, col].tolist()]
+        # (inv - 1) times itself, which normalizes it.  A zero f_r gives
+        # p * inv, a zero multiplier, which leaves its row unchanged, so no
+        # rows are gathered.
+        coef = muladd(0, p - aug[:, col], inv)
         coef[col] = inv - 1
-        aug[:, col:] = muladd(aug[:, col:], np.array(coef, dtype=dtype)[:, None], prow)
+        aug[:, col:] = muladd(aug[:, col:], coef[:, None], prow)
 
     return [FieldMatrix(br, bc, row) for row in aug[:n, n:].tolist()]

@@ -154,35 +154,39 @@ def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = Non
     return rows
 
 
-def rook_encode_share(
-    scheme: RookScheme,
-    inputs,
-    workers,
-    counter: OpCounter | None = None,
+def generator_shares(
+    field: PrimeField, workers, xs, rows_a, rows_b, inputs, counter: OpCounter | None = None
 ) -> list[WorkerShare]:
+    """The shares of `workers` (at points xs), in order: the generator rows
+    rows_a (rows_b), one per worker, times the stacked A (B) inputs, one
+    mat_lincombs call per side.  Every coded encoder ends here."""
+    a_tilde = mat_lincombs(field, rows_a, [a for a, _ in inputs], counter)
+    b_tilde = mat_lincombs(field, rows_b, [b for _, b in inputs], counter)
+    return [
+        WorkerShare(worker_id=w, x=x, a_tilde=a, b_tilde=b)
+        for w, x, a, b in zip(workers, xs, a_tilde, b_tilde)
+    ]
+
+
+def rook_encode_share(scheme: RookScheme, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
     """Encode (A~(x_w), B~(x_w)) for each worker w in `workers`, in order.
 
-    The shares are one generator-matrix product per side: the rows
-    [x_w^{p_0}, x_w^{p_1}, ...] (and likewise for Q) of one power_table
-    times the stacked input blocks, one mat_lincombs call each.  Each share
-    is charged exactly delta(P, Q) (the gap powers) plus
+    The generator rows [x_w^{p_0}, x_w^{p_1}, ...] (and likewise for Q)
+    come from one power_table per side; generator_shares makes the shares.
+    Each share is charged exactly delta(P, Q) (the gap powers) plus
     (rows(A) + cols(B)) * inner * n for the scalar-matrix products; no
     inversions ever occur on this path.  mat_lincombs rejects a wrong
     number of inputs or a ragged block; the worker's mat_mul rejects
     A.cols != B.rows.
     """
     pair = scheme.pair
-    field = scheme.field
-    p = field.modulus
+    p = scheme.field.modulus
     xs = [scheme.eval_points[w] for w in workers]
-    a_tilde = mat_lincombs(field, power_table(p, pair.p, xs).tolist(), [a for a, _ in inputs], counter)
-    b_tilde = mat_lincombs(field, power_table(p, pair.q, xs).tolist(), [b for _, b in inputs], counter)
+    rows_a, rows_b = power_table(p, pair.p, xs).tolist(), power_table(p, pair.q, xs).tolist()
+    shares = generator_shares(scheme.field, workers, xs, rows_a, rows_b, inputs, counter)
     if counter is not None:
         counter.mul_count += scheme.delta * len(xs)
-    return [
-        WorkerShare(worker_id=w, x=x, a_tilde=a, b_tilde=b)
-        for w, x, a, b in zip(workers, xs, a_tilde, b_tilde)
-    ]
+    return shares
 
 
 def rook_worker(field: PrimeField, share: WorkerShare, counter: OpCounter | None = None) -> WorkerProduct:

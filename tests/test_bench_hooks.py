@@ -111,3 +111,16 @@ def test_span_counts_match_reports_at_decode_bound_shape():
     assert config.m * 16 * 4 * 4 >= NUMPY_MIN_MULS
     _cross_check_each([config])
     assert workloads.gate(op, run_simulation(config))
+
+
+def test_span_counts_match_reports_at_block_bound_shape():
+    # block-bound's first round: n = 4, 32x32x32 blocks, one op each of
+    # rook-poly, rook-base3, lcc, csa and replication, the benchmark's only
+    # LCC, CSA and replication ops.
+    ops = workloads.Plan("block-bound", 1).round(0)
+    configs = [op.config for op in ops]
+    assert [c.descriptor.scheme for c in configs] == ["rook-poly", "rook-base3", "lcc", "csa", "replication"]
+    assert all((c.descriptor.n, c.dims) == (4, (32, 32, 32)) for c in configs)
+    _cross_check_each(configs)
+    for op, config in zip(ops, configs):
+        assert workloads.gate(op, run_simulation(config)), op.label

@@ -1,12 +1,16 @@
 """Golden outputs: simulate JSON, sweep CSV and generated exponents stay byte-identical.
 
 Any change to a report byte (a counter, an error name, the simulated
-clock, the responses used) changes a digest.  The grid, sweep and retry
-digests were recorded when every decoder's rows began to come from one
-power-row kernel, which charges L - 1 products per rook decode row where
-rook had charged L; only rook reports' decode_muls moved.  The generator
-digests were recorded from the linear digit-shell scan, before the gallop
-search and the numpy shell table replaced it.
+clock, the responses used) changes a digest.  The retry digest was
+recorded when every decoder's rows began to come from one power-row
+kernel, which charges L - 1 products per rook decode row where rook had
+charged L.  The grid, block and sweep digests were re-recorded when CSA
+folded f(x) into its A-side generator rows instead of rescaling each
+finished A~ by it: a CSA share's encode_muls moved by n - rows * inner
+(n muls to scale the row instead of one per entry of A~), and nothing
+else in any report moved.  The generator digests were recorded from the
+linear digit-shell scan, before the gallop search and the numpy shell
+table replaced it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "4013b2aeffa54ec7e26f0caaa1883b8f78398c76e82936fe1da92b04f0f90339"
-SWEEP_SHA256 = "6f0b0113fcc0c57d1df090e2230b93e0a40eecfdd2e62d1f4448556d56365cac"
+GRID_SHA256 = "c9c969b9eade79c2de7ab943d76b58513565dcdbb115c0f456ddb21d1d865e7a"
+SWEEP_SHA256 = "ca523209f5d2030032c9fa62b60de7832819d278006ded22c5130e8581c9b866"
 RETRY_SHA256 = "a4fb06bec600d84f8732ffe992d869cde17440a3a3eb06b01b35282f6ebad7b7"
-BLOCK_SHA256 = "f3f98f346b0ac7c734caa6b59ab99b4802aba9a66cfd80803a35587629bfa162"
+BLOCK_SHA256 = "9d853fdd7b23d9d4bf0eccb966a0a564ed5de90278988504dada2ab889ed278c"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 
@@ -62,8 +66,9 @@ def test_simulate_reports_match_golden():
 def test_block_reports_match_golden():
     # 16x16x16 blocks put every worker product (4,096 muls) and the n = 4
     # encodes (1,024) at or above field.NUMPY_MIN_MULS, where the grid's
-    # 2x2x2 blocks stay below it.  Recorded when every product still ran
-    # the pure-Python loops, so it pins the numpy kernel to them.
+    # 2x2x2 blocks stay below it.  First recorded when every product still
+    # ran the pure-Python loops, so it pins the numpy kernel to them; the
+    # CSA fold re-recorded it with only CSA's encode_muls moved.
     reports = []
     for scheme, (seed, modulus) in product(ALL_SCHEMES, SEEDS[:2]):
         desc = SchemeDescriptor(scheme=scheme, n=4, lam=2)
