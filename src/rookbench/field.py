@@ -13,7 +13,12 @@ the stacked blocks; mat_lincomb is its one-row case.  Both count the
 multiplications of the schoolbook product and hand the product to one
 kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
 one unreduced Python int sum per entry, reduced mod p once; from it on,
-one exact numpy kernel of 21-bit limb products.
+one exact numpy kernel of 21-bit limb products.  That kernel takes the
+inner dimension in chunks of 2^9 terms, so that float64 adds the limb
+products into digit sums exactly, and folds the digits mod p once per
+chunk: by shift-and-add for 2^61 - 1 (2^(21d) is 2^(21d mod 61) there),
+and by reducing each digit and weighting it by 2^(21d) mod p for any
+other prime.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
 The numpy kernels do modular arithmetic through one multiply-add picked by
 the modulus: uint64 31/30-bit limb products with shift-add reduction for
@@ -30,6 +35,8 @@ cannot interfere.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -208,13 +215,15 @@ class FieldMatrix:
 # _product runs the numpy kernel (_mod_matmul) on products of at least this
 # many multiplications, and the Python sums, whose fixed cost per call is
 # lower, below it.  Timed per call with both paths interleaved on a 2-vCPU
-# Xeon VM, over 2^61 - 1 and 257: numpy breaks even near 384-512 muls for
-# n x 8 x 8 mat_mul products and near 768-1,024 or beyond for mat_lincomb
-# of 4 x 4 blocks, whose entries are all converted and each used once; 512
-# lies between.  In the benchmark workloads, the block products of
-# decode-bound and retry-gf257 (8 to 64 muls) stay in Python, while their
-# batched encodes (one product per side per op, 1,920 to 26,624 muls) and
-# every product of block-bound (at least 1,024) run in numpy.
+# Xeon VM: over 2^61 - 1, numpy breaks even near 256-384 muls for
+# n x 8 x 8 mat_mul products and near 384-512 for mat_lincomb of 4 x 4
+# blocks, whose entries are all converted and each used once; over 257,
+# near 384-512 for the products, while Python still wins the 4 x 4
+# combinations at 1,536 muls.  512 lies between.  In the benchmark
+# workloads, the block products of decode-bound and retry-gf257 (8 to 64
+# muls) stay in Python, while their batched encodes (one product per side
+# per op, 1,920 to 26,624 muls) and every product of block-bound (at least
+# 1,024) run in numpy.
 NUMPY_MIN_MULS = 512
 
 
@@ -222,13 +231,16 @@ def _product(p: int, a_rows, b_rows, m: int) -> list[int]:
     """The n x k by k x m product mod p of row lists, entries in [0, p), as
     a row-major list.
 
-    m is passed because B's rows cannot tell it when k = 0.  From
-    NUMPY_MIN_MULS multiplications on, the numpy kernel computes it; below,
-    each entry is one unreduced Python int sum, reduced mod p once.
+    m is passed because B's rows cannot tell it when k = 0.  a_rows may
+    also be an array of residues.  From NUMPY_MIN_MULS multiplications on,
+    the numpy kernel computes it; below, each entry is one unreduced Python
+    int sum, reduced mod p once.
     """
     if len(a_rows) * len(b_rows) * m >= NUMPY_MIN_MULS:
-        a, b = np.array(a_rows, dtype=np.uint64), np.array(b_rows, dtype=np.uint64)
+        a, b = np.asarray(a_rows, dtype=np.uint64), np.array(b_rows, dtype=np.uint64)
         return _mod_matmul(p, a, b).ravel().tolist()
+    if isinstance(a_rows, np.ndarray):
+        a_rows = a_rows.tolist()
     cols = list(zip(*b_rows)) or [()] * m
     return [sum(map(mul, row, col)) % p for row in a_rows for col in cols]
 
@@ -260,12 +272,14 @@ def mat_lincombs(
     multiplication per coefficient per entry, len(coeff_rows) *
     len(blocks) * rows * cols in all.
 
-    Coefficients act as their residues mod p.  All the sums are one
-    len(coeff_rows) x terms by terms x entries product of the coefficient
-    rows and the stacked block entries, base being one more block with
-    coefficient 1 in every row.  Raises DimensionMismatch, counting
-    nothing, when a coefficient row does not pair off with the blocks or a
-    shape differs from the first block's (or base's).  No rows give [].
+    Coefficients act as their residues mod p; coeff_rows may also be a 2-D
+    array of residues (power_table's), which reaches the kernel as it is.
+    All the sums are one len(coeff_rows) x terms by terms x entries product
+    of the coefficient rows and the stacked block entries, base being one
+    more block with coefficient 1 in every row.  Raises DimensionMismatch,
+    counting nothing, when a coefficient row does not pair off with the
+    blocks or a shape differs from the first block's (or base's).  No rows
+    give [].
     """
     for row in coeff_rows:
         if len(row) != len(blocks):
@@ -282,8 +296,12 @@ def mat_lincombs(
     if base is not None:
         entries.append(base.entries)
         tail.append(1)
+    if isinstance(coeff_rows, np.ndarray):
+        a_rows = np.hstack([coeff_rows, np.ones((len(coeff_rows), len(tail)), coeff_rows.dtype)])
+    else:
+        a_rows = [[c % p for c in row] + tail for row in coeff_rows]
     size = rows * cols
-    out = _product(p, [[c % p for c in row] + tail for row in coeff_rows], entries, size)
+    out = _product(p, a_rows, entries, size)
     if counter is not None:
         counter.mul_count += len(coeff_rows) * len(blocks) * size
     return [FieldMatrix(rows, cols, out[i * size : (i + 1) * size]) for i in range(len(coeff_rows))]
@@ -301,9 +319,15 @@ def mat_lincomb(
 
 
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:
-    """Uniform random matrix; deterministic given the rng stream."""
+    """Uniform random matrix; deterministic given the rng stream.
+
+    Each entry is the first draw of rng.getrandbits(p.bit_length()) below p,
+    which is what rng.randrange(p) computes (values and rng state alike),
+    without its per-call argument handling.
+    """
     p = field.modulus
-    return FieldMatrix(rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
+    draws = iter(partial(rng.getrandbits, p.bit_length()), None)
+    return FieldMatrix(rows, cols, list(islice(filter(p.__gt__, draws), rows * cols)))
 
 
 _LO30 = np.uint64((1 << 30) - 1)
@@ -348,49 +372,111 @@ def _modular(p: int):
 
 _LIMB_BITS = 21
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-# Limb products are below 2^42, so float64, exact below 2^53, sums 2^11 of
-# them exactly: the limb matmul takes the inner dimension in chunks of that.
-_CHUNK = 1 << 11
+# A digit of the limb product sums at most four limb product sums (p < 2^64
+# has at most four 21-bit limbs), each of _CHUNK terms below 2^42, and
+# 4 * 2^9 * (2^21 - 1)^2 < 2^53: float64 adds them into digits exactly.
+# The limb matmul takes the inner dimension in chunks of this many terms.
+_CHUNK = 1 << 9
 # The limb matmul takes the output in column slices of at most this many
-# entries, which bounds the digit array and the multiply-add temporaries
-# built from it however many rows a batched product has.
+# entries, which bounds the digit array and the fold temporaries built from
+# it however many rows a batched product has.
 _SLICE = 1 << 12
+
+
+def _limb_count(p: int) -> int:
+    """The number of 21-bit limbs of an entry below p."""
+    return -(-(p - 1).bit_length() // _LIMB_BITS)
+
+
+# Digit d of a product of three-limb operands weighs 2^(21d), which is
+# 2^(21d mod 61) modulo 2^61 - 1.
+_M61_SHIFTS = np.array([_LIMB_BITS * d % 61 for d in range(5)], dtype=np.uint64)[:, None, None]
+
+
+def _fold_m61(digits):
+    """sum_d digits[d] * 2^(21d) mod 2^61 - 1 for five uint64 digit planes
+    below 2^53.
+
+    Modulo 2^61 - 1, x * 2^s is ((x << s) & M61) + (x >> (61 - s)), its
+    bits below and from 2^61 on.  Each such term is below 2^61 + 2^34, so
+    the five add up below 2^64; one more shift-add fold and one conditional
+    subtraction make the sum canonical.  digits is shifted in place.
+    """
+    low = digits << _M61_SHIFTS
+    low &= _M61
+    digits >>= np.uint64(61) - _M61_SHIFTS
+    low += digits
+    s = low.sum(axis=0)
+    s = (s & _M61) + (s >> 61)
+    return np.minimum(s, s - _M61)
+
+
+def _digit_fold(p: int):
+    """The map from uint64 digit planes x_d, each of weight 2^(21d) and
+    below 2^53, to sum_d x_d * 2^(21d) mod p, as residues of _modular(p)'s
+    dtype.
+
+    For 2^61 - 1, _fold_m61's shift-and-add; for any other prime, each
+    digit reduced mod p, weighted by 2^(21d) mod p in one call of the
+    modulus's muladd, and the sum (at most seven residues, which fit in
+    uint64 whenever the dtype is uint64) reduced again.
+    """
+    if p == M61:
+        return _fold_m61
+    muladd, dtype = _modular(p)
+    weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * _limb_count(p) - 1)], dtype=dtype)
+    weights = weights[:, None, None]
+
+    def fold(digits):
+        return muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
+
+    return fold
+
+
+def _digit_planes(a_limbs, b_limbs):
+    """The 2*count - 1 digit planes of one chunk's limb product, as uint64.
+
+    a_limbs (count x n x chunk) and b_limbs (chunk x count x w) hold float64
+    limbs.  One matmul of a's limbs, stacked as row blocks, by b's, laid side
+    by side as column blocks, gives every limb product sum; plane d adds,
+    still in float64 and exactly, those of limb i of a and limb j of b with
+    i + j = d.  The float64 arrays die on return, before the fold makes its
+    temporaries, which keeps the kernel's live memory small.
+    """
+    count, n, chunk = a_limbs.shape
+    w = b_limbs.shape[2]
+    part = (a_limbs.reshape(count * n, chunk) @ b_limbs.reshape(chunk, count * w)).reshape(count, n, count, w)
+    digits = np.zeros((2 * count - 1, n, w))
+    for i in range(count):
+        digits[i : i + count] += part[i].transpose(1, 0, 2)
+    return digits.astype(np.uint64)
 
 
 def _mod_matmul(p: int, a, b):
     """a @ b mod p for uint64 arrays a (n x k) and b (k x m) of entries below p.
 
-    Entries are split into 21-bit limbs.  One float64 matmul of a's limbs,
-    stacked as row blocks, by b's limbs, laid side by side as column blocks,
-    gives every limb product sum exactly for a chunk of the inner dimension.
-    Limb products of weight 2^(21d) add up to digit d (at most four terms,
-    below 2^55); the digits are reduced mod p, weighted by 2^(21d) mod p in
-    one call of the modulus's muladd, summed (at most seven residues, which
-    fit in uint64 whenever the dtype is uint64) and reduced again.  Chunks
-    are added with the muladd.  The output is computed in column slices of
-    at most _SLICE entries.  Returns an n x m array of residues of
-    _modular(p)'s dtype.
+    Entries are split into 21-bit limbs, and the inner dimension is taken in
+    chunks of _CHUNK terms, so that float64 sums every digit plane of a
+    chunk's limb product exactly (_digit_planes).  The planes are folded mod
+    p by _digit_fold(p): shift-and-add for 2^61 - 1, weights and % p for any
+    other prime.  Chunks are added with the modulus's muladd.  The output is
+    computed in column slices of at most _SLICE entries.  Returns an n x m
+    array of residues of _modular(p)'s dtype.
     """
     muladd, dtype = _modular(p)
-    count = -(-(p - 1).bit_length() // _LIMB_BITS)
+    fold = _digit_fold(p)
+    count = _limb_count(p)
     (n, k), m = a.shape, b.shape[1]
     shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)
-    a_limbs = ((a >> shifts[:, None, None]) & _LIMB_MASK).astype(np.float64).reshape(count * n, k)
-    weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * count - 1)], dtype=dtype)[:, None, None]
+    a_limbs = ((a >> shifts[:, None, None]) & _LIMB_MASK).astype(np.float64)
     out = np.zeros((n, m), dtype=dtype)
     width = max(1, _SLICE // n)
     for start in range(0, m, width):
-        w = min(width, m - start)
-        cols = slice(start, start + w)
-        b_limbs = ((b[:, None, cols] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64).reshape(k, count * w)
+        cols = slice(start, start + width)
+        b_limbs = ((b[:, None, cols] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64)
         for lo in range(0, k, _CHUNK):
-            part = a_limbs[:, lo : lo + _CHUNK] @ b_limbs[lo : lo + _CHUNK]
-            # part[i, j] is limb i of a times limb j of b; it adds to digit i + j.
-            part = part.astype(np.uint64).reshape(count, n, count, w).transpose(0, 2, 1, 3)
-            digits = np.zeros((2 * count - 1, n, w), dtype=np.uint64)
-            for i in range(count):
-                digits[i : i + count] += part[i]
-            acc = muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
+            chunk = slice(lo, lo + _CHUNK)
+            acc = fold(_digit_planes(a_limbs[:, :, chunk], b_limbs[chunk]))
             out[:, cols] = acc if lo == 0 else muladd(out[:, cols], acc, 1)
     return out
 

@@ -182,7 +182,7 @@ def rook_encode_share(scheme: RookScheme, inputs, workers, counter: OpCounter | 
     pair = scheme.pair
     p = scheme.field.modulus
     xs = [scheme.eval_points[w] for w in workers]
-    rows_a, rows_b = power_table(p, pair.p, xs).tolist(), power_table(p, pair.q, xs).tolist()
+    rows_a, rows_b = power_table(p, pair.p, xs), power_table(p, pair.q, xs)
     shares = generator_shares(scheme.field, workers, xs, rows_a, rows_b, inputs, counter)
     if counter is not None:
         counter.mul_count += scheme.delta * len(xs)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from rookbench.field import (
     M61,
     NUMPY_MIN_MULS,
     _CHUNK,
+    _LIMB_BITS,
     _SLICE,
+    _limb_count,
+    _mod_matmul,
     _muladd_m61,
     DimensionMismatch,
     FieldMatrix,
@@ -459,6 +463,88 @@ def test_mat_lincombs_across_slices_and_chunks_matches_int_oracle(p):
     assert all(out.entries == [want] * entries for out in got)
 
 
+def test_chunk_keeps_digit_sums_exact():
+    # A digit plane sums at most count limb product sums of _CHUNK terms,
+    # each below 2^42; float64 adds integers exactly below 2^53.
+    limb = (1 << _LIMB_BITS) - 1
+    for p in KERNEL_MODULI + [2, 7, (1 << 42) - 11]:
+        count = _limb_count(p)
+        assert (count - 1) * _LIMB_BITS < (p - 1).bit_length() <= count * _LIMB_BITS
+        assert count * _CHUNK * limb * limb < 1 << 53, p
+    assert _limb_count(18446744073709551557) == 4
+
+
+def full_limb_values(p):
+    """p - 1 and, for each limb count, the value whose 21-bit limbs are all
+    2^21 - 1, where it stays below p."""
+    values = [p - 1]
+    for count in range(1, _limb_count(p) + 1):
+        v = (1 << (_LIMB_BITS * count)) - 1
+        if v < p:
+            values.append(v)
+    return values
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_mod_matmul_at_chunk_and_slice_edges_matches_int_oracle(p):
+    # Inner dimensions one short of a chunk, one chunk, one past it and
+    # past two; 2 x (width + 2) outputs, so the last two columns are a
+    # second slice.  Row 0 and columns 0 and width hold one large value
+    # throughout, where the digit sums are largest; the rest is random.
+    # Checked against int sums at both sides of the slice edge.
+    gen = np.random.default_rng(p % 1000 + 41)
+    width = _SLICE // 2
+    columns = [0, 1, width - 1, width, width + 1]
+    for k in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        for value in full_limb_values(p):
+            a = gen.integers(0, p, size=(2, k), dtype=np.uint64)
+            b = gen.integers(0, p, size=(k, width + 2), dtype=np.uint64)
+            a[0] = value
+            b[:, [0, width]] = value
+            got = _mod_matmul(p, a, b)
+            assert got.shape == (2, width + 2)
+            rows, cols = a.tolist(), b[:, columns].T.tolist()
+            for i, row in enumerate(rows):
+                for j, col in zip(columns, cols):
+                    assert int(got[i, j]) == sum(map(int.__mul__, row, col)) % p, (k, value, i, j)
+            assert int(got[0, 0]) == k * value * value % p
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_mod_matmul_memory_of_a_wide_row_stays_bounded(p):
+    # One row by a full slice of columns: the kernel's peak is the limbs of
+    # b's slice, built as a shift and a mask of count planes each; the
+    # bound leaves one more plane of room.
+    k = 64
+    gen = np.random.default_rng(p % 1000 + 43)
+    a = gen.integers(0, p, size=(1, k), dtype=np.uint64)
+    b = gen.integers(0, p, size=(k, _SLICE), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        _mod_matmul(p, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * _limb_count(p) + 1) * b.nbytes
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_mat_lincombs_takes_power_table_rows_as_they_are(p):
+    # power_table's array of residues gives the same sums as its rows as
+    # int lists, below the numpy cutoff and past it, with and without base.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 45)
+    for nrows, dims in ((2, (1, 2)), (24, (4, 4))):
+        table = power_table(p, [0, 1, 3, 7], [r.randrange(p) for _ in range(nrows)])
+        blocks = [mat_random(field, *dims, r) for _ in range(4)]
+        for base in (None, mat_random(field, *dims, r)):
+            got, want = OpCounter(), OpCounter()
+            assert mat_lincombs(field, table, blocks, got, base) == mat_lincombs(
+                field, table.tolist(), blocks, want, base
+            )
+            assert got.mul_count == want.mul_count == nrows * 4 * dims[0] * dims[1]
+
+
 @pytest.mark.parametrize("p", KERNEL_MODULI)
 def test_power_table_matches_builtin_pow(p):
     r = rng(p % 1000 + 39)
@@ -486,6 +572,18 @@ def test_mat_random_determinism(gf_m61):
     assert a != c
     empty = mat_random(gf_m61, 0, 4, rng(1))
     assert empty.rows == 0 and empty.entries == []
+
+
+@pytest.mark.parametrize("p", [2, 7, 257, 4294967291, M61, 18446744073709551557])
+def test_mat_random_draws_as_randrange(p):
+    # Same values and the same end state as one randrange(p) per entry, so
+    # several matrices drawn from one rng stay as they were.
+    field = PrimeField(p)
+    for rows, cols in ((0, 3), (1, 1), (3, 5), (16, 16)):
+        got_rng, want_rng = rng(p % 1000 + rows), rng(p % 1000 + rows)
+        got = mat_random(field, rows, cols, got_rng)
+        assert got.entries == [want_rng.randrange(p) for _ in range(rows * cols)]
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_solve_identity(gf101):
