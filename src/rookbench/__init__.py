@@ -9,7 +9,6 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    mat_lincomb,
     mat_mul,
     mat_random,
     solve_linear,

@@ -17,7 +17,7 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, mat_lincomb, mat_lincombs, solve_linear  # noqa: F401
+from .field import FieldError, OpCounter, PrimeField, mat_lincombs, solve_linear  # noqa: F401
 from .rook import WorkerShare, _require_products, _solve_responses, generator_shares, power_rows
 
 
@@ -194,27 +194,26 @@ def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = N
 
 
 def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
-    """Separate pole residues from the polynomial noise part and rescale.
+    """Separate the pole part from the polynomial noise part, in generator form.
 
-    The product evaluations satisfy E_w = sum_i D_i/(z_i - x_w) + sum_j N_j x_w^j
-    with D_i = c_i * A_i B_i, so a (2n-1)-column solve over every product
-    received recovers the D_i and the noise blocks are discarded.
+    The product evaluations satisfy
+    E_w = sum_i c_i A_i B_i/(z_i - x_w) + sum_j N_j x_w^j, with the residues
+    c_i fixed at binding, so response w's row carries c_i (z_i - x_w)^{-1}
+    in its n pole columns: one inversion and one product each.  The first n
+    blocks of the (2n-1)-column solve over every product received are the
+    A_i B_i, and the noise blocks are discarded.
     """
     field = scheme.field
     p = field.modulus
-    n = scheme.n
     _require_products(products, scheme.threshold)
-    polys = power_rows(field, range(n - 1), [pr.x for pr in products], counter)
+    polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in products], counter)
     rows = [
-        [field.inv((zi - pr.x) % p, counter) for zi in scheme.z] + poly
+        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)] + poly
         for pr, poly in zip(products, polys)
     ]
-    blocks = _solve_responses(field, rows, products, counter)
-    out = []
-    for i in range(n):
-        c_inv = field.inv(scheme.residues[i], counter)
-        out.append(mat_lincomb(field, [c_inv], [blocks[i]], counter))
-    return out
+    if counter is not None:
+        counter.mul_count += scheme.n * len(products)
+    return _solve_responses(field, rows, products, counter)[: scheme.n]
 
 
 # --- replication -------------------------------------------------------------

@@ -9,7 +9,7 @@ Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
 combinations of the same blocks (all the shares of an op, a decoder's
 evaluations at the anchors) are one mat_lincombs call, the len(rows) x
 len(blocks) by len(blocks) x entries product of a coefficient matrix and
-the stacked blocks; mat_lincomb is its one-row case.  Both count the
+the stacked blocks; a single combination is one row.  Both count the
 multiplications of the schoolbook product and hand the product to one
 kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
 one unreduced Python int sum per entry, reduced mod p once; from it on,
@@ -216,9 +216,9 @@ class FieldMatrix:
 # many multiplications, and the Python sums, whose fixed cost per call is
 # lower, below it.  Timed per call with both paths interleaved on a 2-vCPU
 # Xeon VM: over 2^61 - 1, numpy breaks even near 256-384 muls for
-# n x 8 x 8 mat_mul products and near 384-512 for mat_lincomb of 4 x 4
-# blocks, whose entries are all converted and each used once; over 257,
-# near 384-512 for the products, while Python still wins the 4 x 4
+# n x 8 x 8 mat_mul products and near 384-512 for one-row mat_lincombs of
+# 4 x 4 blocks, whose entries are all converted and each used once; over
+# 257, near 384-512 for the products, while Python still wins the 4 x 4
 # combinations at 1,536 muls.  512 lies between.  In the benchmark
 # workloads, the block products of decode-bound and retry-gf257 (8 to 64
 # muls) stay in Python, while their batched encodes (one product per side
@@ -305,17 +305,6 @@ def mat_lincombs(
     if counter is not None:
         counter.mul_count += len(coeff_rows) * len(blocks) * size
     return [FieldMatrix(rows, cols, out[i * size : (i + 1) * size]) for i in range(len(coeff_rows))]
-
-
-def mat_lincomb(
-    field: PrimeField,
-    coeffs,
-    blocks,
-    counter: OpCounter | None = None,
-    base: FieldMatrix | None = None,
-) -> FieldMatrix:
-    """base + sum_i coeffs[i] * blocks[i]: mat_lincombs of one coefficient row."""
-    return mat_lincombs(field, [coeffs], blocks, counter, base)[0]
 
 
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:

@@ -222,7 +222,10 @@ def sweep(
     out_rows = []
     for scheme_name in schemes:
         for n in n_values:
-            desc = SchemeDescriptor(scheme=scheme_name, n=n, lam=lam)
+            try:
+                desc = SchemeDescriptor(scheme=scheme_name, n=n, lam=lam)
+            except ValueError as exc:
+                raise ConfigInvalid(str(exc)) from exc
             m = desc.fixed_m or scheme_threshold(desc) + extra_workers
             _check_workers(m)
             group = []

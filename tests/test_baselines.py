@@ -20,7 +20,7 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents
-from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, mat_random
+from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SingularMatrix, mat_random, solve_linear
 from rookbench.rook import NotEnoughProducts, SingularAfterRetry, power_rows, rook_worker
 
 GF101 = PrimeField(101)
@@ -229,6 +229,75 @@ def test_csa_single_pair_decode():
     inputs = [(scalar(6), scalar(7))]
     prods = run_workers(GF101, scheme, inputs, csa_encode)
     assert csa_decode(prods[:1], scheme) == direct_products(GF101, inputs)
+
+
+def reference_csa_blocks(scheme, products):
+    """The decoder before the residues were folded into its rows: solve with
+    pole columns (z_i - x)^{-1} for D_i = c_i A_i B_i, then scale each D_i
+    by c_i^{-1}."""
+    field, n = scheme.field, scheme.n
+    p = field.modulus
+    rows = [
+        [pow((zi - pr.x) % p, -1, p) for zi in scheme.z] + [pow(pr.x, j, p) for j in range(n - 1)]
+        for pr in products
+    ]
+    d = solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products])
+    return [
+        FieldMatrix(b.rows, b.cols, [pow(c, -1, p) * v % p for v in b.entries])
+        for c, b in zip(scheme.residues, d[:n])
+    ]
+
+
+def expected_csa_charge(scheme, products):
+    """(muls, invs, solve pivots) of one csa_decode call: power_rows' charge
+    for the noise columns, one inversion and one product per pole entry, and
+    solve_linear's charge on the same rows, run with a fresh counter (partial
+    when the rows are singular)."""
+    field, n = scheme.field, scheme.n
+    p = field.modulus
+    xs = [pr.x for pr in products]
+    rows_ctr, solve_ctr = OpCounter(), OpCounter()
+    polys = power_rows(field, range(n - 1), xs, rows_ctr)
+    rows = [
+        [c * pow((zi - x) % p, -1, p) % p for zi, c in zip(scheme.z, scheme.residues)] + poly
+        for x, poly in zip(xs, polys)
+    ]
+    try:
+        solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products], solve_ctr)
+    except SingularMatrix:
+        pass
+    k = len(products)
+    return rows_ctr.mul_count + n * k + solve_ctr.mul_count, n * k + solve_ctr.inv_count, solve_ctr.inv_count
+
+
+@pytest.mark.parametrize("field", [GFM61, PrimeField(257)], ids=["m61", "p257"])
+def test_csa_decode_counts_and_blocks(field):
+    r = rng(field.modulus % 1000 + 101)
+    for n in (1, 2, 3, 4):
+        L = 2 * n - 1
+        scheme = make_csa_scheme(n, field, L + 3, rng=r)
+        inputs = random_inputs(field, n, (2, 3, 2), 102 + n)
+        prods = run_workers(field, scheme, inputs, csa_encode)
+        r.shuffle(prods)
+        # Square and tall systems; for n > 1 also a repeated response, which
+        # leaves the rank at L - 1, alone and with further repeats.
+        cases = [(prods[:L], False), (prods, False)]
+        if n > 1:
+            dup = prods[: L - 1] + [prods[0]]
+            cases += [(dup, True), (dup + [prods[1]] * 2, True)]
+        for products, singular in cases:
+            muls, invs, pivots = expected_csa_charge(scheme, products)
+            ctr = OpCounter()
+            if singular:
+                with pytest.raises(SingularAfterRetry):
+                    csa_decode(products, scheme, ctr)
+                # The columns completed before the failing one are charged.
+                assert 0 < pivots < L
+            else:
+                got = csa_decode(products, scheme, ctr)
+                assert got == reference_csa_blocks(scheme, products) == direct_products(field, inputs)
+                assert pivots == L
+            assert (ctr.mul_count, ctr.inv_count) == (muls, invs), (n, len(products), singular)
 
 
 @pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])

@@ -253,6 +253,16 @@ def test_sweep_rejects_negative_workers_before_any_trial(capsys):
     assert errors[0] == errors[1] == "error: m must be >= 1\n"
 
 
+def test_sweep_bad_descriptor_exits_two_with_its_message(capsys):
+    for argv, message in (
+        (["--schemes", "lcc", "--n-list", "0"], "n must be >= 1"),
+        (["--schemes", "replication", "--n-list", "2", "--lambda", "0"], "replication needs lambda >= 1"),
+    ):
+        for trials in ("0", "1"):
+            code, out, err = run_cli(["sweep"] + argv + ["--trials", trials], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--scheme", "poly", "--n", "3", "--frobnicate"])

@@ -2,9 +2,9 @@
 
 Each scheme encodes all the shares of an op in one call, one generator-
 matrix product per side through rook.generator_shares.  The references
-below encode one worker's share at a time, one mat_lincomb per side; the
-batched encoders must give the same shares, in the order of the worker
-list, and the same op counts.  CSA's reference folds f(x) into its A row,
+below encode one worker's share at a time, a one-row mat_lincombs per
+side; the batched encoders must give the same shares, in the order of the
+worker list, and the same op counts.  CSA's reference folds f(x) into its A row,
 as csa_encode does; a value-only check against rescaling the finished
 sum by f(x) shows that the fold changes no share.
 """
@@ -28,7 +28,7 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents, behrend_exponents, poly_code_exponents
-from rookbench.field import M61, OpCounter, PrimeField, mat_lincomb, mat_random
+from rookbench.field import M61, OpCounter, PrimeField, mat_lincombs, mat_random
 from rookbench.rook import WorkerShare, make_rook_scheme, rook_encode_share
 from rookbench.sim import FaultModel, SimConfig, run_simulation
 
@@ -38,8 +38,8 @@ def reference_rook_share(scheme, inputs, worker_id, counter=None):
     x = scheme.eval_points[worker_id]
     field = scheme.field
     p = field.modulus
-    a_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.p], [a for a, _ in inputs], counter)
-    b_tilde = mat_lincomb(field, [pow(x, e, p) for e in pair.q], [b for _, b in inputs], counter)
+    a_tilde = mat_lincombs(field, [[pow(x, e, p) for e in pair.p]], [a for a, _ in inputs], counter)[0]
+    b_tilde = mat_lincombs(field, [[pow(x, e, p) for e in pair.q]], [b for _, b in inputs], counter)[0]
     if counter is not None:
         counter.mul_count += scheme.delta
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a_tilde, b_tilde=b_tilde)
@@ -49,8 +49,8 @@ def reference_lcc_share(scheme, inputs, worker_id, counter=None):
     field = scheme.field
     x = scheme.eval_points[worker_id]
     basis = _lagrange_basis(field, scheme.z, x, counter)
-    a = mat_lincomb(field, basis, [a for a, _ in inputs], counter)
-    b = mat_lincomb(field, basis, [b for _, b in inputs], counter)
+    a = mat_lincombs(field, [basis], [a for a, _ in inputs], counter)[0]
+    b = mat_lincombs(field, [basis], [b for _, b in inputs], counter)[0]
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
 
 
@@ -64,8 +64,8 @@ def reference_csa_share(scheme, inputs, worker_id, counter=None):
         f = f * (zi - x) % p
     if counter is not None:
         counter.mul_count += 2 * scheme.n - 1
-    a = mat_lincomb(field, [f * c % p for c in invs], [a for a, _ in inputs], counter)
-    b = mat_lincomb(field, invs, [b for _, b in inputs], counter)
+    a = mat_lincombs(field, [[f * c % p for c in invs]], [a for a, _ in inputs], counter)[0]
+    b = mat_lincombs(field, [invs], [b for _, b in inputs], counter)[0]
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)
 
 
@@ -165,9 +165,9 @@ def test_csa_folded_rows_give_the_rescaled_shares(dims, modulus):
         for share in csa_encode(scheme, inputs, range(22)):
             invs = [pow(zi - share.x, -1, p) for zi in scheme.z]
             f = math.prod(zi - share.x for zi in scheme.z) % p
-            sums = mat_lincomb(field, invs, [a for a, _ in inputs])
-            assert share.a_tilde == mat_lincomb(field, [f], [sums])
-            assert share.b_tilde == mat_lincomb(field, invs, [b for _, b in inputs])
+            sums = mat_lincombs(field, [invs], [a for a, _ in inputs])[0]
+            assert share.a_tilde == mat_lincombs(field, [[f]], [sums])[0]
+            assert share.b_tilde == mat_lincombs(field, [invs], [b for _, b in inputs])[0]
 
 
 @pytest.mark.parametrize("modulus", [257, M61], ids=["p257", "m61"])
@@ -226,7 +226,6 @@ def test_each_coded_encoder_makes_one_product_per_side(make, monkeypatch):
         (rook, "mat_lincombs"),
         (baselines, "generator_shares"),
         (baselines, "mat_lincombs"),
-        (baselines, "mat_lincomb"),
     ]:
         spy(module, name)
     for workers in worker_lists(22, r):

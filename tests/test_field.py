@@ -22,7 +22,6 @@ from rookbench.field import (
     PrimeField,
     SingularMatrix,
     is_prime_u64,
-    mat_lincomb,
     mat_lincombs,
     mat_mul,
     mat_random,
@@ -41,12 +40,12 @@ def field_pow(field, x, e, counter=None):
 
 
 def mat_scale(field, s, a):
-    """The scale the encoders used before mat_lincomb: s*a, reduced per entry."""
+    """The scale the encoders used before mat_lincombs: s*a, reduced per entry."""
     return FieldMatrix(a.rows, a.cols, [s * v % field.modulus for v in a.entries])
 
 
 def mat_muladd(field, x, s, y):
-    """The multiply-add the encoders chained before mat_lincomb: x + s*y."""
+    """The multiply-add the encoders chained before mat_lincombs: x + s*y."""
     return FieldMatrix(x.rows, x.cols, [(a + s * b) % field.modulus for a, b in zip(x.entries, y.entries)])
 
 
@@ -238,10 +237,10 @@ def test_mat_mul_counts_and_dimension_error(gf101):
 def test_mat_helpers(gf101):
     a = FieldMatrix.from_rows([[1, 2], [3, 4]])
     b = FieldMatrix.from_rows([[100, 100], [100, 100]])
-    assert to_rows(mat_lincomb(gf101, [1], [b], base=a)) == [[0, 1], [2, 3]]
-    assert to_rows(mat_lincomb(gf101, [2], [b], base=a)) == [[100, 0], [1, 2]]
-    assert to_rows(mat_lincomb(gf101, [2], [a])) == [[2, 4], [6, 8]]
-    assert to_rows(mat_lincomb(gf101, [2, 1], [a, b])) == [[1, 3], [5, 7]]
+    assert to_rows(mat_lincombs(gf101, [[1]], [b], base=a)[0]) == [[0, 1], [2, 3]]
+    assert to_rows(mat_lincombs(gf101, [[2]], [b], base=a)[0]) == [[100, 0], [1, 2]]
+    assert to_rows(mat_lincombs(gf101, [[2]], [a])[0]) == [[2, 4], [6, 8]]
+    assert to_rows(mat_lincombs(gf101, [[2, 1]], [a, b])[0]) == [[1, 3], [5, 7]]
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1, 2, 3])
 
@@ -265,7 +264,7 @@ def test_mat_muladd_matches_int_oracle(p):
     for rows, cols in ((1, 1), (2, 3), (4, 4), (5, 1)):
         cases.append((mat_random(field, rows, cols, r), r.randrange(p), mat_random(field, rows, cols, r)))
     for x, s, y in cases:
-        got = mat_lincomb(field, [s], [y], base=x)
+        got = mat_lincombs(field, [[s]], [y], base=x)[0]
         assert (got.rows, got.cols) == (x.rows, x.cols)
         assert got.entries == [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
 
@@ -275,13 +274,13 @@ def test_mat_muladd_counts_checks_shape_and_leaves_inputs(gf101):
     y = mat_random(gf101, 2, 3, rng(25))
     x_before, y_before = list(x.entries), list(y.entries)
     ctr = OpCounter()
-    out = mat_lincomb(gf101, [5], [y], ctr, base=x)
+    out = mat_lincombs(gf101, [[5]], [y], ctr, base=x)[0]
     assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
     assert x.entries == x_before and y.entries == y_before
     assert out.entries is not x.entries and out.entries is not y.entries
     for bad in (mat_random(gf101, 3, 2, rng(26)), mat_random(gf101, 2, 2, rng(27))):
         with pytest.raises(DimensionMismatch):
-            mat_lincomb(gf101, [5], [bad], ctr, base=x)
+            mat_lincombs(gf101, [[5]], [bad], ctr, base=x)
     assert (ctr.mul_count, ctr.inv_count) == (2 * 3, 0)
 
 
@@ -319,14 +318,14 @@ def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
     below = long[: NUMPY_MIN_MULS - 1]
     cases += [(coeffs, below), (coeffs + [0], below + [FieldMatrix(1, 1, [p - 1])])]
     for base, skip in ((None, 0), (FieldMatrix(1, 1, [p - 1]), 1)):
-        sums = [mat_lincomb(field, cs[skip:], bs[skip:], base=base) for cs, bs in cases[-2:]]
+        sums = [mat_lincombs(field, [cs[skip:]], bs[skip:], base=base)[0] for cs, bs in cases[-2:]]
         assert sums[0] == sums[1]
     for coeffs, blocks in cases:
         rows, cols = blocks[0].rows, blocks[0].cols
         full = FieldMatrix(rows, cols, [p - 1] * (rows * cols))
         for base in (None, mat_random(field, rows, cols, r), full):
             ctr = OpCounter()
-            got = mat_lincomb(field, coeffs, blocks, ctr, base=base)
+            got = mat_lincombs(field, [coeffs], blocks, ctr, base=base)[0]
             assert (ctr.mul_count, ctr.inv_count) == (len(blocks) * rows * cols, 0)
             start = base.entries if base is not None else [0] * (rows * cols)
             want = [
@@ -346,12 +345,12 @@ def test_mat_lincomb_counts_and_leaves_inputs(gf101):
     before = [list(b.entries) for b in blocks + [base]]
     for use_base in (False, True):
         ctr = OpCounter()
-        out = mat_lincomb(gf101, coeffs, blocks, ctr, base=base if use_base else None)
+        out = mat_lincombs(gf101, [coeffs], blocks, ctr, base=base if use_base else None)[0]
         assert (ctr.mul_count, ctr.inv_count) == (4 * 2 * 3, 0)
         assert [list(b.entries) for b in blocks + [base]] == before
         assert all(out.entries is not b.entries for b in blocks + [base])
     ctr = OpCounter()
-    out = mat_lincomb(gf101, [], [], ctr, base=base)
+    out = mat_lincombs(gf101, [[]], [], ctr, base=base)[0]
     assert out == base and out.entries is not base.entries
     assert (ctr.mul_count, ctr.inv_count) == (0, 0)
     # Blocks without entries: B has rows but no columns to zip.
@@ -359,7 +358,7 @@ def test_mat_lincomb_counts_and_leaves_inputs(gf101):
         empty = [FieldMatrix(rows, cols, []) for _ in coeffs]
         for base in (None, FieldMatrix(rows, cols, [])):
             ctr = OpCounter()
-            assert mat_lincomb(gf101, coeffs, empty, ctr, base=base) == FieldMatrix(rows, cols, [])
+            assert mat_lincombs(gf101, [coeffs], empty, ctr, base=base)[0] == FieldMatrix(rows, cols, [])
             assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
@@ -378,7 +377,7 @@ def test_mat_lincomb_dimension_errors_count_nothing(gf101):
     for coeffs, blocks, base in cases:
         ctr = OpCounter()
         with pytest.raises(DimensionMismatch):
-            mat_lincomb(gf101, coeffs, blocks, ctr, base=base)
+            mat_lincombs(gf101, [coeffs], blocks, ctr, base=base)
         assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
@@ -392,9 +391,9 @@ def test_mat_lincomb_long_combination():
     blocks = [FieldMatrix(1, 1, [r.randrange(M61)]) for _ in range(count)]
     want = sum(c * b.entries[0] for c, b in zip(coeffs, blocks))
     ctr = OpCounter()
-    assert mat_lincomb(field, coeffs, blocks, ctr).entries == [want % M61]
+    assert mat_lincombs(field, [coeffs], blocks, ctr)[0].entries == [want % M61]
     assert ctr.mul_count == count
-    assert mat_lincomb(field, coeffs, blocks, base=FieldMatrix(1, 1, [5])).entries == [(want + 5) % M61]
+    assert mat_lincombs(field, [coeffs], blocks, base=FieldMatrix(1, 1, [5]))[0].entries == [(want + 5) % M61]
 
 
 @pytest.mark.parametrize("p", KERNEL_MODULI)
@@ -409,7 +408,7 @@ def test_mat_lincombs_matches_per_row_mat_lincomb(p):
             got = mat_lincombs(field, coeff_rows, blocks, ctr, base=base)
             assert (ctr.mul_count, ctr.inv_count) == (nrows * count * rows * cols, 0)
             want_ctr = OpCounter()
-            want = [mat_lincomb(field, row, blocks, want_ctr, base=base) for row in coeff_rows]
+            want = [mat_lincombs(field, [row], blocks, want_ctr, base=base)[0] for row in coeff_rows]
             assert got == want
             assert ctr.mul_count == want_ctr.mul_count
 
@@ -618,7 +617,7 @@ def test_solve_roundtrip_random_systems(gf_m61):
         size = r.choice([1, 2, 3, 5, 8, 13, 21, 32])
         v = mat_random(gf_m61, size, size, r)
         want = [mat_random(gf_m61, 2, 3, r) for _ in range(size)]
-        rhs = [mat_lincomb(gf_m61, v.row(i), want) for i in range(size)]
+        rhs = [mat_lincombs(gf_m61, [v.row(i)], want)[0] for i in range(size)]
         try:
             got = solve_linear(gf_m61, v, rhs)
         except SingularMatrix:

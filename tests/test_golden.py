@@ -4,13 +4,18 @@ Any change to a report byte (a counter, an error name, the simulated
 clock, the responses used) changes a digest.  The retry digest was
 recorded when every decoder's rows began to come from one power-row
 kernel, which charges L - 1 products per rook decode row where rook had
-charged L.  The grid, block and sweep digests were re-recorded when CSA
-folded f(x) into its A-side generator rows instead of rescaling each
-finished A~ by it: a CSA share's encode_muls moved by n - rows * inner
-(n muls to scale the row instead of one per entry of A~), and nothing
-else in any report moved.  The generator digests were recorded from the
-linear digit-shell scan, before the gallop search and the numpy shell
-table replaced it.
+charged L.  The grid, block and sweep digests were re-recorded twice, and
+each time only CSA counts moved.  First CSA folded f(x) into its A-side
+generator rows instead of rescaling each finished A~ by it: a CSA share's
+encode_muls moved by n - rows * inner (n muls to scale the row instead of
+one per entry of A~).  Then CSA's decoder folded the residues c_i, fixed
+at binding, into its pole columns instead of inverting them and rescaling
+each solved block on every call: a successful CSA decode from k responses
+moved by k * n - n * rows * cols in decode_muls (one product per pole
+entry instead of one per entry of the n blocks) and by -n in decode_invs
+(the sweep's decode_time by their sum).  The generator digests were
+recorded from the linear digit-shell scan, before the gallop search and
+the numpy shell table replaced it.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "c9c969b9eade79c2de7ab943d76b58513565dcdbb115c0f456ddb21d1d865e7a"
-SWEEP_SHA256 = "ca523209f5d2030032c9fa62b60de7832819d278006ded22c5130e8581c9b866"
+GRID_SHA256 = "f779403086be907f2f08cb2a6d8c7b945222c53d9100e3e74e11a99e2910f635"
+SWEEP_SHA256 = "fadc03d618b9a1e8447361045e6035155b6d8b6f9ce3b6fd51918d2e07009750"
 RETRY_SHA256 = "a4fb06bec600d84f8732ffe992d869cde17440a3a3eb06b01b35282f6ebad7b7"
-BLOCK_SHA256 = "9d853fdd7b23d9d4bf0eccb966a0a564ed5de90278988504dada2ab889ed278c"
+BLOCK_SHA256 = "5a64e0d23a7f7fba4faf33d23d3a2eae83064aead05b076158d433d2ccdba0ee"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 
@@ -68,7 +73,8 @@ def test_block_reports_match_golden():
     # encodes (1,024) at or above field.NUMPY_MIN_MULS, where the grid's
     # 2x2x2 blocks stay below it.  First recorded when every product still
     # ran the pure-Python loops, so it pins the numpy kernel to them; the
-    # CSA fold re-recorded it with only CSA's encode_muls moved.
+    # CSA encode fold re-recorded it with only CSA's encode_muls moved, and
+    # the CSA decode fold with only its decode_muls and decode_invs moved.
     reports = []
     for scheme, (seed, modulus) in product(ALL_SCHEMES, SEEDS[:2]):
         desc = SchemeDescriptor(scheme=scheme, n=4, lam=2)

@@ -242,6 +242,22 @@ def test_sweep_rejects_negative_trials():
 
 
 @pytest.mark.parametrize(
+    "schemes, n_values, lam, message",
+    [
+        (["lcc"], [0], 2, "n must be >= 1"),
+        (["replication"], [2], 0, "replication needs lambda >= 1"),
+        (["nope"], [2], 2, "unknown scheme 'nope'"),
+    ],
+)
+def test_sweep_raises_config_invalid_for_a_bad_descriptor(schemes, n_values, lam, message):
+    # The descriptor is built per group, before its first trial, so zero
+    # trials reject it too.
+    for trials in (0, 1):
+        with pytest.raises(ConfigInvalid, match=message):
+            sweep(schemes=schemes, n_values=n_values, trials=trials, lam=lam)
+
+
+@pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"dims": (0, 2, 2)}, "dims must be three positive integers"),
