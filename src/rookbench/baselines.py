@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
@@ -53,7 +55,7 @@ class LccScheme:
     z: tuple
     eval_points: tuple
     # Rows [z, z^2, ..., z^{2n-2}] per anchor, for evaluating at the anchors.
-    zpows: list = dc_field(init=False, repr=False, compare=False)
+    zpows: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zpows", power_rows(self.field, range(1, self.threshold), self.z))
@@ -207,10 +209,11 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     p = field.modulus
     _require_products(products, scheme.threshold)
     polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in products], counter)
-    rows = [
-        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)] + poly
-        for pr, poly in zip(products, polys)
+    poles = [
+        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)]
+        for pr in products
     ]
+    rows = np.hstack([np.array(poles, dtype=np.uint64), polys])
     if counter is not None:
         counter.mul_count += scheme.n * len(products)
     return _solve_responses(field, rows, products, counter)[: scheme.n]

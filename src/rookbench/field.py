@@ -2,7 +2,9 @@
 
 Field elements are canonical Python ints in [0, p) for a prime p below
 2^64.  The default modulus is the Mersenne prime 2^61 - 1, so exponents up
-to ~2^61 stay representable as monomial degrees.  Powers and inverses use
+to ~2^61 stay representable as monomial degrees.  A FieldMatrix holds one
+read-only uint64 array, which the kernels below take and return as it is;
+an entry of p or more acts as its residue.  Powers and inverses use
 builtin pow for single values; power_table computes x^e for many x and e
 at once, the encoders' generator matrices and the decoders' system rows.
 Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
@@ -13,12 +15,12 @@ the stacked blocks; a single combination is one row.  Both count the
 multiplications of the schoolbook product and hand the product to one
 kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
 one unreduced Python int sum per entry, reduced mod p once; from it on,
-one exact numpy kernel of 21-bit limb products.  That kernel takes the
-inner dimension in chunks of 2^9 terms, so that float64 adds the limb
-products into digit sums exactly, and folds the digits mod p once per
-chunk: by shift-and-add for 2^61 - 1 (2^(21d) is 2^(21d mod 61) there),
-and by reducing each digit and weighting it by 2^(21d) mod p for any
-other prime.
+one exact numpy kernel of 21-bit limb products on operands reduced mod p.
+That kernel takes the inner dimension in chunks of 2^9 terms, so that
+float64 adds the limb products into digit sums exactly, and folds the
+digits mod p once per chunk: by shift-and-add for 2^61 - 1 (2^(21d) is
+2^(21d mod 61) there), and by reducing each digit and weighting it by
+2^(21d) mod p for any other prime.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
 The numpy kernels do modular arithmetic through one multiply-add picked by
 the modulus: uint64 31/30-bit limb products with shift-add reduction for
@@ -170,18 +172,32 @@ def pow_muls(e: int) -> int:
 
 
 class FieldMatrix:
-    """Dense matrix over a prime field; entries are a row-major int list."""
+    """Dense matrix over a prime field: a read-only rows x cols uint64 array.
 
-    __slots__ = ("rows", "cols", "entries")
+    Every residue of a prime below 2^64 fits in uint64.  The constructor
+    takes the entries as a row-major list or as an array; an entry outside
+    [0, 2^64) raises ValueError.  An array is taken as it is, without a
+    copy, so its owner must not write it afterwards; the kernels hand over
+    arrays they built themselves.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: list[int]):
+    __slots__ = ("data",)
+
+    def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        if not (isinstance(entries, np.ndarray) and entries.dtype == np.uint64):
+            # Another array goes through Python ints, so no entry wraps.
+            if isinstance(entries, np.ndarray):
+                entries = entries.tolist()
+            try:
+                entries = np.array(entries, dtype=np.uint64)
+            except OverflowError as exc:
+                raise ValueError(f"matrix entries must lie in [0, 2^64): {exc}") from exc
+        if entries.size != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
+        self.data = entries.reshape(rows, cols)
+        self.data.setflags(write=False)
 
     @classmethod
     def from_rows(cls, rows_data) -> "FieldMatrix":
@@ -194,19 +210,37 @@ class FieldMatrix:
             ent.extend(r)
         return cls(rows, cols, ent)
 
-    def row(self, i: int) -> list[int]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @classmethod
+    def _split(cls, stack) -> list["FieldMatrix"]:
+        """The matrices stack[0], stack[1], ... of a 3-D uint64 array that a
+        kernel built, without the constructor's checks: stack is made
+        read-only once for all of them."""
+        stack.setflags(write=False)
+        out = []
+        for data in stack:
+            m = object.__new__(cls)
+            m.data = data
+            out.append(m)
+        return out
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def entries(self) -> list[int]:
+        """The entries as a row-major list of Python ints."""
+        return self.data.ravel().tolist()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, FieldMatrix) and np.array_equal(self.data, other.data)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((self.data.shape, self.data.tobytes()))
 
     def __repr__(self) -> str:
         return f"FieldMatrix({self.rows}x{self.cols}, {self.entries!r})"
@@ -215,11 +249,12 @@ class FieldMatrix:
 # _product runs the numpy kernel (_mod_matmul) on products of at least this
 # many multiplications, and the Python sums, whose fixed cost per call is
 # lower, below it.  Timed per call with both paths interleaved on a 2-vCPU
-# Xeon VM: over 2^61 - 1, numpy breaks even near 256-384 muls for
-# n x 8 x 8 mat_mul products and near 384-512 for one-row mat_lincombs of
-# 4 x 4 blocks, whose entries are all converted and each used once; over
-# 257, near 384-512 for the products, while Python still wins the 4 x 4
-# combinations at 1,536 muls.  512 lies between.  In the benchmark
+# Xeon VM, with operands that reach the kernel as uint64 arrays: over
+# 2^61 - 1, numpy breaks even near 192 muls for n x 8 x 8 mat_mul products
+# and for one-row mat_lincombs of 4 x 4 blocks; over 257, near 320 for the
+# products and 384-512 for the combinations (numpy wins 3 of 9 rounds at
+# 384, 8 of 9 at 512).  512 is the smallest size timed at which numpy wins
+# every shape over both moduli.  In the benchmark
 # workloads, the block products of decode-bound and retry-gf257 (8 to 64
 # muls) stay in Python, while their batched encodes (one product per side
 # per op, 1,920 to 26,624 muls) and every product of block-bound (at least
@@ -227,22 +262,30 @@ class FieldMatrix:
 NUMPY_MIN_MULS = 512
 
 
-def _product(p: int, a_rows, b_rows, m: int) -> list[int]:
-    """The n x k by k x m product mod p of row lists, entries in [0, p), as
-    a row-major list.
+def _stack(blocks, size: int):
+    """The blocks' row-major entries, size each, as the rows of one array."""
+    return np.concatenate([b.data for b in blocks]).reshape(len(blocks), size)
 
-    m is passed because B's rows cannot tell it when k = 0.  a_rows may
-    also be an array of residues.  From NUMPY_MIN_MULS multiplications on,
-    the numpy kernel computes it; below, each entry is one unreduced Python
-    int sum, reduced mod p once.
+
+def _reduced(p: int, a):
+    """a uint64 array with every entry reduced mod p; a itself when all are."""
+    return a % np.uint64(p) if a.size and a.max() >= p else a
+
+
+def _product(p: int, a, b):
+    """a @ b mod p for uint64 arrays a (n x k) and b (k x m), as an n x m
+    uint64 array of residues.
+
+    From NUMPY_MIN_MULS multiplications on, the numpy kernel computes it,
+    after reducing an operand that holds an entry of p or more; below, each
+    entry is one unreduced Python int sum, reduced mod p once.
     """
-    if len(a_rows) * len(b_rows) * m >= NUMPY_MIN_MULS:
-        a, b = np.asarray(a_rows, dtype=np.uint64), np.array(b_rows, dtype=np.uint64)
-        return _mod_matmul(p, a, b).ravel().tolist()
-    if isinstance(a_rows, np.ndarray):
-        a_rows = a_rows.tolist()
-    cols = list(zip(*b_rows)) or [()] * m
-    return [sum(map(mul, row, col)) % p for row in a_rows for col in cols]
+    (n, k), m = a.shape, b.shape[1]
+    if n * k * m >= NUMPY_MIN_MULS:
+        return _mod_matmul(p, _reduced(p, a), _reduced(p, b)).astype(np.uint64, copy=False)
+    cols = list(zip(*b.tolist())) or [()] * m
+    out = [sum(map(mul, row, col)) % p for row in a.tolist() for col in cols]
+    return np.array(out, dtype=np.uint64).reshape(n, m)
 
 
 def mat_mul(
@@ -252,10 +295,10 @@ def mat_mul(
     counter: OpCounter | None = None,
 ) -> FieldMatrix:
     """Schoolbook product; counts a.rows * a.cols * b.cols multiplications."""
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    n, k, m = a.rows, a.cols, b.cols
-    out = _product(field.modulus, [a.row(i) for i in range(n)], [b.row(t) for t in range(k)], m)
+    (n, k), (k_b, m) = a.data.shape, b.data.shape
+    if k != k_b:
+        raise DimensionMismatch(f"{n}x{k} times {k_b}x{m}")
+    out = _product(field.modulus, a.data, b.data)
     if counter is not None:
         counter.mul_count += n * k * m
     return FieldMatrix(n, m, out)
@@ -276,7 +319,8 @@ def mat_lincombs(
     array of residues (power_table's), which reaches the kernel as it is.
     All the sums are one len(coeff_rows) x terms by terms x entries product
     of the coefficient rows and the stacked block entries, base being one
-    more block with coefficient 1 in every row.  Raises DimensionMismatch,
+    more block with coefficient 1 in every row; each result holds one row
+    of that product's array.  Raises DimensionMismatch,
     counting nothing, when a coefficient row does not pair off with the
     blocks or a shape differs from the first block's (or base's).  No rows
     give [].
@@ -291,20 +335,16 @@ def mat_lincombs(
     if any(b.rows != rows or b.cols != cols for b in blocks):
         raise DimensionMismatch("linear combination shape mismatch")
     p = field.modulus
-    entries = [b.entries for b in blocks]
-    tail = []
-    if base is not None:
-        entries.append(base.entries)
-        tail.append(1)
+    terms, tail = (blocks, []) if base is None else ([*blocks, base], [1])
     if isinstance(coeff_rows, np.ndarray):
-        a_rows = np.hstack([coeff_rows, np.ones((len(coeff_rows), len(tail)), coeff_rows.dtype)])
+        a = np.hstack([coeff_rows, np.ones((len(coeff_rows), len(tail)), coeff_rows.dtype)])
     else:
-        a_rows = [[c % p for c in row] + tail for row in coeff_rows]
-    size = rows * cols
-    out = _product(p, a_rows, entries, size)
+        a = [[c % p for c in row] + tail for row in coeff_rows]
+    a = np.asarray(a, dtype=np.uint64).reshape(len(coeff_rows), len(terms))
+    out = _product(p, a, _stack(terms, rows * cols))
     if counter is not None:
-        counter.mul_count += len(coeff_rows) * len(blocks) * size
-    return [FieldMatrix(rows, cols, out[i * size : (i + 1) * size]) for i in range(len(coeff_rows))]
+        counter.mul_count += len(coeff_rows) * len(blocks) * rows * cols
+    return FieldMatrix._split(out.reshape(len(coeff_rows), rows, cols))
 
 
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:
@@ -538,7 +578,7 @@ def solve_linear(
     p = field.modulus
     blen = br * bc
     muladd, dtype = _modular(p)
-    aug = np.array([v.row(i) + blk.entries for i, blk in enumerate(rhs)], dtype=dtype)
+    aug = _reduced(p, np.hstack([v.data, _stack(rhs, blen)])).astype(dtype, copy=False)
 
     for col in range(n):
         nonzero = aug[col:, col].nonzero()[0]
@@ -564,4 +604,5 @@ def solve_linear(
         coef[col] = inv - 1
         aug[:, col:] = muladd(aug[:, col:], coef[:, None], prow)
 
-    return [FieldMatrix(br, bc, row) for row in aug[:n, n:].tolist()]
+    # A copy of the solution, so the results do not keep aug alive.
+    return FieldMatrix._split(aug[:n, n:].astype(np.uint64).reshape(n, br, bc))

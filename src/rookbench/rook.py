@@ -142,13 +142,14 @@ def encode_delta(pair: ExponentPair) -> int:
 def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = None):
     """Rows [x^{e_0}, x^{e_1}, ...] for each x in xs, for non-decreasing exponents.
 
-    The values come from one power_table.  Each row is charged as the
-    running product of the gap powers x^{e_0}, x^{e_1 - e_0}, ...:
-    square-and-multiply per gap (pow_muls) plus one product per entry after
-    the first.  Every decoder builds its system rows here.
+    The values come from one power_table, whose array is returned as it is.
+    Each row is charged as the running product of the gap powers x^{e_0},
+    x^{e_1 - e_0}, ...: square-and-multiply per gap (pow_muls) plus one
+    product per entry after the first.  Every decoder builds its system
+    rows here.
     """
     gaps = _gaps(exponents)
-    rows = power_table(field.modulus, exponents, xs).tolist()
+    rows = power_table(field.modulus, exponents, xs)
     if counter is not None and gaps:
         counter.mul_count += len(rows) * (sum(map(pow_muls, gaps)) + len(gaps) - 1)
     return rows
@@ -201,7 +202,8 @@ def _require_products(products, needed: int) -> None:
 
 
 def _solve_responses(field: PrimeField, rows, products, counter: OpCounter | None = None):
-    """Solve the system with rows[i] for products[i], one row per response.
+    """Solve the system with rows[i] for products[i], one row per response;
+    rows is an array of residues.
 
     The system may be tall: a repeated or otherwise dependent response is
     just a dependent row.  Raises SingularAfterRetry when the rows' rank is
@@ -209,9 +211,9 @@ def _solve_responses(field: PrimeField, rows, products, counter: OpCounter | Non
     unknowns.
     """
     try:
-        return solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products], counter)
+        return solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], counter)
     except SingularMatrix as exc:
-        raise SingularAfterRetry(f"{len(rows)} responses have rank below {len(rows[0])}") from exc
+        raise SingularAfterRetry(f"{rows.shape[0]} responses have rank below {rows.shape[1]}") from exc
 
 
 def rook_decode(

@@ -34,7 +34,7 @@ def identity(n: int) -> FieldMatrix:
 
 
 def to_rows(m: FieldMatrix) -> list[list[int]]:
-    return [m.row(i) for i in range(m.rows)]
+    return m.data.tolist()
 
 
 def direct_products(field, inputs):

@@ -109,7 +109,7 @@ def test_lcc_anchor_powers_bound_once():
     # A directly built LccScheme computes the anchor powers itself, and a
     # decode reads them rather than rebuilding them.
     scheme = LccScheme(field=GF101, z=(0, 1), eval_points=(2, 3, 4))
-    assert scheme.zpows == power_rows(GF101, range(1, 3), (0, 1)) == [[0, 0], [1, 1]]
+    assert scheme.zpows.tolist() == power_rows(GF101, range(1, 3), (0, 1)).tolist() == [[0, 0], [1, 1]]
     prods = run_workers(GF101, scheme, WORKED_INPUTS, lcc_encode)
     assert [m.entries[0] for m in lcc_decode(prods, scheme)] == [6, 35]
 
@@ -257,7 +257,7 @@ def expected_csa_charge(scheme, products):
     p = field.modulus
     xs = [pr.x for pr in products]
     rows_ctr, solve_ctr = OpCounter(), OpCounter()
-    polys = power_rows(field, range(n - 1), xs, rows_ctr)
+    polys = power_rows(field, range(n - 1), xs, rows_ctr).tolist()
     rows = [
         [c * pow((zi - x) % p, -1, p) % p for zi, c in zip(scheme.z, scheme.residues)] + poly
         for x, poly in zip(xs, polys)

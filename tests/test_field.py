@@ -169,14 +169,15 @@ def test_inv_counts_inversions():
 
 def schoolbook(p, a, b):
     """The reference product: one unreduced int sum per entry, reduced once."""
+    a_entries, b_entries = a.entries, b.entries
     return [
-        sum(a.entries[i * a.cols + t] * b.entries[t * b.cols + j] for t in range(a.cols)) % p
+        sum(a_entries[i * a.cols + t] * b_entries[t * b.cols + j] for t in range(a.cols)) % p
         for i in range(a.rows)
         for j in range(b.cols)
     ]
 
 
-# Past the numpy kernel's exact float64 chunk of 2^11 inner terms.
+# Spans five of the numpy kernel's exact float64 chunks of field._CHUNK inner terms.
 LONG_INNER = 2100
 # Moduli of each numpy fold: uint64 below 2^32, 2^61 - 1's limb muladd and
 # the object fold.
@@ -243,6 +244,92 @@ def test_mat_helpers(gf101):
     assert to_rows(mat_lincombs(gf101, [[2, 1]], [a, b])[0]) == [[1, 3], [5, 7]]
     with pytest.raises(ValueError):
         FieldMatrix(2, 2, [1, 2, 3])
+
+
+def test_field_matrix_holds_a_read_only_uint64_array():
+    values = [0, 1, 2, 100, M61 - 1, (1 << 64) - 1]
+    built = [
+        FieldMatrix(2, 3, values),
+        FieldMatrix.from_rows([values[:3], values[3:]]),
+        FieldMatrix(2, 3, np.array(values, dtype=np.uint64)),
+        FieldMatrix(2, 3, np.array([values[:3], values[3:]], dtype=np.uint64)),
+        FieldMatrix(2, 3, np.array(values, dtype=object)),
+    ]
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0])
+        assert (m.rows, m.cols) == (2, 3)
+        assert m.data.dtype == np.uint64 and m.data.shape == (2, 3)
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 5
+        assert m.entries == values and all(type(e) is int for e in m.entries)
+        assert repr(m) == f"FieldMatrix(2x3, {values!r})"
+    assert built[0] != FieldMatrix(3, 2, values) and built[0] != FieldMatrix(2, 3, values[::-1])
+    assert FieldMatrix(0, 3, []) != FieldMatrix(3, 0, [])
+    for entries in ([1, 2, 3], [1] * 5, np.ones(3, dtype=np.uint64), np.ones((3, 2), dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            FieldMatrix(2, 2, entries)
+
+
+def test_field_matrix_rejects_entries_outside_u64():
+    for bad in (-1, 1 << 64, -(1 << 70)):
+        with pytest.raises(ValueError):
+            FieldMatrix(1, 2, [3, bad])
+        with pytest.raises(ValueError):
+            FieldMatrix(1, 2, np.array([3, bad], dtype=object))
+    with pytest.raises(ValueError):
+        FieldMatrix(1, 2, np.array([3, -1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
+def test_both_product_paths_reduce_non_canonical_entries(p):
+    # Entries of p or more act as their residues on the Python path (1 x 1)
+    # and on the numpy path (8 x 8), in products, combinations and solves.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 29)
+    big = 1 << 40
+    for n in (1, 8):
+        assert (n**3 >= NUMPY_MIN_MULS) == (n == 8)
+        a = FieldMatrix(n, n, [big] * (n * n))
+        assert mat_mul(field, a, a).entries == [n * big * big % p] * (n * n)
+        wide = [v + p * r.randrange((1 << 64) // p) for v in range(n * n)]
+        canon = [v % p for v in wide]
+        coeffs = [[r.randrange(p) for _ in range(n)]]
+        blocks = [FieldMatrix(n, n, wide)] * n
+        want = mat_lincombs(field, coeffs, [FieldMatrix(n, n, canon)] * n)
+        assert mat_lincombs(field, coeffs, blocks) == want
+        assert mat_mul(field, FieldMatrix(n, n, wide), a) == mat_mul(field, FieldMatrix(n, n, canon), a)
+    # 2^64 - 1, the largest entry a matrix holds.
+    top = (1 << 64) - 1
+    for n in (1, 8):
+        a = FieldMatrix(n, n, [top] * (n * n))
+        assert mat_mul(field, a, a).entries == [n * top * top % p] * (n * n)
+    # A unit upper triangular V is invertible over any field.
+    want = [mat_random(field, 1, 2, r) for _ in range(3)]
+    v = FieldMatrix.from_rows([[1, r.randrange(p), r.randrange(p)], [0, 1, r.randrange(p)], [0, 0, 1]])
+    rhs = [mat_lincombs(field, [row], want)[0] for row in to_rows(v)]
+    lift = [[x + p * r.randrange((1 << 64) // p) for x in row] for row in to_rows(v)]
+    rhs_lift = [FieldMatrix(1, 2, [x + p for x in b.entries]) for b in rhs]
+    assert solve_linear(field, FieldMatrix.from_rows(lift), rhs_lift) == solve_linear(field, v, rhs) == want
+
+
+@pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
+def test_results_share_no_writable_buffer_with_operands(p):
+    field = PrimeField(p)
+    r = rng(p % 1000 + 30)
+    for dims in ((2, 2), (8, 8)):
+        blocks = [mat_random(field, *dims, r) for _ in range(3)]
+        base = mat_random(field, *dims, r)
+        operands = blocks + [base]
+        # Four rows of three 8 x 8 blocks are past NUMPY_MIN_MULS.
+        outs = mat_lincombs(field, [[1, 0, 0], [2, 3, 4], [5, 6, 7], [0, 0, 1]], blocks, base=base)
+        outs += mat_lincombs(field, [[]], [], base=base)
+        outs += solve_linear(field, identity(3), blocks)
+        outs.append(mat_mul(field, blocks[0], identity(dims[1])))
+        for out in outs:
+            assert not out.data.flags.writeable
+            assert not any(np.shares_memory(out.data, x.data) for x in operands)
+        assert outs[4] == base and outs[5:8] == blocks and outs[8] == blocks[0]
 
 
 # Operands at 2^61 - 1's 30/31-bit limb boundaries.
@@ -328,8 +415,9 @@ def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
             got = mat_lincombs(field, [coeffs], blocks, ctr, base=base)[0]
             assert (ctr.mul_count, ctr.inv_count) == (len(blocks) * rows * cols, 0)
             start = base.entries if base is not None else [0] * (rows * cols)
+            block_entries = [b.entries for b in blocks]
             want = [
-                (start[j] + sum(c * b.entries[j] for c, b in zip(coeffs, blocks))) % p
+                (start[j] + sum(c * e[j] for c, e in zip(coeffs, block_entries))) % p
                 for j in range(rows * cols)
             ]
             assert (got.rows, got.cols) == (rows, cols)
@@ -382,8 +470,8 @@ def test_mat_lincomb_dimension_errors_count_nothing(gf101):
 
 
 def test_mat_lincomb_long_combination():
-    # 200,000 1 x 1 terms are the numpy kernel's inner dimension, about 98
-    # of its exact float64 chunks of 2^11 terms, with and without base.
+    # 200,000 1 x 1 terms are the numpy kernel's inner dimension, about 391
+    # of its exact float64 chunks of field._CHUNK terms, with and without base.
     field = PrimeField(M61)
     r = rng(34)
     count = 200_000
@@ -617,7 +705,7 @@ def test_solve_roundtrip_random_systems(gf_m61):
         size = r.choice([1, 2, 3, 5, 8, 13, 21, 32])
         v = mat_random(gf_m61, size, size, r)
         want = [mat_random(gf_m61, 2, 3, r) for _ in range(size)]
-        rhs = [mat_lincombs(gf_m61, [v.row(i)], want)[0] for i in range(size)]
+        rhs = [mat_lincombs(gf_m61, [row], want)[0] for row in to_rows(v)]
         try:
             got = solve_linear(gf_m61, v, rhs)
         except SingularMatrix:
@@ -680,7 +768,7 @@ def reference_solve(field, v, rhs, counter=None):
             raise DimensionMismatch("rhs blocks must share dimensions")
 
     p = field.modulus
-    a = [v.row(i) for i in range(k)]
+    a = to_rows(v)
     b = [list(blk.entries) for blk in rhs]
     muls = 0
     invs = 0
