@@ -21,11 +21,15 @@ float64 adds the limb products into digit sums exactly, and folds the
 digits mod p once per chunk: by shift-and-add for 2^61 - 1 (2^(21d) is
 2^(21d mod 61) there), and by reducing each digit and weighting it by
 2^(21d) mod p for any other prime.
-solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel.
-The numpy kernels do modular arithmetic through one multiply-add picked by
-the modulus: uint64 31/30-bit limb products with shift-add reduction for
-2^61 - 1, the plain uint64 product for p < 2^32, and Python ints in an
-object array for any other prime.
+solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
+that adds each column's multipliers times its pivot row to the trailing
+block of [V | rhs] in place, the block held as one contiguous array in one
+of three buffers allocated once per solve.
+The numpy kernels do modular arithmetic through one multiply-add, and the
+solve through its in-place form, picked by the modulus: uint64 31/30-bit
+limb products with shift-add reduction for 2^61 - 1, the plain uint64
+product for p < 2^32, and Python ints in an object array for any other
+prime.
 
 Operation counts are derived by formula from the algorithm they describe
 (square-and-multiply for powers, elimination that skips zero multipliers
@@ -211,17 +215,19 @@ class FieldMatrix:
         return cls(rows, cols, ent)
 
     @classmethod
+    def _wrap(cls, data) -> "FieldMatrix":
+        """The matrix of a 2-D uint64 array of residues that a kernel built,
+        without the constructor's checks; data is made read-only."""
+        data.setflags(write=False)
+        m = object.__new__(cls)
+        m.data = data
+        return m
+
+    @classmethod
     def _split(cls, stack) -> list["FieldMatrix"]:
         """The matrices stack[0], stack[1], ... of a 3-D uint64 array that a
-        kernel built, without the constructor's checks: stack is made
-        read-only once for all of them."""
-        stack.setflags(write=False)
-        out = []
-        for data in stack:
-            m = object.__new__(cls)
-            m.data = data
-            out.append(m)
-        return out
+        kernel built, as _wrap makes them."""
+        return [cls._wrap(data) for data in stack]
 
     @property
     def rows(self) -> int:
@@ -301,7 +307,7 @@ def mat_mul(
     out = _product(field.modulus, a.data, b.data)
     if counter is not None:
         counter.mul_count += n * k * m
-    return FieldMatrix(n, m, out)
+    return FieldMatrix._wrap(out)
 
 
 def mat_lincombs(
@@ -383,20 +389,62 @@ def _muladd_m61(x, a, b):
     return np.minimum(s, s - _M61)
 
 
-def _modular(p: int):
-    """(muladd, dtype): x + a*b mod p on numpy arrays of entries below p.
+def _update_m61(x, a, b, t1, t2):
+    """x += a*b mod 2^61 - 1, in place on a uint64 array x of residues; a
+    and b (arrays or ints) broadcast to x's shape, entries below 2^61.
 
-    For 2^61 - 1, _muladd_m61 on uint64; for p < 2^32 the plain uint64
-    product, since the largest term, (p-1) + (p-1)^2, fits in uint64; for
-    any other prime, Python ints in an object array.
+    The arithmetic of _muladd_m61, with every full-size step written
+    through out= or an in-place operator into x or the scratch arrays t1
+    and t2, which have x's shape; only the limbs of a and b are new
+    arrays, which is cheap where a is a column and b a row, as in
+    solve_linear.  b may be a view into x: its limbs are split before x
+    changes.
+    """
+    a_hi, a_lo = a >> 31, a & _LO31
+    b_hi, b_lo = b >> 31, b & _LO31
+    np.multiply(a_hi, b_hi << 1, out=t1)
+    x += t1
+    # The middle sum, below 2^62; it weighs 2^31.
+    np.multiply(a_hi, b_lo, out=t1)
+    np.multiply(a_lo, b_hi, out=t2)
+    t1 += t2
+    np.right_shift(t1, 30, out=t2)
+    x += t2
+    t1 &= _LO30
+    t1 <<= 31
+    x += t1
+    np.multiply(a_lo, b_lo, out=t1)
+    x += t1
+    np.right_shift(x, 61, out=t1)
+    x &= _M61
+    x += t1
+    np.subtract(x, _M61, out=t1)
+    np.minimum(x, t1, out=x)
+
+
+def _modular(p: int):
+    """(muladd, update, dtype) for arithmetic mod p on numpy arrays of
+    entries below p.
+
+    muladd(x, a, b) returns x + a*b mod p as a new array; update(x, a, b,
+    t1, t2) adds a*b to x mod p in place, t1 and t2 being scratch arrays of
+    x's shape and dtype.  For 2^61 - 1, _muladd_m61 and _update_m61 on
+    uint64; for p < 2^32 the plain uint64 product, since the largest term,
+    (p-1) + (p-1)^2, fits in uint64; for any other prime, Python ints in an
+    object array.
     """
     if p == M61:
-        return _muladd_m61, np.uint64
+        return _muladd_m61, _update_m61, np.uint64
 
     def muladd(x, a, b):
         return (x + a * b) % p
 
-    return muladd, np.uint64 if p < (1 << 32) else object
+    def update(x, a, b, t1, t2):
+        np.multiply(a, b, out=t1)
+        x += t1
+        np.remainder(x, p, out=x)
+
+    return muladd, update, np.uint64 if p < (1 << 32) else object
 
 
 _LIMB_BITS = 21
@@ -452,7 +500,7 @@ def _digit_fold(p: int):
     """
     if p == M61:
         return _fold_m61
-    muladd, dtype = _modular(p)
+    muladd, _, dtype = _modular(p)
     weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * _limb_count(p) - 1)], dtype=dtype)
     weights = weights[:, None, None]
 
@@ -492,7 +540,7 @@ def _mod_matmul(p: int, a, b):
     computed in column slices of at most _SLICE entries.  Returns an n x m
     array of residues of _modular(p)'s dtype.
     """
-    muladd, dtype = _modular(p)
+    muladd, _, dtype = _modular(p)
     fold = _digit_fold(p)
     count = _limb_count(p)
     (n, k), m = a.shape, b.shape[1]
@@ -522,7 +570,7 @@ def power_table(p: int, exponents, xs):
     multiply-add folds them into the table.  x^0 is 1, 0^0 included.
     Entries are residues of _modular(p)'s dtype.
     """
-    muladd, dtype = _modular(p)
+    muladd, _, dtype = _modular(p)
     e = np.array(exponents, dtype=np.uint64)
     base = np.array([x % p for x in xs], dtype=dtype).reshape(-1, 1)
     top = int(e.max()).bit_length() if e.size else 0
@@ -562,6 +610,12 @@ def solve_linear(
     or below the diagonal, plus blen per nonzero right of the diagonal in
     the normalized pivot row.  When V is singular, the columns completed
     before the one without a pivot are counted.
+
+    Each column takes one multiplier per row (one multiply-add of the
+    column by the scalar p - inv), then adds the multipliers times the
+    pivot row to its trailing block, the columns from c on, in place with
+    _modular(p)'s update.  No column allocates an array of the block's
+    size.
     """
     if v.rows < v.cols:
         raise DimensionMismatch("V needs at least as many rows as columns")
@@ -576,18 +630,28 @@ def solve_linear(
             raise DimensionMismatch("rhs blocks must share dimensions")
 
     p = field.modulus
-    blen = br * bc
-    muladd, dtype = _modular(p)
-    aug = _reduced(p, np.hstack([v.data, _stack(rhs, blen)])).astype(dtype, copy=False)
+    k, blen = v.rows, br * bc
+    muladd, update, dtype = _modular(p)
+    # Three buffers of [V | rhs]'s size: column col's trailing block, k x
+    # (n + blen - col), is one contiguous row-major array in one of them,
+    # the update's scratch are the other two, and the block without the
+    # cleared column is copied into one of those for the next column.  So
+    # every pass runs over whole contiguous rows, however tall or wide the
+    # system.
+    bufs = np.empty((3, k * (n + blen)), dtype=dtype)
+    x = bufs[0].reshape(k, n + blen)
+    x[:, :n] = _reduced(p, v.data)
+    x[:, n:] = _reduced(p, _stack(rhs, blen))
+    held, free = bufs[0], (bufs[1], bufs[2])
 
     for col in range(n):
-        nonzero = aug[col:, col].nonzero()[0]
+        nonzero = x[col:, 0].nonzero()[0]
         if nonzero.size == 0:
             raise SingularMatrix(f"no nonzero pivot in column {col}")
         pivot = col + int(nonzero[0])
         if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        prow = aug[col, col:]
+            x[[col, pivot]] = x[[pivot, col]]
+        prow = x[col]
         inv = pow(int(prow[0]), -1, p)
         if counter is not None:
             # Scaling by inv keeps the pivot row's zero pattern, so its count
@@ -596,13 +660,18 @@ def solve_linear(
                 np.count_nonzero(prow[1 : n - col])
             )
             counter.inv_count += 1
-        # Row r gets -f_r * inv times the pivot row; the pivot row gets
-        # (inv - 1) times itself, which normalizes it.  A zero f_r gives
-        # p * inv, a zero multiplier, which leaves its row unchanged, so no
-        # rows are gathered.
-        coef = muladd(0, p - aug[:, col], inv)
+        # Row r gets f_r * (p - inv) = -f_r * inv times the pivot row; the
+        # pivot row gets (inv - 1) times itself, which normalizes it.  A
+        # zero f_r gives a zero multiplier, which leaves its row unchanged,
+        # so no rows are gathered.
+        coef = muladd(0, x[:, 0], p - inv)
         coef[col] = inv - 1
-        aug[:, col:] = muladd(aug[:, col:], coef[:, None], prow)
+        w = x.shape[1]
+        s1, s2 = free
+        update(x, coef[:, None], prow, s1[: k * w].reshape(k, w), s2[: k * w].reshape(k, w))
+        nxt = s1[: k * (w - 1)].reshape(k, w - 1)
+        nxt[...] = x[:, 1:]
+        x, held, free = nxt, s1, (held, s2)
 
-    # A copy of the solution, so the results do not keep aug alive.
-    return FieldMatrix._split(aug[:n, n:].astype(np.uint64).reshape(n, br, bc))
+    # A copy of the solution, so the results do not keep the buffers alive.
+    return FieldMatrix._split(x[:n].astype(np.uint64).reshape(n, br, bc))

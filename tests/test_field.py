@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rookbench.field import (
     _limb_count,
     _mod_matmul,
     _muladd_m61,
+    _update_m61,
     DimensionMismatch,
     FieldMatrix,
     OpCounter,
@@ -233,6 +235,22 @@ def test_mat_mul_counts_and_dimension_error(gf101):
     assert ctr.mul_count == 2 * 3 * 4
     with pytest.raises(DimensionMismatch):
         mat_mul(gf101, a, a)
+
+
+@pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
+def test_mat_mul_result_is_read_only_and_equals_the_list_built_matrix(p):
+    # Both product paths: 2 x 2 x 2 in Python, 8 x 8 x 8 in numpy.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 31)
+    for n in (2, 8):
+        a, b = mat_random(field, n, n, r), mat_random(field, n, n, r)
+        got = mat_mul(field, a, b)
+        want = FieldMatrix(n, n, schoolbook(p, a, b))
+        assert got.data.dtype == np.uint64 and got.data.shape == (n, n)
+        assert not got.data.flags.writeable
+        with pytest.raises(ValueError):
+            got.data[0, 0] = 1
+        assert got == want and hash(got) == hash(want)
 
 
 def test_mat_helpers(gf101):
@@ -539,10 +557,12 @@ def test_mat_lincombs_across_slices_and_chunks_matches_int_oracle(p):
     got = mat_lincombs(field, coeff_rows, blocks, ctr, base=base)
     assert ctr.mul_count == nrows * count * entries
     assert len(got) == nrows and all((g.rows, g.cols) == (rows, cols) for g in got)
+    base_entries = base.entries
     for row, out in zip(coeff_rows, got):
+        out_entries = out.entries
         for j in columns:
-            want = (base.entries[j] + sum(c * e[j] for c, e in zip(row, data))) % p
-            assert out.entries[j] == want, j
+            want = (base_entries[j] + sum(c * e[j] for c, e in zip(row, data))) % p
+            assert out_entries[j] == want, j
     # Every coefficient and entry p - 1: the largest digits and chunk sums.
     full = FieldMatrix(rows, cols, [p - 1] * entries)
     got = mat_lincombs(field, [[p - 1] * count] * nrows, [full] * count, base=full)
@@ -954,8 +974,117 @@ def test_solve_dimension_checks_match_reference(gf101):
     assert solve_linear(gf101, FieldMatrix(0, 0, []), []) == []
 
 
+def _stacked(blocks):
+    """The blocks' row-major entries as the rows of one matrix."""
+    return FieldMatrix(len(blocks), blocks[0].rows * blocks[0].cols, np.stack([b.data.ravel() for b in blocks]))
+
+
+def _solve_checked(field, v, rhs, counter=None):
+    """solve_linear's blocks, checked to be read-only and C-contiguous, and
+    V's and the rhs blocks' arrays checked to be as they were."""
+    before = [m.data.copy() for m in (v, *rhs)]
+    try:
+        got = solve_linear(field, v, rhs, counter)
+    finally:
+        assert all(np.array_equal(x, m.data) for x, m in zip(before, (v, *rhs)))
+    for blk in got:
+        assert blk.data.flags.c_contiguous and not blk.data.flags.writeable
+    return got
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_solve_large_wide_and_tall_shapes(p):
+    # decode-bound's rook-poly system (L = 144, blen 4), wide right-hand
+    # sides (k = 9 and 16, blen 1024) and a tall system (k = L + 5): the
+    # solution C satisfies V * C = rhs, and a tall system's is the one rhs
+    # was built from.
+    field = PrimeField(p)
+    gen = np.random.default_rng(p % 1000 + 51)
+    for k, L, br, bc in ((144, 144, 2, 2), (9, 9, 32, 32), (16, 16, 32, 32), (29, 24, 2, 2)):
+        v = FieldMatrix(k, L, gen.integers(0, p, size=(k, L), dtype=np.uint64))
+        if k == L:
+            want = None
+            rhs = [FieldMatrix(br, bc, gen.integers(0, p, size=br * bc, dtype=np.uint64)) for _ in range(k)]
+        else:
+            want = [FieldMatrix(br, bc, gen.integers(0, p, size=br * bc, dtype=np.uint64)) for _ in range(L)]
+            rhs = [FieldMatrix(br, bc, row) for row in mat_mul(field, v, _stacked(want)).data]
+        ctr = OpCounter()
+        got = _solve_checked(field, v, rhs, ctr)
+        assert len(got) == L and all((blk.rows, blk.cols) == (br, bc) for blk in got)
+        assert mat_mul(field, v, _stacked(got)) == _stacked(rhs), (k, L)
+        assert want is None or got == want
+        assert ctr.inv_count == L
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI)
+def test_solve_singular_only_at_last_column_charges_as_reference(p):
+    # V's last column is a combination of the others, which are
+    # independent: every column but the last gets its pivot, and the
+    # charge for them matches the reference elimination's.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 52)
+    L = 40
+    for k in (L, L + 5):
+        rows = [[r.randrange(p) for _ in range(L - 1)] for _ in range(k)]
+        mix = [r.randrange(p) for _ in range(L - 1)]
+        for row in rows:
+            row.append(sum(map(mul, mix, row)) % p)
+        v = FieldMatrix.from_rows(rows)
+        rhs = [FieldMatrix(2, 2, [r.randrange(p) for _ in range(4)]) for _ in range(k)]
+        got = _solve_outcome(_solve_checked, field, v, rhs)
+        assert got[0] == f"no nonzero pivot in column {L - 1}"
+        assert got == _solve_outcome(reference_solve, field, v, rhs)
+        assert got[1][0] > 0 and got[1][1] == L - 1
+
+
+@pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
+def test_solve_memory_stays_within_three_augmented_arrays(p):
+    # The solve holds three buffers of [V | rhs]'s size.  Beyond them it may
+    # hold numpy's ufunc buffers, which a broadcasting call allocates for
+    # its two broadcast operands whatever the array's size (at most
+    # np.getbufsize() entries each), and a few rows and columns: the pivot
+    # row's limbs and the multipliers.  One temporary of the trailing
+    # block's size, made per column, passes the bound at L = 144 (there the
+    # bound is below 4x the array); a multiply-add that allocates its
+    # result per column peaked at 6.1x the array on 2^61 - 1.
+    field = PrimeField(p)
+    gen = np.random.default_rng(p % 1000 + 53)
+    ufunc_buffers = 2 * np.getbufsize() * 8
+    for L, br, bc in ((144, 2, 2), (16, 32, 32)):
+        v = FieldMatrix(L, L, gen.integers(0, p, size=(L, L), dtype=np.uint64))
+        rhs = [FieldMatrix(br, bc, gen.integers(0, p, size=br * bc, dtype=np.uint64)) for _ in range(L)]
+        width = L + br * bc
+        aug_bytes = L * width * 8
+        bound = 3 * aug_bytes + ufunc_buffers + 8 * (L + width) * 8
+        tracemalloc.start()
+        try:
+            solve_linear(field, v, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (L, br * bc, peak / aug_bytes)
+
+
 def test_m61_muladd_at_limb_extremes():
     arr = np.array(LIMB_EDGES, dtype=np.uint64)
     for x in LIMB_EDGES:
         got = _muladd_m61(np.uint64(x), arr[:, None], arr).tolist()
         assert got == [[(x + a * b) % M61 for b in LIMB_EDGES] for a in LIMB_EDGES]
+
+
+def test_m61_update_in_place_at_limb_extremes():
+    # x += a (column) times b (row), b being a row of x itself, as in
+    # solve_linear; and a vector times a scalar.
+    arr = np.array(LIMB_EDGES, dtype=np.uint64)
+    n = len(LIMB_EDGES)
+    for x in LIMB_EDGES:
+        block = np.full((n, n), x, dtype=np.uint64)
+        block[0] = arr
+        want = [[(x if i else LIMB_EDGES[j]) + a * LIMB_EDGES[j] for j in range(n)] for i, a in enumerate(LIMB_EDGES)]
+        t1, t2 = np.empty_like(block), np.empty_like(block)
+        _update_m61(block, arr[:, None], block[0], t1, t2)
+        assert block.tolist() == [[v % M61 for v in row] for row in want]
+        for s in LIMB_EDGES:
+            vec = np.full(n, x, dtype=np.uint64)
+            _update_m61(vec, arr, s, np.empty_like(vec), np.empty_like(vec))
+            assert vec.tolist() == [(x + a * s) % M61 for a in LIMB_EDGES]
