@@ -16,15 +16,18 @@ multiplications of the schoolbook product and hand the product to one
 kernel, _product, which picks its path by its size: below NUMPY_MIN_MULS,
 one unreduced Python int sum per entry, reduced mod p once; from it on,
 one exact numpy kernel of 21-bit limb products on operands reduced mod p.
-That kernel takes the inner dimension in chunks of 2^9 terms, so that
-float64 adds the limb products into digit sums exactly, and folds the
-digits mod p once per chunk: by shift-and-add for 2^61 - 1 (2^(21d) is
-2^(21d mod 61) there), and by reducing each digit and weighting it by
-2^(21d) mod p for any other prime.
+That kernel takes the inner dimension in chunks of 2^9 terms, and one
+float64 matmul per chunk, of a's limbs laid out by digit plane against b's
+limbs, gives the chunk's digit planes, summed exactly; it folds them mod p
+once per chunk.  For 2^61 - 1 there are three planes, since 2^63 is 4
+there (digits 3 and 4 enter planes 0 and 1 times 4), folded by
+shift-and-add; any other prime has one plane per digit, each reduced and
+weighted by 2^(21d) mod p.  mat_random draws a large matrix with one
+getrandbits call, with the values and rng state of one randrange per entry.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 that adds each column's multipliers times its pivot row to the trailing
 block of [V | rhs] in place, the block held as one contiguous array in one
-of three buffers allocated once per solve.
+of the buffers allocated once per solve.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -41,7 +44,7 @@ cannot interfere.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from operator import mul
 
@@ -255,12 +258,15 @@ class FieldMatrix:
 # _product runs the numpy kernel (_mod_matmul) on products of at least this
 # many multiplications, and the Python sums, whose fixed cost per call is
 # lower, below it.  Timed per call with both paths interleaved on a 2-vCPU
-# Xeon VM, with operands that reach the kernel as uint64 arrays: over
-# 2^61 - 1, numpy breaks even near 192 muls for n x 8 x 8 mat_mul products
-# and for one-row mat_lincombs of 4 x 4 blocks; over 257, near 320 for the
-# products and 384-512 for the combinations (numpy wins 3 of 9 rounds at
-# 384, 8 of 9 at 512).  512 is the smallest size timed at which numpy wins
-# every shape over both moduli.  In the benchmark
+# Xeon VM (15 rounds), with operands that reach the kernel as uint64
+# arrays: over 2^61 - 1, numpy breaks even near 192 muls for n x 8 x 8
+# mat_mul products (wins 9 of 15 rounds; 51 against 135 us at 512) and
+# near 192-256 for one-row mat_lincombs of 4 x 4 blocks (5 of 15 at 192,
+# 14 of 15 at 256); over 257, near 384 for both (10 and 12 of 15 rounds),
+# and at 512 numpy wins 15 and 14 of 15 (28 against 47 us, 52 against
+# 59 us).  512 is the smallest size timed at which numpy wins every shape
+# over both moduli.  A 4 x 4 x 4 product takes 31 us in Python and 56 us
+# in numpy over 2^61 - 1 (19 and 47 us over 257).  In the benchmark
 # workloads, the block products of decode-bound and retry-gf257 (8 to 64
 # muls) stay in Python, while their batched encodes (one product per side
 # per op, 1,920 to 26,624 muls) and every product of block-bound (at least
@@ -356,13 +362,32 @@ def mat_lincombs(
 def mat_random(field: PrimeField, rows: int, cols: int, rng) -> FieldMatrix:
     """Uniform random matrix; deterministic given the rng stream.
 
-    Each entry is the first draw of rng.getrandbits(p.bit_length()) below p,
-    which is what rng.randrange(p) computes (values and rng state alike),
-    without its per-call argument handling.
+    Each entry is the first draw of rng.getrandbits(b) below p, b being
+    p.bit_length(), which is what rng.randrange(p) computes (values and rng
+    state alike), without its per-call argument handling.  From
+    NUMPY_MIN_MULS entries on, one rng.getrandbits(32 * w * count) call
+    draws the count entries still missing, w = ceil(b / 32) 32-bit words
+    each: getrandbits(b) takes the same words, least significant first,
+    and keeps the top b - 32 * (w - 1) bits of the last.  Each call draws
+    exactly the shortfall left by the rejections, so the rng ends where
+    the one-by-one draws leave it.
     """
     p = field.modulus
-    draws = iter(partial(rng.getrandbits, p.bit_length()), None)
-    return FieldMatrix(rows, cols, list(islice(filter(p.__gt__, draws), rows * cols)))
+    bits, size = p.bit_length(), rows * cols
+    if size < NUMPY_MIN_MULS:
+        draws = iter(partial(rng.getrandbits, bits), None)
+        return FieldMatrix(rows, cols, list(islice(filter(p.__gt__, draws), size)))
+    words = -(-bits // 32)
+    parts, missing = [], size
+    while missing:
+        block = rng.getrandbits(32 * words * missing).to_bytes(4 * words * missing, "little")
+        block = np.frombuffer(block, dtype="<u4").reshape(missing, words)
+        draws = (block[:, -1] >> (32 * words - bits)).astype(np.uint64)
+        if words == 2:
+            draws = (draws << 32) | block[:, 0]
+        parts.append(draws[draws < p])
+        missing -= parts[-1].size
+    return FieldMatrix(rows, cols, np.concatenate(parts))
 
 
 _LO30 = np.uint64((1 << 30) - 1)
@@ -428,10 +453,11 @@ def _modular(p: int):
 
     muladd(x, a, b) returns x + a*b mod p as a new array; update(x, a, b,
     t1, t2) adds a*b to x mod p in place, t1 and t2 being scratch arrays of
-    x's shape and dtype.  For 2^61 - 1, _muladd_m61 and _update_m61 on
-    uint64; for p < 2^32 the plain uint64 product, since the largest term,
-    (p-1) + (p-1)^2, fits in uint64; for any other prime, Python ints in an
-    object array.
+    x's shape and dtype; only 2^61 - 1's uses t2, which may be t1 for any
+    other prime.  For
+    2^61 - 1, _muladd_m61 and _update_m61 on uint64; for p < 2^32 the plain
+    uint64 product, since the largest term, (p-1) + (p-1)^2, fits in
+    uint64; for any other prime, Python ints in an object array.
     """
     if p == M61:
         return _muladd_m61, _update_m61, np.uint64
@@ -449,13 +475,13 @@ def _modular(p: int):
 
 _LIMB_BITS = 21
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-# A digit of the limb product sums at most four limb product sums (p < 2^64
-# has at most four 21-bit limbs), each of _CHUNK terms below 2^42, and
-# 4 * 2^9 * (2^21 - 1)^2 < 2^53: float64 adds them into digits exactly.
-# The limb matmul takes the inner dimension in chunks of this many terms.
+# A plane of the limb product gains below 4 * (2^21 - 1)^2 per inner term
+# (_plane_fold), and 4 * 2^9 * (2^21 - 1)^2 < 2^53: float64 adds a chunk of
+# this many terms into the planes exactly.  The limb matmul takes the inner
+# dimension in such chunks.
 _CHUNK = 1 << 9
 # The limb matmul takes the output in column slices of at most this many
-# entries, which bounds the digit array and the fold temporaries built from
+# entries, which bounds the plane array and the fold temporaries built from
 # it however many rows a batched product has.
 _SLICE = 1 << 12
 
@@ -465,96 +491,104 @@ def _limb_count(p: int) -> int:
     return -(-(p - 1).bit_length() // _LIMB_BITS)
 
 
-# Digit d of a product of three-limb operands weighs 2^(21d), which is
-# 2^(21d mod 61) modulo 2^61 - 1.
-_M61_SHIFTS = np.array([_LIMB_BITS * d % 61 for d in range(5)], dtype=np.uint64)[:, None, None]
-
-
-def _fold_m61(digits):
-    """sum_d digits[d] * 2^(21d) mod 2^61 - 1 for five uint64 digit planes
-    below 2^53.
+def _fold_m61(planes):
+    """P0 + P1 * 2^21 + P2 * 2^42 mod 2^61 - 1 for three uint64 planes below
+    2^53, written into planes.
 
     Modulo 2^61 - 1, x * 2^s is ((x << s) & M61) + (x >> (61 - s)), its
-    bits below and from 2^61 on.  Each such term is below 2^61 + 2^34, so
-    the five add up below 2^64; one more shift-add fold and one conditional
-    subtraction make the sum canonical.  digits is shifted in place.
+    bits below and from 2^61 on.  With P0 the sum is below 3 * M61, so two
+    conditional subtractions make it canonical.
     """
-    low = digits << _M61_SHIFTS
-    low &= _M61
-    digits >>= np.uint64(61) - _M61_SHIFTS
-    low += digits
-    s = low.sum(axis=0)
-    s = (s & _M61) + (s >> 61)
-    return np.minimum(s, s - _M61)
+    s, *rest = planes
+    t = np.empty_like(s)
+    for shift, x in zip((21, 42), rest):
+        np.left_shift(x, shift, out=t)
+        t &= _M61
+        s += t
+        x >>= 61 - shift
+        s += x
+    for _ in range(2):
+        # s - M61 wraps past s exactly when s < M61.
+        np.subtract(s, _M61, out=t)
+        np.minimum(s, t, out=s)
+    return s
 
 
-def _digit_fold(p: int):
-    """The map from uint64 digit planes x_d, each of weight 2^(21d) and
-    below 2^53, to sum_d x_d * 2^(21d) mod p, as residues of _modular(p)'s
-    dtype.
+@cache
+def _plane_fold(p: int):
+    """(shifts, masks, pick, fold): how _mod_matmul lays out and folds the
+    limb product mod p.
 
-    For 2^61 - 1, _fold_m61's shift-and-add; for any other prime, each
-    digit reduced mod p, weighted by 2^(21d) mod p in one call of the
-    modulus's muladd, and the sum (at most seven residues, which fit in
-    uint64 whenever the dtype is uint64) reduced again.
+    Lane l of a is (a >> shifts[l]) & masks[l]; lanes 0 to count - 1 are
+    its limbs.  Digit i + j, limb i of a times limb j of b, goes to one
+    plane, and block (q, j) of the left operand is lane pick[q][j]: limb i
+    of a, weighted by the digit's weight over its plane's, for the i whose
+    digit lands in plane q, or a lane of zeros.  fold maps the uint64
+    planes (planes x n x w, each below 2^53) to the n x w residues of
+    _modular(p)'s dtype.
+
+    For 2^61 - 1 digit d goes to plane d mod 3: 2^63 is 4, so digits 3 and
+    4 enter planes 0 and 1 as limb i times 4, lane 3 or 4, its bits shifted
+    by 21i - 2.  The top limb is below 2^19, so a plane gains below 3 *
+    2^42 per inner term; _fold_m61 shifts and adds the three planes.  For
+    any other prime digit d is plane d, 2 * count - 1 of them, each
+    reduced, weighted by 2^(21d) mod p in one call of the modulus's muladd,
+    and the sum (at most seven residues, which fit in uint64 whenever the
+    dtype is uint64) reduced again.
     """
+    count = _limb_count(p)
+    shifts, masks = [_LIMB_BITS * i for i in range(count)], [_LIMB_MASK] * count
     if p == M61:
-        return _fold_m61
-    muladd, _, dtype = _modular(p)
-    weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(2 * _limb_count(p) - 1)], dtype=dtype)
-    weights = weights[:, None, None]
+        shifts += [_LIMB_BITS - 2, 2 * _LIMB_BITS - 2]
+        masks += [_LIMB_MASK << np.uint64(2)] * 2
+        # [[a0, 4a2, 4a1], [a1, a0, 4a2], [a2, a1, a0]]
+        pick, fold = [[0, 4, 3], [1, 0, 4], [2, 1, 0]], _fold_m61
+    else:
+        muladd, _, dtype = _modular(p)
+        planes = 2 * count - 1
+        weights = np.array([pow(2, _LIMB_BITS * d, p) for d in range(planes)], dtype=dtype)[:, None, None]
+        shifts.append(0)
+        masks.append(0)
+        pick = [[q - j if 0 <= q - j < count else count for j in range(count)] for q in range(planes)]
 
-    def fold(digits):
-        return muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
+        def fold(digits):
+            return muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
 
-    return fold
-
-
-def _digit_planes(a_limbs, b_limbs):
-    """The 2*count - 1 digit planes of one chunk's limb product, as uint64.
-
-    a_limbs (count x n x chunk) and b_limbs (chunk x count x w) hold float64
-    limbs.  One matmul of a's limbs, stacked as row blocks, by b's, laid side
-    by side as column blocks, gives every limb product sum; plane d adds,
-    still in float64 and exactly, those of limb i of a and limb j of b with
-    i + j = d.  The float64 arrays die on return, before the fold makes its
-    temporaries, which keeps the kernel's live memory small.
-    """
-    count, n, chunk = a_limbs.shape
-    w = b_limbs.shape[2]
-    part = (a_limbs.reshape(count * n, chunk) @ b_limbs.reshape(chunk, count * w)).reshape(count, n, count, w)
-    digits = np.zeros((2 * count - 1, n, w))
-    for i in range(count):
-        digits[i : i + count] += part[i].transpose(1, 0, 2)
-    return digits.astype(np.uint64)
+    shifts, masks = (np.array(x, dtype=np.uint64)[:, None, None] for x in (shifts, masks))
+    return shifts, masks, np.array(pick), fold
 
 
 def _mod_matmul(p: int, a, b):
     """a @ b mod p for uint64 arrays a (n x k) and b (k x m) of entries below p.
 
-    Entries are split into 21-bit limbs, and the inner dimension is taken in
-    chunks of _CHUNK terms, so that float64 sums every digit plane of a
-    chunk's limb product exactly (_digit_planes).  The planes are folded mod
-    p by _digit_fold(p): shift-and-add for 2^61 - 1, weights and % p for any
-    other prime.  Chunks are added with the modulus's muladd.  The output is
-    computed in column slices of at most _SLICE entries.  Returns an n x m
-    array of residues of _modular(p)'s dtype.
+    Entries are split into 21-bit limbs, and one float64 matmul per chunk of
+    _CHUNK inner terms gives the chunk's planes.  Its left operand holds
+    a's lanes as _plane_fold(p) places them, rows (row of a, plane) by
+    columns (limb of b, inner term); its right operand holds b's limbs,
+    rows (limb, inner term).  The product, n x planes x w, sums every
+    plane exactly; fold reduces it mod p, and chunks are added with the
+    modulus's muladd.  The output is computed in column slices of at most
+    _SLICE entries.  Returns an n x m array of residues of _modular(p)'s
+    dtype.
     """
     muladd, _, dtype = _modular(p)
-    fold = _digit_fold(p)
-    count = _limb_count(p)
+    shifts, masks, pick, fold = _plane_fold(p)
+    planes, count = pick.shape
     (n, k), m = a.shape, b.shape[1]
-    shifts = np.arange(0, count * _LIMB_BITS, _LIMB_BITS, dtype=np.uint64)
-    a_limbs = ((a >> shifts[:, None, None]) & _LIMB_MASK).astype(np.float64)
+    lanes = a >> shifts
+    lanes &= masks
+    lhs = lanes.astype(np.float64).transpose(1, 0, 2)[:, pick]
     out = np.zeros((n, m), dtype=dtype)
     width = max(1, _SLICE // n)
     for start in range(0, m, width):
-        cols = slice(start, start + width)
-        b_limbs = ((b[:, None, cols] >> shifts[:, None]) & _LIMB_MASK).astype(np.float64)
+        rhs = ((b[:, start : start + width] >> shifts[:count]) & masks[:count]).astype(np.float64)
+        w = rhs.shape[2]
+        cols = out[:, start : start + w]
         for lo in range(0, k, _CHUNK):
             chunk = slice(lo, lo + _CHUNK)
-            acc = fold(_digit_planes(a_limbs[:, :, chunk], b_limbs[chunk]))
-            out[:, cols] = acc if lo == 0 else muladd(out[:, cols], acc, 1)
+            prod = lhs[..., chunk].reshape(n * planes, -1) @ rhs[:, chunk].reshape(-1, w)
+            acc = fold(prod.reshape(n, planes, w).transpose(1, 0, 2).astype(np.uint64, order="C"))
+            cols[...] = acc if lo == 0 else muladd(cols, acc, 1)
     return out
 
 
@@ -632,17 +666,17 @@ def solve_linear(
     p = field.modulus
     k, blen = v.rows, br * bc
     muladd, update, dtype = _modular(p)
-    # Three buffers of [V | rhs]'s size: column col's trailing block, k x
-    # (n + blen - col), is one contiguous row-major array in one of them,
-    # the update's scratch are the other two, and the block without the
-    # cleared column is copied into one of those for the next column.  So
-    # every pass runs over whole contiguous rows, however tall or wide the
-    # system.
-    bufs = np.empty((3, k * (n + blen)), dtype=dtype)
+    # Buffers of [V | rhs]'s size, three for 2^61 - 1 and two otherwise, as
+    # only 2^61 - 1's update uses its second scratch array: column col's
+    # trailing block, k x (n + blen - col), is one contiguous row-major array
+    # in the first, the update's scratch are the others, and the block
+    # without the cleared column is copied into the second for the next
+    # column, which then swaps with the first.  So every pass runs over
+    # whole contiguous rows, however tall or wide the system.
+    bufs = list(np.empty((3 if p == M61 else 2, k * (n + blen)), dtype=dtype))
     x = bufs[0].reshape(k, n + blen)
     x[:, :n] = _reduced(p, v.data)
     x[:, n:] = _reduced(p, _stack(rhs, blen))
-    held, free = bufs[0], (bufs[1], bufs[2])
 
     for col in range(n):
         nonzero = x[col:, 0].nonzero()[0]
@@ -667,11 +701,10 @@ def solve_linear(
         coef = muladd(0, x[:, 0], p - inv)
         coef[col] = inv - 1
         w = x.shape[1]
-        s1, s2 = free
-        update(x, coef[:, None], prow, s1[: k * w].reshape(k, w), s2[: k * w].reshape(k, w))
-        nxt = s1[: k * (w - 1)].reshape(k, w - 1)
+        update(x, coef[:, None], prow, bufs[1][: k * w].reshape(k, w), bufs[-1][: k * w].reshape(k, w))
+        nxt = bufs[1][: k * (w - 1)].reshape(k, w - 1)
         nxt[...] = x[:, 1:]
-        x, held, free = nxt, s1, (held, s2)
+        x, bufs[0], bufs[1] = nxt, bufs[1], bufs[0]
 
     # A copy of the solution, so the results do not keep the buffers alive.
     return FieldMatrix._split(x[:n].astype(np.uint64).reshape(n, br, bc))

@@ -17,6 +17,7 @@ from rookbench.field import (
     _limb_count,
     _mod_matmul,
     _muladd_m61,
+    _plane_fold,
     _update_m61,
     DimensionMismatch,
     FieldMatrix,
@@ -570,14 +571,52 @@ def test_mat_lincombs_across_slices_and_chunks_matches_int_oracle(p):
     assert all(out.entries == [want] * entries for out in got)
 
 
+def expected_block(p, q, j):
+    """(i, weight) of block (q, j) of the limb product's left operand: limb
+    i of a, whose digit i + j lands in plane q, and the digit's weight over
+    the plane's; None where no digit does."""
+    if p == M61:
+        # Digit d goes to plane d mod 3, and 2^63 is 4 mod 2^61 - 1.
+        return (q - j) % 3, 4 if q < j else 1
+    return (q - j, 1) if 0 <= q - j < _limb_count(p) else None
+
+
+@pytest.mark.parametrize("p", KERNEL_MODULI + [2, 7, 4294967311])
+def test_plane_layout_places_weighted_limbs(p):
+    shifts, masks, pick, _ = _plane_fold(p)
+    count = _limb_count(p)
+    assert pick.shape == ((3, 3) if p == M61 else (2 * count - 1, count))
+    r = rng(p % 1000 + 55)
+    a = np.array([p - 1] + [r.randrange(p) for _ in range(20)], dtype=np.uint64)
+    lanes = ((a >> shifts) & masks)[:, 0].tolist()
+    limbs = [[v >> (_LIMB_BITS * i) & ((1 << _LIMB_BITS) - 1) for v in a.tolist()] for i in range(count)]
+    for q, row in enumerate(pick.tolist()):
+        for j, lane in enumerate(row):
+            block = expected_block(p, q, j)
+            want = [0] * a.size if block is None else [block[1] * v for v in limbs[block[0]]]
+            assert lanes[lane] == want, (q, j)
+
+
 def test_chunk_keeps_digit_sums_exact():
-    # A digit plane sums at most count limb product sums of _CHUNK terms,
-    # each below 2^42; float64 adds integers exactly below 2^53.
-    limb = (1 << _LIMB_BITS) - 1
+    # Per inner term, plane q gains the product of each block (q, j)'s
+    # weighted limb of a with limb j of b; float64 adds _CHUNK such gains
+    # exactly while they stay below 2^53.  Limb i of an entry below p is at
+    # most min(2^21 - 1, (p - 1) >> 21i): 21, 21 and 19 bits for 2^61 - 1,
+    # whose wrapped digits weigh 4.
     for p in KERNEL_MODULI + [2, 7, (1 << 42) - 11]:
         count = _limb_count(p)
         assert (count - 1) * _LIMB_BITS < (p - 1).bit_length() <= count * _LIMB_BITS
-        assert count * _CHUNK * limb * limb < 1 << 53, p
+        top = [min((1 << _LIMB_BITS) - 1, (p - 1) >> (_LIMB_BITS * i)) for i in range(count)]
+        planes = _plane_fold(p)[2].shape[0]
+        gains = [0] * planes
+        for q in range(planes):
+            for j in range(count):
+                block = expected_block(p, q, j)
+                if block is not None:
+                    gains[q] += block[1] * top[block[0]] * top[j]
+        assert _CHUNK * max(gains) < 1 << 53, p
+        if p == M61:
+            assert [w.bit_length() for w in top] == [21, 21, 19] and max(gains) < 3 << 42
     assert _limb_count(18446744073709551557) == 4
 
 
@@ -681,12 +720,14 @@ def test_mat_random_determinism(gf_m61):
     assert empty.rows == 0 and empty.entries == []
 
 
-@pytest.mark.parametrize("p", [2, 7, 257, 4294967291, M61, 18446744073709551557])
+@pytest.mark.parametrize("p", [2, 7, 257, 4294967291, 4294967311, M61, 18446744073709551557])
 def test_mat_random_draws_as_randrange(p):
     # Same values and the same end state as one randrange(p) per entry, so
-    # several matrices drawn from one rng stay as they were.
+    # several matrices drawn from one rng stay as they were.  32 x 32 and 1
+    # x 600 draw in blocks of words (two per entry past 2^32), 2's with
+    # about half of them rejected.
     field = PrimeField(p)
-    for rows, cols in ((0, 3), (1, 1), (3, 5), (16, 16)):
+    for rows, cols in ((0, 3), (1, 1), (3, 5), (16, 16), (32, 32), (1, 600)):
         got_rng, want_rng = rng(p % 1000 + rows), rng(p % 1000 + rows)
         got = mat_random(field, rows, cols, got_rng)
         assert got.entries == [want_rng.randrange(p) for _ in range(rows * cols)]
@@ -1056,6 +1097,29 @@ def test_solve_memory_stays_within_three_augmented_arrays(p):
         width = L + br * bc
         aug_bytes = L * width * 8
         bound = 3 * aug_bytes + ufunc_buffers + 8 * (L + width) * 8
+        tracemalloc.start()
+        try:
+            solve_linear(field, v, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (L, br * bc, peak / aug_bytes)
+
+
+def test_solve_memory_over_gf257_stays_within_two_augmented_arrays():
+    # Below 2^32 the in-place update takes one scratch array, so the solve
+    # holds two buffers of [V | rhs]'s size, with the allowance of the test
+    # above; a third buffer, as 2^61 - 1 needs, fails the bound.
+    p = 257
+    field = PrimeField(p)
+    gen = np.random.default_rng(p % 1000 + 57)
+    ufunc_buffers = 2 * np.getbufsize() * 8
+    for L, br, bc in ((144, 2, 2), (16, 32, 32)):
+        v = FieldMatrix(L, L, gen.integers(0, p, size=(L, L), dtype=np.uint64))
+        rhs = [FieldMatrix(br, bc, gen.integers(0, p, size=br * bc, dtype=np.uint64)) for _ in range(L)]
+        width = L + br * bc
+        aug_bytes = L * width * 8
+        bound = 2 * aug_bytes + ufunc_buffers + 8 * (L + width) * 8
         tracemalloc.start()
         try:
             solve_linear(field, v, rhs)
