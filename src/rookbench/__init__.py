@@ -9,6 +9,7 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
+    SolveBasis,
     mat_mul,
     mat_random,
     solve_linear,

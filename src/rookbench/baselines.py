@@ -19,8 +19,8 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, mat_lincombs, solve_linear  # noqa: F401
-from .rook import WorkerShare, _require_products, _solve_responses, generator_shares, power_rows
+from .field import FieldError, OpCounter, PrimeField, SolveBasis, mat_lincombs, solve_linear  # noqa: F401
+from .rook import WorkerShare, _require_products, _solve_responses, _unabsorbed, generator_shares, power_rows
 
 
 class ConfigInvalid(Exception):
@@ -71,9 +71,9 @@ class LccScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
         return lcc_encode(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None):
+    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
         _require_products(products, self.threshold)
-        return lcc_decode(products, self, counter)
+        return lcc_decode(products, self, counter, basis)
 
 
 def make_lcc_scheme(n, field, m, rng=None, z=None, eval_points=None) -> LccScheme:
@@ -118,14 +118,16 @@ def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = N
     return generator_shares(field, workers, xs, bases, bases, inputs, counter)
 
 
-def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
+def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
     """Interpolate the degree-(2n-2) product polynomial from every product
-    received, then evaluate it at the anchors."""
+    received, then evaluate it at the anchors.  Rows are built for the
+    products the basis has not absorbed, as in rook_decode."""
     field = scheme.field
     L = scheme.threshold
     _require_products(products, L)
-    rows = power_rows(field, range(L), [pr.x for pr in products], counter)
-    coeffs = _solve_responses(field, rows, products, counter)
+    new = _unabsorbed(products, basis)
+    rows = power_rows(field, range(L), [pr.x for pr in new], counter)
+    coeffs = _solve_responses(field, rows, new, counter, basis)
     # C_0 + z C_1 + z^2 C_2 + ... at every anchor in one product: (L - 1)
     # scalar-matrix products per anchor, the cost of Horner's rule; the
     # scalar powers of z, computed once at binding, go uncounted.
@@ -164,9 +166,9 @@ class CsaScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
         return csa_encode(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None):
+    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
         _require_products(products, self.threshold)
-        return csa_decode(products, self, counter)
+        return csa_decode(products, self, counter, basis)
 
 
 def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaScheme:
@@ -195,7 +197,7 @@ def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = N
     return generator_shares(field, workers, xs, rows_a, rows_b, inputs, counter)
 
 
-def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
+def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
     """Separate the pole part from the polynomial noise part, in generator form.
 
     The product evaluations satisfy
@@ -203,20 +205,21 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     c_i fixed at binding, so response w's row carries c_i (z_i - x_w)^{-1}
     in its n pole columns: one inversion and one product each.  The first n
     blocks of the (2n-1)-column solve over every product received are the
-    A_i B_i, and the noise blocks are discarded.
+    A_i B_i, and the noise blocks are discarded.  Rows are built for the
+    products the basis has not absorbed, as in rook_decode.
     """
     field = scheme.field
     p = field.modulus
     _require_products(products, scheme.threshold)
-    polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in products], counter)
+    new = _unabsorbed(products, basis)
+    polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in new], counter)
     poles = [
-        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)]
-        for pr in products
+        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)] for pr in new
     ]
-    rows = np.hstack([np.array(poles, dtype=np.uint64), polys])
+    rows = np.hstack([np.array(poles, dtype=np.uint64).reshape(len(new), scheme.n), polys])
     if counter is not None:
-        counter.mul_count += scheme.n * len(products)
-    return _solve_responses(field, rows, products, counter)[: scheme.n]
+        counter.mul_count += scheme.n * len(new)
+    return _solve_responses(field, rows, new, counter, basis)[: scheme.n]
 
 
 # --- replication -------------------------------------------------------------
@@ -246,8 +249,9 @@ class ReplicationScheme:
             for w, i in zip(workers, map(self.assignment, workers))
         ]
 
-    def decode(self, products, counter: OpCounter | None = None):
-        """Each pair's first product; UncoveredPair while some pair has none."""
+    def decode(self, products, counter: OpCounter | None = None, basis=None):
+        """Each pair's first product; UncoveredPair while some pair has none.
+        Nothing is solved, so the basis is ignored."""
         first = {}
         for pr in products:
             first.setdefault(pr.x, pr.e)
@@ -291,9 +295,13 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
 
     Every bound scheme has `threshold`, `encode(inputs, workers, counter)`
     giving the shares of the listed workers in one call, in their order,
-    and `decode(products, counter)` giving all n products or raising a
-    FieldError (NotEnoughProducts below the threshold). A configuration the
-    field or the worker count cannot hold raises ConfigInvalid.
+    and `decode(products, counter, basis=None)` giving all n products or
+    raising a FieldError (NotEnoughProducts below the threshold).  Passing
+    one field.SolveBasis to every decode call over a growing product list
+    makes each call solve only the products that arrived since the last;
+    the coded schemes keep their elimination in it and replication, which
+    solves nothing, ignores it.  A configuration the field or the worker
+    count cannot hold raises ConfigInvalid.
     """
     try:
         if desc.scheme == "lcc":

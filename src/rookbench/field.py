@@ -27,7 +27,12 @@ getrandbits call, with the values and rng state of one randrange per entry.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 that adds each column's multipliers times its pivot row to the trailing
 block of [V | rhs] in place, the block held as one contiguous array in one
-of the buffers allocated once per solve.
+of the buffers allocated once per solve.  Given a SolveBasis it keeps the
+elimination of a system whose rows arrive over several calls: the reduced
+pivot rows, restricted to the columns without a pivot and the rhs.  A
+later call reduces only its new rows against them, in one product, and
+eliminates those over the columns still without a pivot, so a decoder
+that retries after each response never re-solves from scratch.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -534,7 +539,8 @@ def _plane_fold(p: int):
     any other prime digit d is plane d, 2 * count - 1 of them, each
     reduced, weighted by 2^(21d) mod p in one call of the modulus's muladd,
     and the sum (at most seven residues, which fit in uint64 whenever the
-    dtype is uint64) reduced again.
+    dtype is uint64) reduced again; below 2^21 there is one plane, of
+    weight 1, and the fold is one reduction.
     """
     count = _limb_count(p)
     shifts, masks = [_LIMB_BITS * i for i in range(count)], [_LIMB_MASK] * count
@@ -552,6 +558,8 @@ def _plane_fold(p: int):
         pick = [[q - j if 0 <= q - j < count else count for j in range(count)] for q in range(planes)]
 
         def fold(digits):
+            if planes == 1:
+                return digits[0] % p
             return muladd(0, digits.astype(dtype) % p, weights).sum(axis=0) % p
 
     shifts, masks = (np.array(x, dtype=np.uint64)[:, None, None] for x in (shifts, masks))
@@ -622,89 +630,191 @@ def power_table(p: int, exponents, xs):
     return table
 
 
+class SolveBasis:
+    """What solve_linear keeps of one system's elimination between calls.
+
+    `block` holds the reduced pivot rows restricted to the columns without
+    a pivot and the rhs, a read-only rank x (len(free) + blen) uint64 array
+    whose row i belongs to column pivots[i], pivots in increasing order;
+    `free` lists the columns without a pivot, in order (None before the
+    first call), and `absorbed` counts the rows taken so far.  Pass one new basis to every call over the rows of
+    one growing system, each call with the rows that arrived since the last.
+    """
+
+    __slots__ = ("pivots", "free", "block", "absorbed")
+
+    def __init__(self) -> None:
+        self.pivots: list[int] = []
+        self.free: list[int] | None = None
+        self.block = None
+        self.absorbed = 0
+
+
+def _right_nonzeros(right, free, left) -> int:
+    """How many nonzeros the new pivot rows held right of their pivots when
+    pivoted, outside the columns in `left`.
+
+    right lists (i, mask) per pivot, i being the pivot's column's place in
+    `free` and mask the nonzero pattern of its row in free[i + 1:].
+    """
+    if not left:
+        return int(np.count_nonzero(np.concatenate([mask for _, mask in right]))) if right else 0
+    pivoted = np.array([col not in left for col in free])
+    return sum(int(np.count_nonzero(mask & pivoted[i + 1 :])) for i, mask in right)
+
+
 def solve_linear(
     field: PrimeField,
     v: FieldMatrix,
     rhs: list[FieldMatrix],
     counter: OpCounter | None = None,
+    basis: SolveBasis | None = None,
 ) -> list[FieldMatrix]:
     """Solve V * C = rhs block-wise by Gauss-Jordan elimination over the field.
 
-    V is k x L with k >= L; rhs is a list of k equally-shaped matrix
-    blocks, and the L solution blocks are read from the first L rows once
-    every column has its pivot.  A tall system must be consistent, as exact
-    evaluations are; rows beyond the pivots are eliminated but not checked.
-    Raises SingularMatrix when no nonzero pivot exists in some column, that
-    is when V's rank is below L.  Each pivot costs one inversion (tallied
-    in inv_count).
+    V is k x L; rhs is a list of k equally-shaped matrix blocks, and the L
+    solution blocks are read from the pivot rows once every column has its
+    pivot.  A tall system must be consistent, as exact evaluations are;
+    rows beyond the pivots are eliminated but not checked.  Raises
+    SingularMatrix while V's rank is below L.  Each pivot costs one
+    inversion (tallied in inv_count).
 
-    The pivot is the first nonzero entry at or below the diagonal.  Counts
-    are those of forward elimination that skips zero multipliers followed
-    by back substitution: at column c, ((L - c) + blen) muls per nonzero at
-    or below the diagonal, plus blen per nonzero right of the diagonal in
-    the normalized pivot row.  When V is singular, the columns completed
-    before the one without a pivot are counted.
+    Without a basis V needs k >= L, and the elimination stops at the first
+    column without a nonzero pivot.  With a basis, V's rows are the ones
+    that arrived since its last call: each is first reduced by the pivot
+    rows kept so far, r - r[pivots] * B in one product, and the reduced
+    rows are eliminated over the columns still without a pivot.  There a
+    column without one is kept rather than ending the elimination, and
+    rows that reduce to zero are dropped; the basis keeps every pivot row,
+    also when SingularMatrix is raised.
+
+    The pivot is the first nonzero entry of its column among the rows that
+    are not yet pivot rows.  Counts are those of forward elimination that
+    skips zero multipliers, followed by back substitution.  Take a pivot in
+    a column that has w columns without a pivot from it on (L - c at column
+    c without a basis).  It costs (w + blen) muls per nonzero of the column
+    among the rows that are not yet pivot rows.  It also costs blen per
+    nonzero of the column in an earlier pivot row, as that row stood when
+    it was pivoted; a basis row counts as it stood before the call.
+    Without a basis, a singular V is charged for the columns completed
+    before the one without a pivot, including the back substitution of
+    their rows into every later column.  With a basis, two more charges
+    apply.  Each new row's reduction costs f + blen per nonzero entry in a
+    pivot column, f being the number of columns without a pivot before the
+    call.  Each back-substituted nonzero costs f' more, f' being the number
+    of columns still without a pivot after the call (0 once V's rank is L).
+    So a first call that reaches rank L is charged as without a basis.
 
     Each column takes one multiplier per row (one multiply-add of the
     column by the scalar p - inv), then adds the multipliers times the
-    pivot row to its trailing block, the columns from c on, in place with
-    _modular(p)'s update.  No column allocates an array of the block's
-    size.
+    pivot row to the block of the columns without a pivot and the rhs, in
+    place with _modular(p)'s update.  No pivoted column allocates an array
+    of the block's size; a kept one moves once to the end of the block.
     """
-    if v.rows < v.cols:
+    if basis is None and v.rows < v.cols:
         raise DimensionMismatch("V needs at least as many rows as columns")
     n = v.cols
     if len(rhs) != v.rows:
         raise DimensionMismatch("rhs block count must equal V's row count")
     if n == 0:
         return []
+    if not rhs:
+        raise DimensionMismatch("no rows to solve")
     br, bc = rhs[0].rows, rhs[0].cols
     for blk in rhs:
         if blk.rows != br or blk.cols != bc:
             raise DimensionMismatch("rhs blocks must share dimensions")
 
     p = field.modulus
-    k, blen = v.rows, br * bc
+    blen = br * bc
     muladd, update, dtype = _modular(p)
+    pivots, free = ([], list(range(n))) if basis is None or basis.free is None else (basis.pivots, basis.free)
+    top, nv = len(pivots), len(free)
+    if top + nv != n or (top and basis.block.shape[1] != nv + blen):
+        raise DimensionMismatch("rows do not fit the basis")
+    k = top + v.rows
     # Buffers of [V | rhs]'s size, three for 2^61 - 1 and two otherwise, as
-    # only 2^61 - 1's update uses its second scratch array: column col's
-    # trailing block, k x (n + blen - col), is one contiguous row-major array
-    # in the first, the update's scratch are the others, and the block
-    # without the cleared column is copied into the second for the next
-    # column, which then swaps with the first.  So every pass runs over
-    # whole contiguous rows, however tall or wide the system.
-    bufs = list(np.empty((3 if p == M61 else 2, k * (n + blen)), dtype=dtype))
-    x = bufs[0].reshape(k, n + blen)
-    x[:, :n] = _reduced(p, v.data)
-    x[:, n:] = _reduced(p, _stack(rhs, blen))
-
-    for col in range(n):
-        nonzero = x[col:, 0].nonzero()[0]
-        if nonzero.size == 0:
-            raise SingularMatrix(f"no nonzero pivot in column {col}")
-        pivot = col + int(nonzero[0])
-        if pivot != col:
-            x[[col, pivot]] = x[[pivot, col]]
-        prow = x[col]
-        inv = pow(int(prow[0]), -1, p)
+    # only 2^61 - 1's update uses its second scratch array: the block of the
+    # columns without a pivot and the rhs, k x (nv + blen), is one
+    # contiguous row-major array in the first, the update's scratch are the
+    # others, and the block without a newly pivoted column is copied into
+    # the second, which then swaps with the first.  So every pass runs over
+    # whole contiguous rows, however tall or wide the system.  With a basis
+    # its pivot rows come first.
+    bufs = list(np.empty((3 if p == M61 else 2, k * (nv + blen)), dtype=dtype))
+    x = bufs[0].reshape(k, nv + blen)
+    rows = _reduced(p, v.data)
+    x[top:, :nv] = rows[:, free] if top else rows
+    x[top:, nv:] = _reduced(p, _stack(rhs, blen))
+    if top:
+        x[:top] = basis.block
+        known = rows[:, pivots]
+        x[top:] = muladd(x[top:], _product(p, known, basis.block).astype(dtype, copy=False), p - 1)
         if counter is not None:
-            # Scaling by inv keeps the pivot row's zero pattern, so its count
-            # is read before normalization.
-            counter.mul_count += ((n - col) + blen) * nonzero.size + blen * int(
-                np.count_nonzero(prow[1 : n - col])
-            )
+            counter.mul_count += int(np.count_nonzero(known)) * (nv + blen)
+
+    # The current column is block column 0.  A column kept without a pivot
+    # moves to the end of the block's V part, where the pivot rows that
+    # follow are zero, so every pivot row starts at block column 0 and
+    # covers the columns not yet reached, free[i:], then the kept ones.
+    # right: per new pivot, i and the nonzero pattern of its row in
+    # free[i + 1:], read before normalization, which keeps it.
+    right, found, left = [], [], []
+    for i, col in enumerate(free):
+        nonzero = x[top:, 0].nonzero()[0]
+        if nonzero.size == 0:
+            if basis is None:
+                if counter is not None:
+                    counter.mul_count += blen * _right_nonzeros(right, free, ())
+                raise SingularMatrix(f"no nonzero pivot in column {col}")
+            x[:, :nv] = np.roll(x[:, :nv], -1, axis=1)
+            left.append(col)
+            continue
+        pivot = top + int(nonzero[0])
+        if pivot != top:
+            x[[top, pivot]] = x[[pivot, top]]
+        prow = x[top]
+        inv = pow(int(prow[0]), -1, p)
+        w = len(free) - i
+        if counter is not None:
+            counter.mul_count += (w + blen) * nonzero.size
             counter.inv_count += 1
+            right.append((i, prow[1:w].astype(bool)))
         # Row r gets f_r * (p - inv) = -f_r * inv times the pivot row; the
         # pivot row gets (inv - 1) times itself, which normalizes it.  A
         # zero f_r gives a zero multiplier, which leaves its row unchanged,
         # so no rows are gathered.
         coef = muladd(0, x[:, 0], p - inv)
-        coef[col] = inv - 1
-        w = x.shape[1]
-        update(x, coef[:, None], prow, bufs[1][: k * w].reshape(k, w), bufs[-1][: k * w].reshape(k, w))
-        nxt = bufs[1][: k * (w - 1)].reshape(k, w - 1)
+        coef[top] = inv - 1
+        size = x.size
+        update(x, coef[:, None], prow, bufs[1][:size].reshape(x.shape), bufs[-1][:size].reshape(x.shape))
+        nxt = bufs[1][: size - k].reshape(k, -1)
         nxt[...] = x[:, 1:]
         x, bufs[0], bufs[1] = nxt, bufs[1], bufs[0]
+        found.append(col)
+        top += 1
+        nv -= 1
 
+    if counter is not None:
+        # Back substitution clears the earlier pivot rows' nonzeros in the
+        # columns pivoted here: the new rows' as pivoted, the basis rows' as
+        # they were before the call.
+        cleared = _right_nonzeros(right, free, left)
+        if pivots:
+            pivoted = [i for i, col in enumerate(free) if col not in left]
+            cleared += int(np.count_nonzero(basis.block[:, pivoted]))
+        counter.mul_count += (len(left) + blen) * cleared
+    if basis is not None:
+        # The pivot rows in column order, read-only: once every column has
+        # its pivot they are the solution, which the results then share.
+        order = np.argsort(pivots + found)
+        basis.block = x[:top][order].astype(np.uint64, copy=False)
+        basis.block.setflags(write=False)
+        basis.pivots = sorted(pivots + found)
+        basis.free = left
+        basis.absorbed += v.rows
+        if left:
+            raise SingularMatrix(f"no nonzero pivot in column {left[0]}")
+        return FieldMatrix._split(basis.block.reshape(n, br, bc))
     # A copy of the solution, so the results do not keep the buffers alive.
     return FieldMatrix._split(x[:n].astype(np.uint64).reshape(n, br, bc))

@@ -7,7 +7,10 @@ The product polynomial is supported on the sumset P+Q, so any L = |P+Q|
 responses let the master solve a generalized Vandermonde system and read
 off the diagonal coefficients A_k B_k.  The decoder solves the system of
 every response received, so it succeeds as soon as those responses
-determine the products, whichever they are.
+determine the products, whichever they are.  Given a field.SolveBasis, it
+keeps that system's elimination between calls: each call builds rows only
+for the responses that arrived since the last and reduces just those
+against the pivot rows found so far.
 
 Encoding is division-free: each share is one linear combination of the
 input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
@@ -27,6 +30,7 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
+    SolveBasis,
     mat_lincombs,
     mat_mul,
     pow_muls,
@@ -61,10 +65,10 @@ class RookScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list["WorkerShare"]:
         return rook_encode_share(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None):
+    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
         """All A_k B_k; NotEnoughProducts until `threshold` responses are in."""
         _require_products(products, self.threshold)
-        return rook_decode(products, self, counter)
+        return rook_decode(products, self, counter, basis)
 
 
 def make_rook_scheme(
@@ -201,9 +205,18 @@ def _require_products(products, needed: int) -> None:
         raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
 
 
-def _solve_responses(field: PrimeField, rows, products, counter: OpCounter | None = None):
+def _unabsorbed(products, basis: SolveBasis | None):
+    """The products whose rows the basis has not taken yet; all of them
+    without a basis."""
+    return products if basis is None else products[basis.absorbed :]
+
+
+def _solve_responses(
+    field: PrimeField, rows, products, counter: OpCounter | None = None, basis: SolveBasis | None = None
+):
     """Solve the system with rows[i] for products[i], one row per response;
-    rows is an array of residues.
+    rows is an array of residues.  With a basis, rows and products are the
+    responses it has not absorbed, and they join those it has.
 
     The system may be tall: a repeated or otherwise dependent response is
     just a dependent row.  Raises SingularAfterRetry when the rows' rank is
@@ -211,25 +224,28 @@ def _solve_responses(field: PrimeField, rows, products, counter: OpCounter | Non
     unknowns.
     """
     try:
-        return solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], counter)
+        return solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], counter, basis)
     except SingularMatrix as exc:
-        raise SingularAfterRetry(f"{rows.shape[0]} responses have rank below {rows.shape[1]}") from exc
+        raise SingularAfterRetry(f"the responses' rows have rank below {rows.shape[1]}") from exc
 
 
 def rook_decode(
     products,
     scheme: RookScheme,
     counter: OpCounter | None = None,
+    basis: SolveBasis | None = None,
 ):
     """Recover all A_k B_k from every worker product received.
 
     Solves V C = E where V[w][t] = x_w^{support[t]}, one power_rows row
-    per product; the diagonal positions of the support hold the wanted
-    products.  Raises NotEnoughProducts below L products and
-    SingularAfterRetry while the products do not determine the solution.
+    per product the basis has not absorbed (every product without one);
+    the diagonal positions of the support hold the wanted products.
+    Raises NotEnoughProducts below L products and SingularAfterRetry while
+    the products do not determine the solution.
     """
     support = scheme.support
     _require_products(products, support.L)
-    rows = power_rows(scheme.field, support.support, [pr.x for pr in products], counter)
-    coeffs = _solve_responses(scheme.field, rows, products, counter)
+    new = _unabsorbed(products, basis)
+    rows = power_rows(scheme.field, support.support, [pr.x for pr in new], counter)
+    coeffs = _solve_responses(scheme.field, rows, new, counter, basis)
     return [coeffs[t] for t in support.diag_index]

@@ -6,8 +6,11 @@ never respond, survivors respond at base_delay * (work size) plus an
 exponential straggle term, and the master consumes responses in completion
 order, asking the bound scheme to decode after each one (coded schemes
 wait for their threshold, then solve the system of every response received
-so far; replication checks coverage).  Every successful decode is verified
-against direct per-pair products.
+so far; replication checks coverage).  One field.SolveBasis per op goes to
+every decode call of that op, so a coded decoder that fails keeps its
+elimination, and the next call reduces only the newly arrived response
+against it instead of solving from scratch.  Every successful decode is
+verified against direct per-pair products.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 from . import rook
 from .baselines import ConfigInvalid, SchemeDescriptor, bind_scheme, scheme_threshold
-from .field import M61, FieldError, OpCounter, PrimeField, mat_mul, mat_random
+from .field import M61, FieldError, OpCounter, PrimeField, SolveBasis, mat_mul, mat_random
 from .rook import NotEnoughProducts
 
 
@@ -143,8 +146,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     responses = {w: rook.rook_worker(fld, shares[w], worker_ctr) for w in survivors}
 
     # The master takes responses in completion order and tries to decode
-    # after each one, until a decode succeeds.
+    # after each one, until a decode succeeds; the basis carries each
+    # failed decode's elimination to the next.
     decode_ctr = OpCounter()
+    basis = SolveBasis()
     products = []
     decoded = None
     error = None
@@ -153,7 +158,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         products.append(responses[w])
         clock = t
         try:
-            decoded = scheme.decode(products, decode_ctr)
+            decoded = scheme.decode(products, decode_ctr, basis)
         except NotEnoughProducts:
             continue
         except FieldError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -24,6 +25,7 @@ from rookbench.field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
+    SolveBasis,
     is_prime_u64,
     mat_lincombs,
     mat_mul,
@@ -656,6 +658,25 @@ def test_mod_matmul_at_chunk_and_slice_edges_matches_int_oracle(p):
             assert int(got[0, 0]) == k * value * value % p
 
 
+@pytest.mark.parametrize("p", [257, 2097143], ids=["p257", "p2^21-9"])
+def test_single_plane_fold_matches_int_oracle(p):
+    # Below 2^21 an entry is one limb, so the limb product has one plane,
+    # of weight 1, and the fold is one reduction mod p.  Checked on
+    # retry-gf257's 60 x 8 x 4 encode and on shapes past a chunk and a
+    # slice, with p - 1 in a row and a column, against Python int sums.
+    shifts, masks, pick, fold = _plane_fold(p)
+    assert pick.shape == (1, 1)
+    digits = np.array([[[0, 1, p, (1 << 53) - 1]]], dtype=np.uint64)
+    assert fold(digits).tolist() == [[0, 1, 0, ((1 << 53) - 1) % p]]
+    gen = np.random.default_rng(p % 1000 + 59)
+    for n, k, m in ((60, 8, 4), (32, _CHUNK + 1, _SLICE // 32 + 2), (3, 2 * _CHUNK + 1, 5)):
+        a = gen.integers(0, p, size=(n, k), dtype=np.uint64)
+        b = gen.integers(0, p, size=(k, m), dtype=np.uint64)
+        a[0] = b[:, 0] = p - 1
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert _mod_matmul(p, a, b).tolist() == want.tolist(), (n, k, m)
+
+
 @pytest.mark.parametrize("p", KERNEL_MODULI)
 def test_mod_matmul_memory_of_a_wide_row_stays_bounded(p):
     # One row by a full slice of columns: the kernel's peak is the limbs of
@@ -810,12 +831,25 @@ def test_distinct_nonzero_draw(gf101):
         gf101.distinct_nonzero(rng(14), 99, exclude=(1, 2))
 
 
-def reference_solve(field, v, rhs, counter=None):
+class ReferenceBasis:
+    """reference_solve's kept elimination: the pivot rows over all n columns
+    and the rhs, each zero in every other pivot column, and their columns."""
+
+    def __init__(self):
+        self.pivots = []
+        self.rows = []
+        self.absorbed = 0
+
+
+def reference_solve(field, v, rhs, counter=None, basis=None):
     """Pure-Python Gaussian elimination and back substitution, skipping zero
     multipliers; the op counts solve_linear must reproduce.  A tall V
     (k > n rows) is eliminated over all k rows and solved from its first n.
     A singular V is charged the full cost of the columns completed before
-    the one without a pivot."""
+    the one without a pivot.  With a ReferenceBasis, V's rows join the ones
+    it kept (_reference_absorb)."""
+    if basis is not None:
+        return _reference_absorb(field, v, rhs, counter, basis)
     if v.rows < v.cols:
         raise DimensionMismatch("V needs at least as many rows as columns")
     k, n = v.rows, v.cols
@@ -889,6 +923,97 @@ def reference_solve(field, v, rhs, counter=None):
         counter.mul_count += muls
         counter.inv_count += invs
     return [FieldMatrix(br, bc, row) for row in b[:n]]
+
+
+def _reference_absorb(field, v, rhs, counter, basis):
+    """The kept-basis path of reference_solve: reduce each new row by the
+    kept pivot rows, eliminate the reduced rows forward over the columns
+    without a pivot, skipping a column none of them has a nonzero in, then
+    back-substitute the new pivots, right to left, into every earlier pivot
+    row.  The basis keeps the result; SingularMatrix while a column has no
+    pivot."""
+    k, n = v.rows, v.cols
+    if len(rhs) != k:
+        raise DimensionMismatch("rhs block count must equal V's row count")
+    if n == 0:
+        return []
+    if not rhs:
+        raise DimensionMismatch("no rows to solve")
+    br, bc = rhs[0].rows, rhs[0].cols
+    for blk in rhs:
+        if blk.rows != br or blk.cols != bc:
+            raise DimensionMismatch("rhs blocks must share dimensions")
+
+    p = field.modulus
+    blen = br * bc
+    tail = list(range(n, n + blen))
+    free = [c for c in range(n) if c not in basis.pivots]
+    new = [[x % p for x in row] + [x % p for x in blk.entries] for row, blk in zip(to_rows(v), rhs)]
+    muls = 0
+    invs = 0
+
+    # The kept rows are zero in each other's pivot columns, so each
+    # multiplier is the new row's own entry there.
+    for r in new:
+        for q, prow in zip(basis.pivots, basis.rows):
+            f = r[q]
+            if not f:
+                continue
+            for j in free + tail:
+                r[j] = (r[j] - f * prow[j]) % p
+            r[q] = 0
+            muls += len(free) + blen
+
+    top = 0
+    found = []
+    left = list(free)
+    for c in free:
+        pivot = next((i for i in range(top, k) if new[i][c]), None)
+        if pivot is None:
+            continue
+        new[top], new[pivot] = new[pivot], new[top]
+        arow = new[top]
+        trail = [j for j in left if j >= c] + tail
+        inv = pow(arow[c], p - 2, p)
+        invs += 1
+        for j in trail:
+            arow[j] = arow[j] * inv % p
+        muls += len(trail)
+        for r in new[top + 1 :]:
+            f = r[c]
+            if not f:
+                continue
+            for j in trail:
+                r[j] = (r[j] - f * arow[j]) % p
+            muls += len(trail)
+        found.append(c)
+        left.remove(c)
+        top += 1
+
+    # Right to left, a new pivot row is zero in every other new pivot column
+    # by the time it is used, and clearing its column leaves the others'.
+    rows = basis.rows + new[:top]
+    owner = dict(zip(basis.pivots + found, rows))
+    for c in sorted(found, reverse=True):
+        prow = owner[c]
+        for r in rows:
+            f = r[c]
+            if r is prow or not f:
+                continue
+            for j in left + tail:
+                r[j] = (r[j] - f * prow[j]) % p
+            r[c] = 0
+            muls += len(left) + blen
+
+    basis.pivots = basis.pivots + found
+    basis.rows = rows
+    basis.absorbed += k
+    if counter is not None:
+        counter.mul_count += muls
+        counter.inv_count += invs
+    if left:
+        raise SingularMatrix(f"no nonzero pivot in column {left[0]}")
+    return [FieldMatrix(br, bc, owner[c][n:]) for c in range(n)]
 
 
 def _solve_outcome(solve, field, v, rhs):
@@ -995,6 +1120,107 @@ def test_tall_solve_matches_reference_elimination(p, blen):
     assert outcomes == {False, True}
 
 
+def _arrival_batches(p: int, n: int, blen: int, r: random.Random):
+    """The rows of a consistent system, rhs = V * want, split into batches
+    as responses arrive: first rows that are zero in some columns, so those
+    have no pivot yet, then full rows, with repeated, scaled and zero rows
+    mixed in."""
+    br, bc = {1: (1, 1), 4: (2, 2)}[blen]
+    want = [[r.randrange(p) for _ in range(blen)] for _ in range(n)]
+    late = set(r.sample(range(n), r.randrange(n + 1)))
+
+    def draw(count, cols):
+        return [[r.randrange(p) if j in cols else 0 for j in range(n)] for _ in range(count)]
+
+    rows = draw(r.randrange(n + 2), set(range(n)) - late) + draw(n + 2, set(range(n)))
+    for _ in range(r.randrange(5)):
+        row = rows[r.randrange(len(rows))]
+        kind = r.randrange(3)
+        extra = row if kind == 0 else [x * r.randrange(1, p) % p for x in row] if kind == 1 else [0] * n
+        rows.insert(r.randrange(len(rows) + 1), extra)
+    batches = []
+    while rows:
+        size = r.randrange(1, n + 2) if not batches else r.randrange(1, 4)
+        batch, rows = rows[:size], rows[size:]
+        rhs = [
+            FieldMatrix(br, bc, [sum(row[j] * want[j][t] for j in range(n)) % p for t in range(blen)])
+            for row in batch
+        ]
+        batches.append((FieldMatrix.from_rows(batch), rhs))
+    return batches, want
+
+
+@pytest.mark.parametrize("blen", [1, 4])
+@pytest.mark.parametrize(
+    "p",
+    [7, 101, 257, 4294967291, M61, 18446744073709551557],
+    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
+)
+def test_kept_basis_solve_matches_reference_absorb(p, blen):
+    # Batch by batch, the kept-basis solve gives the reference's values or
+    # error, mul_count and inv_count, and keeps the same pivot rows; past
+    # full rank a batch still solves, from the kept rows.
+    field = PrimeField(p)
+    r = rng(p % 991 + 20 * blen)
+    outcomes = set()
+    for n in range(1, 11):
+        for _ in range(4):
+            batches, want = _arrival_batches(p, n, blen, r)
+            basis, ref = SolveBasis(), ReferenceBasis()
+            for v, rhs in batches:
+                got = _solve_outcome(partial(_solve_checked, basis=basis), field, v, rhs)
+                assert got == _solve_outcome(partial(reference_solve, basis=ref), field, v, rhs), (n, v)
+                assert all(type(c) is int for c in got[1])
+                # The kernel keeps its pivot rows in column order.
+                assert (basis.pivots, basis.absorbed) == (sorted(ref.pivots), ref.absorbed)
+                kept = basis.free + list(range(n, n + blen))
+                by_column = [row for _, row in sorted(zip(ref.pivots, ref.rows))]
+                assert basis.block.tolist() == [[row[j] for j in kept] for row in by_column]
+                assert not basis.block.flags.writeable
+                if isinstance(got[0], str):
+                    assert got[0] == f"no nonzero pivot in column {basis.free[0]}"
+                else:
+                    assert got[0] == want
+                outcomes.add(isinstance(got[0], str))
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p", [7, 257, M61], ids=["p7", "p257", "m61"])
+def test_kept_basis_one_shot_solve_charges_as_without(p):
+    # A first call that reaches full rank gives the values and counts of a
+    # solve without a basis; one that does not raises the same error.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 58)
+    solved = 0
+    for n in range(1, 13):
+        for extra in range(4):
+            for v, rhs, _ in _tall_systems(p, n, extra, 4, r):
+                got = _solve_outcome(partial(solve_linear, basis=SolveBasis()), field, v, rhs)
+                want = _solve_outcome(solve_linear, field, v, rhs)
+                if isinstance(want[0], str):
+                    assert isinstance(got[0], str)
+                else:
+                    assert got == want
+                    solved += 1
+    assert solved
+
+
+def test_kept_basis_rejects_rows_that_do_not_fit(gf101):
+    basis = SolveBasis()
+    with pytest.raises(SingularMatrix):
+        solve_linear(gf101, FieldMatrix(1, 3, [1, 2, 3]), [FieldMatrix(1, 1, [4])], basis=basis)
+    for v, rhs in (
+        (FieldMatrix(1, 2, [1, 2]), [FieldMatrix(1, 1, [4])]),
+        (FieldMatrix(1, 3, [1, 2, 3]), [FieldMatrix(1, 2, [4, 5])]),
+    ):
+        ctr = OpCounter()
+        with pytest.raises(DimensionMismatch):
+            solve_linear(gf101, v, rhs, ctr, basis)
+        assert (ctr.mul_count, ctr.inv_count, basis.absorbed) == (0, 0, 1)
+    with pytest.raises(DimensionMismatch):
+        solve_linear(gf101, FieldMatrix(0, 3, []), [], basis=basis)
+
+
 def test_solve_dimension_checks_match_reference(gf101):
     two = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
     cases = [
@@ -1020,12 +1246,12 @@ def _stacked(blocks):
     return FieldMatrix(len(blocks), blocks[0].rows * blocks[0].cols, np.stack([b.data.ravel() for b in blocks]))
 
 
-def _solve_checked(field, v, rhs, counter=None):
+def _solve_checked(field, v, rhs, counter=None, basis=None):
     """solve_linear's blocks, checked to be read-only and C-contiguous, and
     V's and the rhs blocks' arrays checked to be as they were."""
     before = [m.data.copy() for m in (v, *rhs)]
     try:
-        got = solve_linear(field, v, rhs, counter)
+        got = solve_linear(field, v, rhs, counter, basis)
     finally:
         assert all(np.array_equal(x, m.data) for x, m in zip(before, (v, *rhs)))
     for blk in got:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from rookbench import baselines, rook
-from rookbench.baselines import SchemeDescriptor
+from rookbench.baselines import SchemeDescriptor, bind_scheme, scheme_threshold
+from rookbench.exponents import ExponentPair
+from rookbench.field import PrimeField, SolveBasis, mat_mul, mat_random
 from rookbench.sim import (
     SWEEP_COLUMNS,
     ConfigInvalid,
@@ -92,6 +94,62 @@ def test_rook_behrend_gf257_decodes_once_responses_determine_products():
         assert rep.threshold <= rep.responses_used <= rep.responses_received
         used.add(rep.responses_used)
     assert max(used) > rep.threshold  # counts every response the decode consumed
+
+
+def _decodes(scheme, products):
+    """Whether a from-scratch decode (one solve_linear over every row)
+    succeeds on these products."""
+    try:
+        scheme.decode(products)
+    except rook.SingularAfterRetry:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", [7, 101, 257])
+def test_kept_basis_decodes_at_the_first_arrival_of_full_rank(p):
+    # Responses arrive one by one into one basis.  The kept decoder raises
+    # NotEnoughProducts below L, SingularAfterRetry before the first prefix
+    # whose rows a from-scratch solve finds of rank L, and at that arrival
+    # decodes the direct products.  Over GF(7) only n = 2 binds, whose
+    # rows are Vandermonde or Cauchy ones, so a rook pair with support
+    # {0, 1, 3, 4} (x^3 is +-1 there) joins the five codes to make retries.
+    field = PrimeField(p)
+    gapped = ExponentPair(n=2, p=(0, 1), q=(0, 3))
+    cases = [
+        SchemeDescriptor(scheme=name, n=n)
+        for name in ("rook-poly", "rook-base3", "rook-behrend", "lcc", "csa")
+        for n in ((2, 3, 4, 8) if p == 257 else (2, 3, 4))
+    ]
+    outcomes = {"first": 0, "later": 0, "never": 0}
+    for desc in cases + [None]:
+        n, L = (2, 4) if desc is None else (desc.n, scheme_threshold(desc))
+        m = min(L + 8, p - 1 - (n if desc is not None and desc.scheme in ("lcc", "csa") else 0))
+        if m < L:
+            continue  # GF(p) has too few points for L responses
+        for seed in range(8 if n == 8 else 20):
+            r = stream(seed, p, n, desc and desc.scheme)
+            try:
+                scheme = bind_scheme(desc, field, m, r) if desc else rook.make_rook_scheme(gapped, field, m, r)
+            except ConfigInvalid:
+                break  # an exponent too large for GF(p)
+            inputs = [(mat_random(field, 1, 2, r), mat_random(field, 2, 1, r)) for _ in range(n)]
+            products = [rook.rook_worker(field, share) for share in scheme.encode(inputs, range(m))]
+            r.shuffle(products)
+            first = next((t for t in range(L, m + 1) if _decodes(scheme, products[:t])), None)
+            basis = SolveBasis()
+            for t in range(1, (first or m) + 1):
+                if t < L:
+                    with pytest.raises(rook.NotEnoughProducts):
+                        scheme.decode(products[:t], None, basis)
+                elif t != first:
+                    with pytest.raises(rook.SingularAfterRetry):
+                        scheme.decode(products[:t], None, basis)
+                else:
+                    assert scheme.decode(products[:t], None, basis) == [mat_mul(field, a, b) for a, b in inputs]
+            assert basis.absorbed == (first or m)
+            outcomes["never" if first is None else "first" if first == L else "later"] += 1
+    assert outcomes["first"] and outcomes["later"], outcomes
 
 
 def test_straggle_reorders_arrivals():
