@@ -27,12 +27,13 @@ getrandbits call, with the values and rng state of one randrange per entry.
 solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
 that adds each column's multipliers times its pivot row to the trailing
 block of [V | rhs] in place, the block held as one contiguous array in one
-of the buffers allocated once per solve.  Given a SolveBasis it keeps the
-elimination of a system whose rows arrive over several calls: the reduced
-pivot rows, restricted to the columns without a pivot and the rhs.  A
-later call reduces only its new rows against them, in one product, and
-eliminates those over the columns still without a pivot, so a decoder
-that retries after each response never re-solves from scratch.
+of the buffers allocated once per solve.  It keeps its elimination in a
+SolveBasis, fresh when the caller passes none: the reduced pivot rows,
+restricted to the columns without a pivot and the rhs.  Given the basis
+of an earlier call, a system whose rows arrive over several calls
+reduces only its new rows against them, in one product, and eliminates
+those over the columns still without a pivot, so a decoder that retries
+after each response never re-solves from scratch.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -637,8 +638,10 @@ class SolveBasis:
     a pivot and the rhs, a read-only rank x (len(free) + blen) uint64 array
     whose row i belongs to column pivots[i], pivots in increasing order;
     `free` lists the columns without a pivot, in order (None before the
-    first call), and `absorbed` counts the rows taken so far.  Pass one new basis to every call over the rows of
-    one growing system, each call with the rows that arrived since the last.
+    first call), and `absorbed` counts the rows taken so far.  Pass one new
+    basis to every call over the rows of one growing system, each call
+    with the rows that arrived since the last; a call without one starts
+    from a fresh basis.
     """
 
     __slots__ = ("pivots", "free", "block", "absorbed")
@@ -672,38 +675,26 @@ def solve_linear(
 ) -> list[FieldMatrix]:
     """Solve V * C = rhs block-wise by Gauss-Jordan elimination over the field.
 
-    V is k x L; rhs is a list of k equally-shaped matrix blocks, and the L
-    solution blocks are read from the pivot rows once every column has its
-    pivot.  A tall system must be consistent, as exact evaluations are;
-    rows beyond the pivots are eliminated but not checked.  Raises
-    SingularMatrix while V's rank is below L.  Each pivot costs one
-    inversion (tallied in inv_count).
+    V is k x L and rhs k equally-shaped matrix blocks.  V's rows join the
+    pivot rows the basis kept (a fresh basis when none is given): each is
+    reduced by them, r - r[pivots] * B in one product, and the reduced rows
+    are eliminated over the columns still without a pivot, where the pivot
+    is the column's first nonzero entry among the rows not yet pivot rows.
+    A column without one is kept, rows that reduce to zero are dropped, and
+    rows beyond the pivots are not checked (exact evaluations are
+    consistent).  The basis keeps every pivot row; once every column has
+    one they are the L solution blocks, which the results share.  Until
+    then SingularMatrix names the first column without a pivot.
 
-    Without a basis V needs k >= L, and the elimination stops at the first
-    column without a nonzero pivot.  With a basis, V's rows are the ones
-    that arrived since its last call: each is first reduced by the pivot
-    rows kept so far, r - r[pivots] * B in one product, and the reduced
-    rows are eliminated over the columns still without a pivot.  There a
-    column without one is kept rather than ending the elimination, and
-    rows that reduce to zero are dropped; the basis keeps every pivot row,
-    also when SingularMatrix is raised.
-
-    The pivot is the first nonzero entry of its column among the rows that
-    are not yet pivot rows.  Counts are those of forward elimination that
-    skips zero multipliers, followed by back substitution.  Take a pivot in
-    a column that has w columns without a pivot from it on (L - c at column
-    c without a basis).  It costs (w + blen) muls per nonzero of the column
-    among the rows that are not yet pivot rows.  It also costs blen per
-    nonzero of the column in an earlier pivot row, as that row stood when
-    it was pivoted; a basis row counts as it stood before the call.
-    Without a basis, a singular V is charged for the columns completed
-    before the one without a pivot, including the back substitution of
-    their rows into every later column.  With a basis, two more charges
-    apply.  Each new row's reduction costs f + blen per nonzero entry in a
-    pivot column, f being the number of columns without a pivot before the
-    call.  Each back-substituted nonzero costs f' more, f' being the number
-    of columns still without a pivot after the call (0 once V's rank is L).
-    So a first call that reaches rank L is charged as without a basis.
+    Counts are those of forward elimination that skips zero multipliers,
+    then back substitution, call by call.  A new row's reduction costs
+    f + blen muls per nonzero entry in a pivot column, f being the columns
+    without a pivot before the call.  A pivot costs one inversion, and
+    (w + blen) muls per nonzero of its column among the rows not yet pivot
+    rows, w being the columns without a pivot from it on.  Each nonzero an
+    earlier pivot row held in a column pivoted in the call (when pivoted,
+    or before the call for a basis row) costs f' + blen, f' being the
+    columns still without a pivot after the call (0 once V's rank is L).
 
     Each column takes one multiplier per row (one multiply-add of the
     column by the scalar p - inv), then adds the multipliers times the
@@ -711,8 +702,8 @@ def solve_linear(
     place with _modular(p)'s update.  No pivoted column allocates an array
     of the block's size; a kept one moves once to the end of the block.
     """
-    if basis is None and v.rows < v.cols:
-        raise DimensionMismatch("V needs at least as many rows as columns")
+    if basis is None:
+        basis = SolveBasis()
     n = v.cols
     if len(rhs) != v.rows:
         raise DimensionMismatch("rhs block count must equal V's row count")
@@ -728,7 +719,7 @@ def solve_linear(
     p = field.modulus
     blen = br * bc
     muladd, update, dtype = _modular(p)
-    pivots, free = ([], list(range(n))) if basis is None or basis.free is None else (basis.pivots, basis.free)
+    pivots, free = ([], list(range(n))) if basis.free is None else (basis.pivots, basis.free)
     top, nv = len(pivots), len(free)
     if top + nv != n or (top and basis.block.shape[1] != nv + blen):
         raise DimensionMismatch("rows do not fit the basis")
@@ -739,8 +730,8 @@ def solve_linear(
     # contiguous row-major array in the first, the update's scratch are the
     # others, and the block without a newly pivoted column is copied into
     # the second, which then swaps with the first.  So every pass runs over
-    # whole contiguous rows, however tall or wide the system.  With a basis
-    # its pivot rows come first.
+    # whole contiguous rows, however tall or wide the system.  The basis's
+    # pivot rows come first.
     bufs = list(np.empty((3 if p == M61 else 2, k * (nv + blen)), dtype=dtype))
     x = bufs[0].reshape(k, nv + blen)
     rows = _reduced(p, v.data)
@@ -763,10 +754,6 @@ def solve_linear(
     for i, col in enumerate(free):
         nonzero = x[top:, 0].nonzero()[0]
         if nonzero.size == 0:
-            if basis is None:
-                if counter is not None:
-                    counter.mul_count += blen * _right_nonzeros(right, free, ())
-                raise SingularMatrix(f"no nonzero pivot in column {col}")
             x[:, :nv] = np.roll(x[:, :nv], -1, axis=1)
             left.append(col)
             continue
@@ -804,17 +791,14 @@ def solve_linear(
             pivoted = [i for i, col in enumerate(free) if col not in left]
             cleared += int(np.count_nonzero(basis.block[:, pivoted]))
         counter.mul_count += (len(left) + blen) * cleared
-    if basis is not None:
-        # The pivot rows in column order, read-only: once every column has
-        # its pivot they are the solution, which the results then share.
-        order = np.argsort(pivots + found)
-        basis.block = x[:top][order].astype(np.uint64, copy=False)
-        basis.block.setflags(write=False)
-        basis.pivots = sorted(pivots + found)
-        basis.free = left
-        basis.absorbed += v.rows
-        if left:
-            raise SingularMatrix(f"no nonzero pivot in column {left[0]}")
-        return FieldMatrix._split(basis.block.reshape(n, br, bc))
-    # A copy of the solution, so the results do not keep the buffers alive.
-    return FieldMatrix._split(x[:n].astype(np.uint64).reshape(n, br, bc))
+    # The pivot rows in column order, read-only: once every column has its
+    # pivot they are the solution, which the results then share.
+    order = np.argsort(pivots + found)
+    basis.block = x[:top][order].astype(np.uint64, copy=False)
+    basis.block.setflags(write=False)
+    basis.pivots = sorted(pivots + found)
+    basis.free = left
+    basis.absorbed += v.rows
+    if left:
+        raise SingularMatrix(f"no nonzero pivot in column {left[0]}")
+    return FieldMatrix._split(basis.block.reshape(n, br, bc))

@@ -10,7 +10,8 @@ every response received, so it succeeds as soon as those responses
 determine the products, whichever they are.  Given a field.SolveBasis, it
 keeps that system's elimination between calls: each call builds rows only
 for the responses that arrived since the last and reduces just those
-against the pivot rows found so far.
+against the pivot rows found so far.  A call without one starts from a
+fresh basis, so it solves every response it is given.
 
 Encoding is division-free: each share is one linear combination of the
 input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
@@ -201,13 +202,23 @@ def rook_worker(field: PrimeField, share: WorkerShare, counter: OpCounter | None
 
 
 def _require_products(products, needed: int) -> None:
+    """NotEnoughProducts below `needed` responses.
+
+    Both the schemes' decode methods and the decoder functions check.  The
+    methods check before they call the decoder, so a call below the
+    threshold opens no decoder span when perfbench traces rook_decode,
+    lcc_decode and csa_decode; its rook.decode_calls metric and
+    tests/test_bench_hooks.py's [3, 2, 1, 2] decode calls rest on that.
+    The decoders check again for direct callers, which expect
+    NotEnoughProducts too, so neither check is redundant.
+    """
     if len(products) < needed:
         raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
 
 
 def _unabsorbed(products, basis: SolveBasis | None):
     """The products whose rows the basis has not taken yet; all of them
-    without a basis."""
+    without a basis, as solve_linear then starts from a fresh one."""
     return products if basis is None else products[basis.absorbed :]
 
 
@@ -238,8 +249,9 @@ def rook_decode(
     """Recover all A_k B_k from every worker product received.
 
     Solves V C = E where V[w][t] = x_w^{support[t]}, one power_rows row
-    per product the basis has not absorbed (every product without one);
-    the diagonal positions of the support hold the wanted products.
+    per product the basis has not absorbed (every product without one, the
+    solve then starting from a fresh basis); the diagonal positions of the
+    support hold the wanted products.
     Raises NotEnoughProducts below L products and SingularAfterRetry while
     the products do not determine the solution.
     """

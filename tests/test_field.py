@@ -187,6 +187,13 @@ LONG_INNER = 2100
 # Moduli of each numpy fold: uint64 below 2^32, 2^61 - 1's limb muladd and
 # the object fold.
 KERNEL_MODULI = [257, 4294967291, M61, 18446744073709551557]
+SOLVE_MODULI = [
+    pytest.param(p, id=name)
+    for p, name in zip(
+        [7, 101, 257, 4294967291, M61, 18446744073709551557],
+        ["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
+    )
+]
 
 
 def test_mat_mul_examples(gf101):
@@ -832,8 +839,8 @@ def test_distinct_nonzero_draw(gf101):
 
 
 class ReferenceBasis:
-    """reference_solve's kept elimination: the pivot rows over all n columns
-    and the rhs, each zero in every other pivot column, and their columns."""
+    """What reference_solve keeps: the pivot rows over all n columns and the
+    rhs, each zero in every other pivot column, and their columns."""
 
     def __init__(self):
         self.pivots = []
@@ -843,95 +850,18 @@ class ReferenceBasis:
 
 def reference_solve(field, v, rhs, counter=None, basis=None):
     """Pure-Python Gaussian elimination and back substitution, skipping zero
-    multipliers; the op counts solve_linear must reproduce.  A tall V
-    (k > n rows) is eliminated over all k rows and solved from its first n.
-    A singular V is charged the full cost of the columns completed before
-    the one without a pivot.  With a ReferenceBasis, V's rows join the ones
-    it kept (_reference_absorb)."""
-    if basis is not None:
-        return _reference_absorb(field, v, rhs, counter, basis)
-    if v.rows < v.cols:
-        raise DimensionMismatch("V needs at least as many rows as columns")
-    k, n = v.rows, v.cols
-    if len(rhs) != k:
-        raise DimensionMismatch("rhs block count must equal V's row count")
-    if n == 0:
-        return []
-    br, bc = rhs[0].rows, rhs[0].cols
-    for blk in rhs:
-        if blk.rows != br or blk.cols != bc:
-            raise DimensionMismatch("rhs blocks must share dimensions")
-
-    p = field.modulus
-    a = to_rows(v)
-    b = [list(blk.entries) for blk in rhs]
-    muls = 0
-    invs = 0
-    blen = br * bc
-
-    for col in range(n):
-        pivot = None
-        for r in range(col, k):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            # Each completed column also owes its back substitution: blen per
-            # nonzero right of the diagonal in its pivot row.
-            muls += blen * sum(1 for r in range(col) for j in range(r + 1, n) if a[r][j])
-            if counter is not None:
-                counter.mul_count += muls
-                counter.inv_count += invs
-            raise SingularMatrix(f"no nonzero pivot in column {col}")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = pow(a[col][col], p - 2, p)
-        invs += 1
-        arow = a[col]
-        for j in range(col, n):
-            arow[j] = arow[j] * inv % p
-        brow = b[col]
-        for j in range(blen):
-            brow[j] = brow[j] * inv % p
-        muls += (n - col) + blen
-        for r in range(col + 1, k):
-            f = a[r][col]
-            if not f:
-                continue
-            rrow = a[r]
-            for j in range(col, n):
-                rrow[j] = (rrow[j] - f * arow[j]) % p
-            rb = b[r]
-            for j in range(blen):
-                rb[j] = (rb[j] - f * brow[j]) % p
-            muls += (n - col) + blen
-
-    for col in range(n - 1, -1, -1):
-        bcol = b[col]
-        for r in range(col):
-            f = a[r][col]
-            if not f:
-                continue
-            rb = b[r]
-            for j in range(blen):
-                rb[j] = (rb[j] - f * bcol[j]) % p
-            a[r][col] = 0
-            muls += blen
-
-    if counter is not None:
-        counter.mul_count += muls
-        counter.inv_count += invs
-    return [FieldMatrix(br, bc, row) for row in b[:n]]
+    multipliers; the values and op counts solve_linear must reproduce.  V's
+    rows join those the ReferenceBasis kept, a fresh one without a basis."""
+    return _reference_absorb(field, v, rhs, counter, ReferenceBasis() if basis is None else basis)
 
 
 def _reference_absorb(field, v, rhs, counter, basis):
-    """The kept-basis path of reference_solve: reduce each new row by the
-    kept pivot rows, eliminate the reduced rows forward over the columns
-    without a pivot, skipping a column none of them has a nonzero in, then
+    """reference_solve's elimination: reduce each new row by the kept pivot
+    rows, eliminate the reduced rows forward over the columns without a
+    pivot, skipping a column none of them has a nonzero in, then
     back-substitute the new pivots, right to left, into every earlier pivot
-    row.  The basis keeps the result; SingularMatrix while a column has no
-    pivot."""
+    row.  The basis keeps the result; SingularMatrix, naming the first
+    column without a pivot, while one has none."""
     k, n = v.rows, v.cols
     if len(rhs) != k:
         raise DimensionMismatch("rhs block count must equal V's row count")
@@ -1047,11 +977,7 @@ def _oracle_systems(p: int, n: int, blen: int, r: random.Random):
 
 
 @pytest.mark.parametrize("blen", [1, 4, 9])
-@pytest.mark.parametrize(
-    "p",
-    [7, 101, 257, 4294967291, M61, 18446744073709551557],
-    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
-)
+@pytest.mark.parametrize("p", SOLVE_MODULI)
 def test_solve_matches_reference_elimination(p, blen):
     field = PrimeField(p)
     r = rng(p % 1000 + blen)
@@ -1097,11 +1023,7 @@ def _tall_systems(p: int, n: int, extra: int, blen: int, r: random.Random):
 
 
 @pytest.mark.parametrize("blen", [1, 4])
-@pytest.mark.parametrize(
-    "p",
-    [7, 101, 257, 4294967291, M61, 18446744073709551557],
-    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
-)
+@pytest.mark.parametrize("p", SOLVE_MODULI)
 def test_tall_solve_matches_reference_elimination(p, blen):
     field = PrimeField(p)
     r = rng(p % 997 + 10 * blen)
@@ -1151,11 +1073,7 @@ def _arrival_batches(p: int, n: int, blen: int, r: random.Random):
 
 
 @pytest.mark.parametrize("blen", [1, 4])
-@pytest.mark.parametrize(
-    "p",
-    [7, 101, 257, 4294967291, M61, 18446744073709551557],
-    ids=["p7", "p101", "p257", "p2^32-5", "m61", "p2^64-59"],
-)
+@pytest.mark.parametrize("p", SOLVE_MODULI)
 def test_kept_basis_solve_matches_reference_absorb(p, blen):
     # Batch by batch, the kept-basis solve gives the reference's values or
     # error, mul_count and inv_count, and keeps the same pivot rows; past
@@ -1185,26 +1103,6 @@ def test_kept_basis_solve_matches_reference_absorb(p, blen):
     assert outcomes == {False, True}
 
 
-@pytest.mark.parametrize("p", [7, 257, M61], ids=["p7", "p257", "m61"])
-def test_kept_basis_one_shot_solve_charges_as_without(p):
-    # A first call that reaches full rank gives the values and counts of a
-    # solve without a basis; one that does not raises the same error.
-    field = PrimeField(p)
-    r = rng(p % 1000 + 58)
-    solved = 0
-    for n in range(1, 13):
-        for extra in range(4):
-            for v, rhs, _ in _tall_systems(p, n, extra, 4, r):
-                got = _solve_outcome(partial(solve_linear, basis=SolveBasis()), field, v, rhs)
-                want = _solve_outcome(solve_linear, field, v, rhs)
-                if isinstance(want[0], str):
-                    assert isinstance(got[0], str)
-                else:
-                    assert got == want
-                    solved += 1
-    assert solved
-
-
 def test_kept_basis_rejects_rows_that_do_not_fit(gf101):
     basis = SolveBasis()
     with pytest.raises(SingularMatrix):
@@ -1224,7 +1122,6 @@ def test_kept_basis_rejects_rows_that_do_not_fit(gf101):
 def test_solve_dimension_checks_match_reference(gf101):
     two = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
     cases = [
-        (FieldMatrix(2, 3, [1] * 6), two),
         (FieldMatrix(3, 2, [1] * 6), two),
         (identity(2), two[:1]),
         (identity(2), [two[0], FieldMatrix(1, 2, [1, 2])]),
@@ -1239,6 +1136,30 @@ def test_solve_dimension_checks_match_reference(gf101):
             assert (ctr.mul_count, ctr.inv_count) == (0, 0)
         assert messages[0] == messages[1]
     assert solve_linear(gf101, FieldMatrix(0, 0, []), []) == []
+
+
+@pytest.mark.parametrize("blen", [1, 4])
+@pytest.mark.parametrize("p", SOLVE_MODULI)
+def test_solve_without_basis_names_the_first_column_without_a_pivot(p, blen):
+    # A wide V and one with an all-zero column are eliminated over every
+    # column: SingularMatrix names the first column left without a pivot,
+    # the charge is the reference's, and V and the rhs stay as they were.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 59 + blen)
+    br, bc = {1: (1, 1), 4: (2, 2)}[blen]
+    cases = [
+        ([[1] * 3, [1] * 3], 1),
+        ([[1, 2, 3], [2, 4, 7]], 1),
+        ([[1, 0, 5], [0, 1, 6]], 2),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 7]], 0),
+        ([[1, 0, 2], [3, 0, 4], [5, 0, 6], [7, 0, 9]], 1),
+    ]
+    for rows, col in cases:
+        v = FieldMatrix.from_rows(rows)
+        rhs = [FieldMatrix(br, bc, [r.randrange(p) for _ in range(blen)]) for _ in rows]
+        got = _solve_outcome(_solve_checked, field, v, rhs)
+        assert got[0] == f"no nonzero pivot in column {col}", rows
+        assert got == _solve_outcome(reference_solve, field, v, rhs), rows
 
 
 def _stacked(blocks):
