@@ -124,14 +124,20 @@ _VALUE_CAP = (1 << 61) - 2  # keep generated exponents bindable to GF(2^61-1)
 def _ways_table(d: int, length: int) -> np.ndarray:
     """ways[j, r] = vectors of length j over {0..d-1} with squared norm r.
 
-    Entries count at most d^length vectors, so they are int64 below 2^63 and
-    exact Python ints above it.
+    Row 1 marks the d squares and row 2 counts the d^2 sums of two squares
+    in one bincount; each later row adds the row before it shifted by every
+    square.  Entries count at most d^length vectors, so they are int64 below
+    2^63 and exact Python ints above it.
     """
     top = (d - 1) ** 2
     dtype = np.int64 if d**length < 1 << 63 else object
     ways = np.zeros((length + 1, length * top + 1), dtype=dtype)
+    squares = np.arange(d) ** 2
     ways[0, 0] = 1
-    for j in range(1, length + 1):
+    ways[1, squares] = 1
+    if length >= 2:
+        ways[2, : 2 * top + 1] = np.bincount((squares[:, None] + squares).ravel())
+    for j in range(3, length + 1):
         prev = ways[j - 1, : (j - 1) * top + 1]
         for v in range(d):
             ways[j, v * v : v * v + prev.size] += prev
@@ -208,6 +214,13 @@ def behrend_exponents(
     the candidate whose generated set realizes the smallest |P+P| (ties:
     smaller max element, then smaller l, d).
 
+    The scan runs l = 3, 4, ... first and l = 2 last, only when no candidate
+    so far realizes fewer than n(n+1)/2 sums.  A 2-D shell is a Sidon set:
+    if a + b = c + e = s on the circle |x|^2 = r, then a.s = c.s = |s|^2/2,
+    and that line meets the circle only in {a, b}.  Base 2d-1 is carry-free,
+    so the l = 2 candidate realizes exactly n(n+1)/2, the most any n-set
+    can, and the key's order says it cannot beat a candidate below that.
+
     Raises ParameterSearchExhausted when no candidate within bounds has a
     shell of size >= n.
     """
@@ -228,7 +241,9 @@ def behrend_exponents(
     best = None  # ((realized_L, max_element, l, d), values)
     log2n = math.log2(n) if n > 1 else 1.0
     max_len = max(math.ceil(2 * math.sqrt(log2n)) + 2, math.ceil(log2n) + 4)
-    for ell in range(2, max_len + 1):
+    for ell in (*range(3, max_len + 1), 2):
+        if ell == 2 and best is not None and best[0][0] < n * (n + 1) // 2:
+            break  # a 2-D shell is a Sidon set, so it realizes n(n+1)/2
         d_lo = max(2, math.ceil(n ** (1.0 / ell)))
         d_top = max(d_lo, int((2e7 / (ell * ell)) ** (1.0 / 3.0)))
         while d_top >= d_lo and (2 * d_top - 1) ** ell - 1 > _VALUE_CAP:

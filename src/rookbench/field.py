@@ -235,8 +235,15 @@ class FieldMatrix:
     @classmethod
     def _split(cls, stack) -> list["FieldMatrix"]:
         """The matrices stack[0], stack[1], ... of a 3-D uint64 array that a
-        kernel built, as _wrap makes them."""
-        return [cls._wrap(data) for data in stack]
+        kernel built, as _wrap makes them.  The stack is made read-only once;
+        its views inherit that."""
+        stack.setflags(write=False)
+        out = []
+        for data in stack:
+            m = object.__new__(cls)
+            m.data = data
+            out.append(m)
+        return out
 
     @property
     def rows(self) -> int:

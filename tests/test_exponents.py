@@ -22,7 +22,7 @@ from rookbench.exponents import (
     poly_code_exponents,
     sum_support,
 )
-from rookbench.exponents import _diag_multiplicities, _first_viable, _ways_table
+from rookbench.exponents import _diag_multiplicities, _first_viable, _smallest_shell_values, _ways_table
 
 
 # --- oracles ----------------------------------------------------------------
@@ -242,6 +242,60 @@ def test_first_viable_matches_linear_walk():
                 assert (found and found[0]) == want, (n, ell, d_top)
                 if found:
                     assert found[1].tolist() == _ways_table(want, ell).tolist()
+
+
+@pytest.mark.parametrize("d,length", [(4, 32), (2, 64), (3, 40)])
+def test_object_shell_table_matches_pure_python_convolution(d, length):
+    # d^length >= 2^63, so every entry must be an exact Python int.
+    ways = _ways_table(d, length)
+    assert ways.dtype == object
+    assert all(type(v) is int for v in ways.ravel())
+    for j, row in enumerate(ways.tolist()):
+        sizes = list(shell_sizes(d, j))
+        assert row == sizes + [0] * (len(row) - len(sizes)), j
+
+
+def test_behrend_pinned_parameters_past_int64_table():
+    # The (4, 32) table is object dtype; the values are base-7 digit vectors
+    # of the largest shell, whose norm the pure-Python counts give.
+    p = behrend_exponents(5, digit_range=4, length=32).p
+    assert p == (226403912073, 228098763567, 228340885209, 228375474015, 228380415273)
+    norm = largest_shell(4, 32)[0]
+    for v in p:
+        digits = [v // 7**pos % 7 for pos in range(32)]
+        assert max(digits) < 4 and sum(x * x for x in digits) == norm
+
+
+def test_two_dimensional_shell_is_a_sidon_set():
+    # The l = 2 candidate realizes n(n+1)/2 distinct pair sums, the most any
+    # n-set can, which is why the search may skip it once another candidate
+    # realizes fewer.  No 2-D shell within the bounds holds more than 16.
+    with_candidate = []
+    for n in range(1, 65):
+        d_lo = max(2, math.ceil(n ** 0.5))
+        d_top = max(d_lo, int((2e7 / 4) ** (1.0 / 3.0)))
+        found = _first_viable(n, 2, d_lo, d_top)
+        if found is None:
+            continue
+        with_candidate.append(n)
+        vals = _smallest_shell_values(found[1], found[0], n)
+        assert len(vals) == n
+        assert len({a + b for a in vals for b in vals}) == n * (n + 1) // 2, n
+    assert with_candidate == list(range(1, 17))
+
+
+def test_behrend_search_scans_two_dimensional_shell_only_for_n_up_to_4(monkeypatch):
+    lengths = []
+
+    def recording(n, length, d_lo, d_top):
+        lengths.append(length)
+        return _first_viable(n, length, d_lo, d_top)
+
+    monkeypatch.setattr(exponents, "_first_viable", recording)
+    for n in range(1, 65):
+        lengths.clear()
+        behrend_exponents(n)
+        assert (2 in lengths) == (n <= 4), n
 
 
 # A cap of 5000 changes the answer for 36 of these n and leaves 29 with none.

@@ -360,6 +360,29 @@ def test_results_share_no_writable_buffer_with_operands(p):
         assert outs[4] == base and outs[5:8] == blocks and outs[8] == blocks[0]
 
 
+@pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
+def test_every_returned_block_rejects_writes(p):
+    # The results are views of one stack made read-only once, so a write
+    # through any block, not only the first, must raise.
+    field = PrimeField(p)
+    r = rng(p % 1000 + 38)
+    L = 12
+    v = FieldMatrix.from_rows([[pow(x, j, p) for j in range(L)] for x in range(1, L + 1)])
+    for dims in ((2, 2), (8, 8)):
+        blocks = [mat_random(field, *dims, r) for _ in range(L)]
+        coeff_rows = [[r.randrange(p) for _ in blocks] for _ in range(5)]
+        basis = SolveBasis()
+        with pytest.raises(SingularMatrix):
+            solve_linear(field, FieldMatrix.from_rows(to_rows(v)[:5]), blocks[:5], basis=basis)
+        kept = solve_linear(field, FieldMatrix.from_rows(to_rows(v)[5:]), blocks[5:], basis=basis)
+        outs = mat_lincombs(field, coeff_rows, blocks) + solve_linear(field, v, blocks) + kept
+        assert len(outs) == 5 + 2 * L
+        for out in outs:
+            assert not out.data.flags.writeable
+            with pytest.raises(ValueError):
+                out.data[0, 0] = 1
+
+
 # Operands at 2^61 - 1's 30/31-bit limb boundaries.
 LIMB_EDGES = (0, 1, 2, (1 << 30) - 1, 1 << 30, (1 << 31) - 1, 1 << 31, (1 << 32) - 1, M61 - 2, M61 - 1)
 
