@@ -365,17 +365,13 @@ def min_recovery_bruteforce(n: int, max_exponent: int):
     if max_exponent < n - 1:
         raise ValueError("max_exponent too small to fit n distinct exponents")
     tails = list(combinations(range(1, max_exponent + 1), n - 1))
-    best_l = None
-    witness = None
+    best_l, best = None, None
     for tp in tails:
         p = (0,) + tp
         for tq in tails:
             q = (0,) + tq
-            pair = ExponentPair(n=n, p=p, q=q)
-            if not is_decodable(pair):
-                continue
-            l = len({pi + qj for pi in p for qj in q})
-            if best_l is None or l < best_l:
-                best_l = l
-                witness = pair
-    return best_l, witness
+            # Decodable iff every diagonal sum occurs once; L is |P+Q|.
+            support, _, diag_counts = _sumset(p, q, counts=True)
+            if (best_l is None or len(support) < best_l) and (diag_counts == 1).all():
+                best_l, best = len(support), (p, q)
+    return best_l, None if best is None else ExponentPair(n, *best)

@@ -213,30 +213,10 @@ class FieldMatrix:
         self.data.setflags(write=False)
 
     @classmethod
-    def from_rows(cls, rows_data) -> "FieldMatrix":
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        ent: list[int] = []
-        for r in rows_data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            ent.extend(r)
-        return cls(rows, cols, ent)
-
-    @classmethod
-    def _wrap(cls, data) -> "FieldMatrix":
-        """The matrix of a 2-D uint64 array of residues that a kernel built,
-        without the constructor's checks; data is made read-only."""
-        data.setflags(write=False)
-        m = object.__new__(cls)
-        m.data = data
-        return m
-
-    @classmethod
     def _split(cls, stack) -> list["FieldMatrix"]:
-        """The matrices stack[0], stack[1], ... of a 3-D uint64 array that a
-        kernel built, as _wrap makes them.  The stack is made read-only once;
-        its views inherit that."""
+        """The matrices stack[0], stack[1], ... of a 3-D uint64 array of
+        residues that a kernel built, without the constructor's checks.  The
+        stack is made read-only once; its views inherit that."""
         stack.setflags(write=False)
         out = []
         for data in stack:
@@ -326,7 +306,7 @@ def mat_mul(
     out = _product(field.modulus, a.data, b.data)
     if counter is not None:
         counter.mul_count += n * k * m
-    return FieldMatrix._wrap(out)
+    return FieldMatrix._split(out[None])[0]
 
 
 def mat_lincombs(
@@ -660,19 +640,6 @@ class SolveBasis:
         self.absorbed = 0
 
 
-def _right_nonzeros(right, free, left) -> int:
-    """How many nonzeros the new pivot rows held right of their pivots when
-    pivoted, outside the columns in `left`.
-
-    right lists (i, mask) per pivot, i being the pivot's column's place in
-    `free` and mask the nonzero pattern of its row in free[i + 1:].
-    """
-    if not left:
-        return int(np.count_nonzero(np.concatenate([mask for _, mask in right]))) if right else 0
-    pivoted = np.array([col not in left for col in free])
-    return sum(int(np.count_nonzero(mask & pivoted[i + 1 :])) for i, mask in right)
-
-
 def solve_linear(
     field: PrimeField,
     v: FieldMatrix,
@@ -698,10 +665,13 @@ def solve_linear(
     f + blen muls per nonzero entry in a pivot column, f being the columns
     without a pivot before the call.  A pivot costs one inversion, and
     (w + blen) muls per nonzero of its column among the rows not yet pivot
-    rows, w being the columns without a pivot from it on.  Each nonzero an
-    earlier pivot row held in a column pivoted in the call (when pivoted,
-    or before the call for a basis row) costs f' + blen, f' being the
-    columns still without a pivot after the call (0 once V's rank is L).
+    rows, w being the columns without a pivot from it on.  Back
+    substitution is charged from one tally, per column without a pivot
+    before the call, of the pivot rows that hold a nonzero in it: each
+    basis row as it stood before the call, each new row as it was when
+    pivoted.  Every such hit in a column pivoted in the call costs
+    f' + blen, f' being the columns still without a pivot after the call
+    (0 once V's rank is L).
 
     Each column takes one multiplier per row (one multiply-add of the
     column by the scalar p - inv), then adds the multipliers times the
@@ -755,9 +725,11 @@ def solve_linear(
     # moves to the end of the block's V part, where the pivot rows that
     # follow are zero, so every pivot row starts at block column 0 and
     # covers the columns not yet reached, free[i:], then the kept ones.
-    # right: per new pivot, i and the nonzero pattern of its row in
-    # free[i + 1:], read before normalization, which keeps it.
-    right, found, left = [], [], []
+    # hits[i]: the pivot rows holding a nonzero in free[i], each basis row as
+    # it was before the call and each new row as it was when pivoted (read
+    # before normalization, which keeps the pattern).
+    hits = np.count_nonzero(basis.block[:, :nv], axis=0) if top else np.zeros(nv, dtype=np.intp)
+    found, left = [], []
     for i, col in enumerate(free):
         nonzero = x[top:, 0].nonzero()[0]
         if nonzero.size == 0:
@@ -773,7 +745,7 @@ def solve_linear(
         if counter is not None:
             counter.mul_count += (w + blen) * nonzero.size
             counter.inv_count += 1
-            right.append((i, prow[1:w].astype(bool)))
+            hits[i + 1 :] += prow[1:w].astype(bool)
         # Row r gets f_r * (p - inv) = -f_r * inv times the pivot row; the
         # pivot row gets (inv - 1) times itself, which normalizes it.  A
         # zero f_r gives a zero multiplier, which leaves its row unchanged,
@@ -790,14 +762,10 @@ def solve_linear(
         nv -= 1
 
     if counter is not None:
-        # Back substitution clears the earlier pivot rows' nonzeros in the
-        # columns pivoted here: the new rows' as pivoted, the basis rows' as
-        # they were before the call.
-        cleared = _right_nonzeros(right, free, left)
-        if pivots:
-            pivoted = [i for i, col in enumerate(free) if col not in left]
-            cleared += int(np.count_nonzero(basis.block[:, pivoted]))
-        counter.mul_count += (len(left) + blen) * cleared
+        # Back substitution clears the pivot rows' hits in the columns
+        # pivoted here.
+        pivoted = [i for i, col in enumerate(free) if col not in left]
+        counter.mul_count += (len(left) + blen) * int(hits[pivoted].sum())
     # The pivot rows in column order, read-only: once every column has its
     # pivot they are the solution, which the results then share.
     order = np.argsort(pivots + found)

@@ -33,6 +33,14 @@ def identity(n: int) -> FieldMatrix:
     return FieldMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
 
+def from_rows(rows) -> FieldMatrix:
+    """The matrix of a list of equal-length rows; ragged rows raise ValueError."""
+    cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows")
+    return FieldMatrix(len(rows), cols, [x for r in rows for x in r])
+
+
 def to_rows(m: FieldMatrix) -> list[list[int]]:
     return m.data.tolist()
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from conftest import from_rows
 from rookbench.field import FieldMatrix, solve_linear
 from rookbench.rook import SingularAfterRetry, rook_decode
 
@@ -41,7 +42,7 @@ class KillSummary:
 def _invert(field, rows):
     n = len(rows)
     ident = [FieldMatrix(1, n, [1 if j == i else 0 for j in range(n)]) for i in range(n)]
-    blocks = solve_linear(field, FieldMatrix.from_rows(rows), ident)
+    blocks = solve_linear(field, from_rows(rows), ident)
     return [blk.entries for blk in blocks]
 
 

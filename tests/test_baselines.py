@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import direct_products, rng, scalar
+from conftest import direct_products, from_rows, rng, scalar
 from rookbench.baselines import (
     CsaScheme,
     LccScheme,
@@ -241,7 +241,7 @@ def reference_csa_blocks(scheme, products):
         [pow((zi - pr.x) % p, -1, p) for zi in scheme.z] + [pow(pr.x, j, p) for j in range(n - 1)]
         for pr in products
     ]
-    d = solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products])
+    d = solve_linear(field, from_rows(rows), [pr.e for pr in products])
     return [
         FieldMatrix(b.rows, b.cols, [pow(c, -1, p) * v % p for v in b.entries])
         for c, b in zip(scheme.residues, d[:n])
@@ -263,7 +263,7 @@ def expected_csa_charge(scheme, products):
         for x, poly in zip(xs, polys)
     ]
     try:
-        solve_linear(field, FieldMatrix.from_rows(rows), [pr.e for pr in products], solve_ctr)
+        solve_linear(field, from_rows(rows), [pr.e for pr in products], solve_ctr)
     except SingularMatrix:
         pass
     k = len(products)

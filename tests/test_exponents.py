@@ -478,8 +478,11 @@ def test_min_recovery_non_increasing_in_budget():
 
 
 def test_min_recovery_matches_naive_enumerator():
-    assert min_recovery_bruteforce(2, 4)[0] == naive_min_recovery(2, 4)
-    assert min_recovery_bruteforce(3, 8)[0] == naive_min_recovery(3, 8)
+    for n in range(1, 5):
+        for cap in range(n - 1, 9):
+            assert min_recovery_bruteforce(n, cap)[0] == naive_min_recovery(n, cap), (n, cap)
+    w = min_recovery_bruteforce(4, 8)[1]
+    assert (w.p, w.q) == ((0, 1, 3, 4), (0, 1, 3, 4))
 
 
 def test_min_recovery_guards():

@@ -8,7 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from conftest import identity, reference_pow, rng, to_rows
+from conftest import from_rows, identity, reference_pow, rng, to_rows
 from rookbench.field import (
     M61,
     NUMPY_MIN_MULS,
@@ -197,12 +197,12 @@ SOLVE_MODULI = [
 
 
 def test_mat_mul_examples(gf101):
-    m = FieldMatrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     ident = identity(3)
     x = mat_random(gf101, 3, 3, rng(3))
     assert mat_mul(gf101, ident, x) == x
     assert mat_mul(gf101, FieldMatrix(1, 1, [3]), FieldMatrix(1, 1, [2])).entries == [6]
-    prod = mat_mul(gf101, m, FieldMatrix.from_rows([[5, 6], [7, 8]]))
+    prod = mat_mul(gf101, m, from_rows([[5, 6], [7, 8]]))
     assert to_rows(prod) == [[19, 22], [43, 50]]  # hand schoolbook check
     for p in KERNEL_MODULI:
         field = PrimeField(p)
@@ -264,8 +264,8 @@ def test_mat_mul_result_is_read_only_and_equals_the_list_built_matrix(p):
 
 
 def test_mat_helpers(gf101):
-    a = FieldMatrix.from_rows([[1, 2], [3, 4]])
-    b = FieldMatrix.from_rows([[100, 100], [100, 100]])
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[100, 100], [100, 100]])
     assert to_rows(mat_lincombs(gf101, [[1]], [b], base=a)[0]) == [[0, 1], [2, 3]]
     assert to_rows(mat_lincombs(gf101, [[2]], [b], base=a)[0]) == [[100, 0], [1, 2]]
     assert to_rows(mat_lincombs(gf101, [[2]], [a])[0]) == [[2, 4], [6, 8]]
@@ -278,7 +278,7 @@ def test_field_matrix_holds_a_read_only_uint64_array():
     values = [0, 1, 2, 100, M61 - 1, (1 << 64) - 1]
     built = [
         FieldMatrix(2, 3, values),
-        FieldMatrix.from_rows([values[:3], values[3:]]),
+        from_rows([values[:3], values[3:]]),
         FieldMatrix(2, 3, np.array(values, dtype=np.uint64)),
         FieldMatrix(2, 3, np.array([values[:3], values[3:]], dtype=np.uint64)),
         FieldMatrix(2, 3, np.array(values, dtype=object)),
@@ -334,11 +334,11 @@ def test_both_product_paths_reduce_non_canonical_entries(p):
         assert mat_mul(field, a, a).entries == [n * top * top % p] * (n * n)
     # A unit upper triangular V is invertible over any field.
     want = [mat_random(field, 1, 2, r) for _ in range(3)]
-    v = FieldMatrix.from_rows([[1, r.randrange(p), r.randrange(p)], [0, 1, r.randrange(p)], [0, 0, 1]])
+    v = from_rows([[1, r.randrange(p), r.randrange(p)], [0, 1, r.randrange(p)], [0, 0, 1]])
     rhs = [mat_lincombs(field, [row], want)[0] for row in to_rows(v)]
     lift = [[x + p * r.randrange((1 << 64) // p) for x in row] for row in to_rows(v)]
     rhs_lift = [FieldMatrix(1, 2, [x + p for x in b.entries]) for b in rhs]
-    assert solve_linear(field, FieldMatrix.from_rows(lift), rhs_lift) == solve_linear(field, v, rhs) == want
+    assert solve_linear(field, from_rows(lift), rhs_lift) == solve_linear(field, v, rhs) == want
 
 
 @pytest.mark.parametrize("p", [257, M61], ids=["p257", "m61"])
@@ -367,14 +367,14 @@ def test_every_returned_block_rejects_writes(p):
     field = PrimeField(p)
     r = rng(p % 1000 + 38)
     L = 12
-    v = FieldMatrix.from_rows([[pow(x, j, p) for j in range(L)] for x in range(1, L + 1)])
+    v = from_rows([[pow(x, j, p) for j in range(L)] for x in range(1, L + 1)])
     for dims in ((2, 2), (8, 8)):
         blocks = [mat_random(field, *dims, r) for _ in range(L)]
         coeff_rows = [[r.randrange(p) for _ in blocks] for _ in range(5)]
         basis = SolveBasis()
         with pytest.raises(SingularMatrix):
-            solve_linear(field, FieldMatrix.from_rows(to_rows(v)[:5]), blocks[:5], basis=basis)
-        kept = solve_linear(field, FieldMatrix.from_rows(to_rows(v)[5:]), blocks[5:], basis=basis)
+            solve_linear(field, from_rows(to_rows(v)[:5]), blocks[:5], basis=basis)
+        kept = solve_linear(field, from_rows(to_rows(v)[5:]), blocks[5:], basis=basis)
         outs = mat_lincombs(field, coeff_rows, blocks) + solve_linear(field, v, blocks) + kept
         assert len(outs) == 5 + 2 * L
         for out in outs:
@@ -795,7 +795,7 @@ def test_solve_vandermonde_recovers_quadratic(gf101):
     # Forward-evaluate a known quadratic at x = 1, 2, 3, then solve.
     coeffs = [17, 42, 99]
     xs = [1, 2, 3]
-    v = FieldMatrix.from_rows([[pow(x, j, 101) for j in range(3)] for x in xs])
+    v = from_rows([[pow(x, j, 101) for j in range(3)] for x in xs])
     rhs = [
         FieldMatrix(1, 1, [sum(c * pow(x, j) for j, c in enumerate(coeffs)) % 101])
         for x in xs
@@ -805,7 +805,7 @@ def test_solve_vandermonde_recovers_quadratic(gf101):
 
 
 def test_solve_singular_on_equal_rows(gf101):
-    v = FieldMatrix.from_rows([[1, 2], [1, 2]])
+    v = from_rows([[1, 2], [1, 2]])
     rhs = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
     with pytest.raises(SingularMatrix):
         solve_linear(gf101, v, rhs)
@@ -996,7 +996,7 @@ def _oracle_systems(p: int, n: int, blen: int, r: random.Random):
             row[k] = 0
     for rows in (draw(0.3), second):
         rhs = [FieldMatrix(br, bc, [r.randrange(p) for _ in range(blen)]) for _ in range(n)]
-        yield FieldMatrix.from_rows(rows), rhs
+        yield from_rows(rows), rhs
 
 
 @pytest.mark.parametrize("blen", [1, 4, 9])
@@ -1042,7 +1042,7 @@ def _tall_systems(p: int, n: int, extra: int, blen: int, r: random.Random):
             FieldMatrix(br, bc, [sum(row[j] * want[j][t] for j in range(n)) % p for t in range(blen)])
             for row in rows
         ]
-        yield FieldMatrix.from_rows(rows), rhs, want
+        yield from_rows(rows), rhs, want
 
 
 @pytest.mark.parametrize("blen", [1, 4])
@@ -1091,7 +1091,7 @@ def _arrival_batches(p: int, n: int, blen: int, r: random.Random):
             FieldMatrix(br, bc, [sum(row[j] * want[j][t] for j in range(n)) % p for t in range(blen)])
             for row in batch
         ]
-        batches.append((FieldMatrix.from_rows(batch), rhs))
+        batches.append((from_rows(batch), rhs))
     return batches, want
 
 
@@ -1178,7 +1178,7 @@ def test_solve_without_basis_names_the_first_column_without_a_pivot(p, blen):
         ([[1, 0, 2], [3, 0, 4], [5, 0, 6], [7, 0, 9]], 1),
     ]
     for rows, col in cases:
-        v = FieldMatrix.from_rows(rows)
+        v = from_rows(rows)
         rhs = [FieldMatrix(br, bc, [r.randrange(p) for _ in range(blen)]) for _ in rows]
         got = _solve_outcome(_solve_checked, field, v, rhs)
         assert got[0] == f"no nonzero pivot in column {col}", rows
@@ -1240,7 +1240,7 @@ def test_solve_singular_only_at_last_column_charges_as_reference(p):
         mix = [r.randrange(p) for _ in range(L - 1)]
         for row in rows:
             row.append(sum(map(mul, mix, row)) % p)
-        v = FieldMatrix.from_rows(rows)
+        v = from_rows(rows)
         rhs = [FieldMatrix(2, 2, [r.randrange(p) for _ in range(4)]) for _ in range(k)]
         got = _solve_outcome(_solve_checked, field, v, rhs)
         assert got[0] == f"no nonzero pivot in column {L - 1}"

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import direct_products, gap_powers, identity, rng, scalar, zeros
+from conftest import direct_products, from_rows, gap_powers, identity, rng, scalar, zeros
 from rookbench.exponents import (
     ExponentPair,
     base3_exponents,
@@ -13,7 +13,6 @@ from rookbench.exponents import (
 from rookbench.field import (
     M61,
     DimensionMismatch,
-    FieldMatrix,
     OpCounter,
     PrimeField,
     mat_random,
@@ -128,8 +127,8 @@ def test_encode_worked_example():
 def test_encode_single_pair():
     pair = ExponentPair(1, (0,), (0,))
     scheme = make_rook_scheme(pair, GF101, 1, eval_points=(7,))
-    a0 = FieldMatrix.from_rows([[1, 2], [3, 4]])
-    b0 = FieldMatrix.from_rows([[5], [6]])
+    a0 = from_rows([[1, 2], [3, 4]])
+    b0 = from_rows([[5], [6]])
     share = rook_encode_share(scheme, [(a0, b0)], [0])[0]
     assert share.a_tilde == a0  # p_0 = 0: the constant term survives
     pair2 = ExponentPair(1, (2,), (0,))
@@ -152,7 +151,7 @@ def test_encode_at_zero_keeps_constant_term():
 
 def test_encode_rejects_ragged_inputs():
     scheme = worked_scheme()
-    bad = [(scalar(3), scalar(2)), (FieldMatrix.from_rows([[1, 2]]), scalar(7))]
+    bad = [(scalar(3), scalar(2)), (from_rows([[1, 2]]), scalar(7))]
     with pytest.raises(DimensionMismatch):
         rook_encode_share(scheme, bad, [0])
     with pytest.raises(DimensionMismatch):
@@ -162,7 +161,7 @@ def test_encode_rejects_ragged_inputs():
 def test_inner_dimension_mismatch_raises_when_the_worker_multiplies():
     # The encoder leaves A.cols == B.rows to the worker's mat_mul.
     scheme = worked_scheme()
-    a = FieldMatrix.from_rows([[1, 2]])
+    a = from_rows([[1, 2]])
     share = rook_encode_share(scheme, [(a, scalar(3)), (a, scalar(4))], [0])[0]
     with pytest.raises(DimensionMismatch):
         rook_worker(GF101, share)
@@ -355,7 +354,7 @@ def test_decode_counts_gap_powers_per_row_plus_solve():
                 row.append(val)
             rows.append(row)
         want.mul_count += len(prods) * (len(support) - 1)
-        solve_linear(GFM61, FieldMatrix.from_rows(rows), [pr.e for pr in prods], want)
+        solve_linear(GFM61, from_rows(rows), [pr.e for pr in prods], want)
         assert (ctr.mul_count, ctr.inv_count) == (want.mul_count, want.inv_count)
 
 
