@@ -35,14 +35,7 @@ def _anchors_and_points(n, field, m, rng, z, eval_points):
     """Anchors (default 1..n) and eval points (default m random ones off the anchors)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if z is None:
-        z = tuple(range(1, n + 1))
-    else:
-        z = tuple(v % field.modulus for v in z)
-    if len(z) != n:
-        raise ValueError(f"expected {n} anchors, got {len(z)}")
-    if len(set(z)) != n:
-        raise ValueError("anchors must be pairwise distinct")
+    z = rook._distinct_residues(field, range(1, n + 1) if z is None else z, n, "anchors")
     return z, rook.bind_points(field, m, rng, eval_points, exclude=z)
 
 
@@ -87,10 +80,14 @@ def make_lcc_scheme(n, field, m, rng=None, z=None, eval_points=None) -> LccSchem
 
 
 def _lagrange_basis(field, z, x, counter):
-    """L_i(x) = prod_{j != i} (x - z_j) / (z_i - z_j); one inversion each."""
+    """L_i(x) = prod_{j != i} (x - z_j) / (z_i - z_j) for the n anchors z.
+
+    Charged n(2n - 1) muls and n inversions: each L_i takes 2(n - 1)
+    products for its numerator and denominator, one inversion and one
+    product.  The anchors are distinct, so no denominator is zero.
+    """
     p = field.modulus
     out = []
-    muls = 0
     for i, zi in enumerate(z):
         num = 1
         den = 1
@@ -99,12 +96,11 @@ def _lagrange_basis(field, z, x, counter):
                 continue
             num = num * (x - zj) % p
             den = den * (zi - zj) % p
-            muls += 2
-        inv = field.inv(den, counter)
-        out.append(num * inv % p)
-        muls += 1
+        out.append(num * pow(den, -1, p) % p)
     if counter is not None:
-        counter.mul_count += muls
+        n = len(z)
+        counter.mul_count += n * (2 * n - 1)
+        counter.inv_count += n
     return out
 
 
@@ -189,11 +185,12 @@ def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = N
     field = scheme.field
     p = field.modulus
     xs = [scheme.eval_points[w] for w in workers]
-    rows_b = [[field.inv((zi - x) % p, counter) for zi in scheme.z] for x in xs]
+    rows_b = [[pow((zi - x) % p, -1, p) for zi in scheme.z] for x in xs]
     fs = [math.prod((zi - x) % p for zi in scheme.z) % p for x in xs]
     rows_a = [[f * c % p for c in row] for f, row in zip(fs, rows_b)]
     if counter is not None:
         counter.mul_count += (2 * scheme.n - 1) * len(xs)
+        counter.inv_count += scheme.n * len(xs)
     return generator_shares(field, workers, xs, rows_a, rows_b, inputs, counter)
 
 
@@ -214,11 +211,12 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None, ba
     new = _unabsorbed(products, basis)
     polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in new], counter)
     poles = [
-        [c * field.inv((zi - pr.x) % p, counter) % p for zi, c in zip(scheme.z, scheme.residues)] for pr in new
+        [c * pow((zi - pr.x) % p, -1, p) % p for zi, c in zip(scheme.z, scheme.residues)] for pr in new
     ]
     rows = np.hstack([np.array(poles, dtype=np.uint64).reshape(len(new), scheme.n), polys])
     if counter is not None:
         counter.mul_count += scheme.n * len(new)
+        counter.inv_count += scheme.n * len(new)
     return _solve_responses(field, rows, new, counter, basis)[: scheme.n]
 
 

@@ -99,17 +99,7 @@ def base3_exponents(n: int) -> ExponentPair:
     ceil(log2 n) construction, which stays decodable since any subset of a
     3-AP-free set is 3-AP-free.
     """
-    vals = []
-    for k in range(n):
-        v = 0
-        scale = 1
-        while k:
-            if k & 1:
-                v += scale
-            scale *= 3
-            k >>= 1
-        vals.append(v)
-    p = tuple(vals)
+    p = tuple(int(format(k, "b"), 3) for k in range(n))
     return ExponentPair(n=n, p=p, q=p)
 
 
@@ -311,14 +301,9 @@ def _sumset(p, q, counts: bool = False):
     return support, diag_index, 2 * diag_counts - 1 if same else diag_counts
 
 
-def _diag_multiplicities(pair: ExponentPair) -> list:
-    """Multiplicity of each diagonal sum p_k + q_k among all cross sums."""
-    return _sumset(pair.p, pair.q, counts=True)[2].tolist()
-
-
 def is_decodable(pair: ExponentPair) -> bool:
     """True iff every diagonal sum occurs exactly once among all n^2 sums."""
-    return all(m == 1 for m in _diag_multiplicities(pair))
+    return bool((_sumset(pair.p, pair.q, counts=True)[2] == 1).all())
 
 
 def sum_support(pair: ExponentPair) -> SumSupport:
@@ -339,7 +324,7 @@ def is_3ap_free(values) -> bool:
         raise ValueError("elements must be distinct")
     if len(a) < 3:
         return True
-    return all(m == 1 for m in _sumset(a, a, counts=True)[2].tolist())
+    return bool((_sumset(a, a, counts=True)[2] == 1).all())
 
 
 # min_recovery_bruteforce's budget: the space grows as C(max_exponent, n-1)^2.
@@ -366,9 +351,12 @@ def min_recovery_bruteforce(n: int, max_exponent: int):
         raise ValueError("max_exponent too small to fit n distinct exponents")
     tails = list(combinations(range(1, max_exponent + 1), n - 1))
     best_l, best = None, None
-    for tp in tails:
+    # (P, Q) and (Q, P) have the same |P+Q| and decodability, and the first
+    # minimal pair in lexicographic order has P <= Q, so each unordered
+    # pair is scored once.
+    for i, tp in enumerate(tails):
         p = (0,) + tp
-        for tq in tails:
+        for tq in tails[i:]:
             q = (0,) + tq
             # Decodable iff every diagonal sum occurs once; L is |P+Q|.
             support, _, diag_counts = _sumset(p, q, counts=True)

@@ -5,8 +5,9 @@ Field elements are canonical Python ints in [0, p) for a prime p below
 to ~2^61 stay representable as monomial degrees.  A FieldMatrix holds one
 read-only uint64 array, which the kernels below take and return as it is;
 an entry of p or more acts as its residue.  Powers and inverses use
-builtin pow for single values; power_table computes x^e for many x and e
-at once, the encoders' generator matrices and the decoders' system rows.
+builtin pow for single values, and each caller charges its inversions by
+formula; power_table computes x^e for many x and e at once, the
+encoders' generator matrices and the decoders' system rows.
 Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
 combinations of the same blocks (all the shares of an op, a decoder's
 evaluations at the anchors) are one mat_lincombs call, the len(rows) x
@@ -139,13 +140,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.modulus})"
-
-    def inv(self, a: int, counter: OpCounter | None = None) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if counter is not None:
-            counter.inv_count += 1
-        return pow(a, -1, self.modulus)
 
     def check_exponent_bound(self, max_exponent: int) -> None:
         # Monomials x^e must stay distinct as functions on the nonzero

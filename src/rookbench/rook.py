@@ -103,12 +103,18 @@ def bind_points(field: PrimeField, m: int, rng, points=None, exclude=()) -> tupl
         if rng is None:
             raise ValueError("need rng or explicit eval_points")
         return tuple(field.distinct_nonzero(rng, m, exclude=exclude))
-    points = tuple(x % field.modulus for x in points)
-    if len(points) != m:
-        raise ValueError(f"expected {m} eval points, got {len(points)}")
-    if len(set(points)) != m:
-        raise ValueError("evaluation points must be pairwise distinct")
-    return points
+    return _distinct_residues(field, points, m, "eval points")
+
+
+def _distinct_residues(field: PrimeField, values, count: int, what: str) -> tuple:
+    """`values` reduced mod p, checked to be `count` pairwise distinct
+    residues; `what` names them in the error."""
+    values = tuple(v % field.modulus for v in values)
+    if len(values) != count:
+        raise ValueError(f"expected {count} {what}, got {len(values)}")
+    if len(set(values)) != count:
+        raise ValueError(f"{what} must be pairwise distinct")
+    return values
 
 
 @dataclass(frozen=True)

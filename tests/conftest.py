@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rookbench.field import M61, FieldMatrix, PrimeField, mat_mul
+from rookbench.field import M61, FieldMatrix, PrimeField, mat_mul, mat_random
 
 
 @pytest.fixture
@@ -77,3 +77,40 @@ def gap_powers(field, exponents, x: int, counter=None) -> list[int]:
             counter.mul_count += muls
         prev = e
     return out
+
+
+def random_inputs(field, n, dims, seed):
+    """n random (A_i, B_i) pairs of rows x inner and inner x cols blocks."""
+    r = rng(seed)
+    rows, inner, cols = dims
+    return [
+        (mat_random(field, rows, inner, r), mat_random(field, inner, cols, r))
+        for _ in range(n)
+    ]
+
+
+def naive_min_recovery(n: int, max_exponent: int):
+    # Independent recursive enumerator with the literal decodability triple loop.
+    def tails(start, left):
+        if left == 0:
+            yield ()
+            return
+        for v in range(start, max_exponent + 1):
+            for rest in tails(v + 1, left - 1):
+                yield (v,) + rest
+
+    best = None
+    for tp in tails(1, n - 1):
+        p = (0,) + tp
+        for tq in tails(1, n - 1):
+            q = (0,) + tq
+            good = True
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        if p[k] + q[k] == p[i] + q[j] and (i, j) != (k, k):
+                            good = False
+            if good:
+                l = len({pi + qj for pi in p for qj in q})
+                best = l if best is None else min(best, l)
+    return best

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 
-from conftest import gap_powers, rng, scalar
+from conftest import gap_powers, naive_min_recovery, rng, scalar
 from kill_sets import production_exhaustive_kill_sets, rook_exhaustive_kill_sets
 from rookbench.baselines import (
     ReplicationScheme,
@@ -106,33 +106,6 @@ def test_criterion_2_behrend_family():
 
 
 # --- criterion 3: lower-bound flavor ----------------------------------------------
-
-
-def naive_min_recovery(n: int, max_exponent: int):
-    # Independent recursive enumerator with the literal decodability triple loop.
-    def tails(start, left):
-        if left == 0:
-            yield ()
-            return
-        for v in range(start, max_exponent + 1):
-            for rest in tails(v + 1, left - 1):
-                yield (v,) + rest
-
-    best = None
-    for tp in tails(1, n - 1):
-        p = (0,) + tp
-        for tq in tails(1, n - 1):
-            q = (0,) + tq
-            good = True
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        if p[k] + q[k] == p[i] + q[j] and (i, j) != (k, k):
-                            good = False
-            if good:
-                l = len({pi + qj for pi in p for qj in q})
-                best = l if best is None else min(best, l)
-    return best
 
 
 def test_criterion_3_minimum_thresholds():

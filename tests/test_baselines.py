@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import direct_products, from_rows, rng, scalar
+from conftest import direct_products, from_rows, random_inputs, rng, scalar
 from rookbench.baselines import (
     CsaScheme,
     LccScheme,
@@ -20,22 +20,13 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents
-from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SingularMatrix, mat_random, solve_linear
+from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SingularMatrix, solve_linear
 from rookbench.rook import NotEnoughProducts, SingularAfterRetry, power_rows, rook_worker
 
 GF101 = PrimeField(101)
 GFM61 = PrimeField(M61)
 
 WORKED_INPUTS = [(scalar(3), scalar(2)), (scalar(5), scalar(7))]
-
-
-def random_inputs(field, n, dims, seed):
-    r = rng(seed)
-    rows, inner, cols = dims
-    return [
-        (mat_random(field, rows, inner, r), mat_random(field, inner, cols, r))
-        for _ in range(n)
-    ]
 
 
 def run_workers(field, scheme, inputs, encode):
@@ -298,6 +289,55 @@ def test_csa_decode_counts_and_blocks(field):
                 assert got == reference_csa_blocks(scheme, products) == direct_products(field, inputs)
                 assert pivots == L
             assert (ctr.mul_count, ctr.inv_count) == (muls, invs), (n, len(products), singular)
+
+
+def expected_lcc_charge(scheme, products):
+    """(muls, solve pivots) of one lcc_decode call: power_rows' charge for
+    the L columns, solve_linear's charge on the same rows, run with a fresh
+    counter (partial when the rows are singular), and, once the solve
+    succeeds, Horner's n(L - 1) scalar-block products at the anchors.  The
+    solve's pivots are the call's only inversions."""
+    field, n, L = scheme.field, scheme.n, scheme.threshold
+    rows_ctr, solve_ctr = OpCounter(), OpCounter()
+    rows = power_rows(field, range(L), [pr.x for pr in products], rows_ctr).tolist()
+    horner = 0
+    try:
+        solve_linear(field, from_rows(rows), [pr.e for pr in products], solve_ctr)
+    except SingularMatrix:
+        pass
+    else:
+        block = products[0].e
+        horner = n * (L - 1) * block.rows * block.cols
+    return rows_ctr.mul_count + solve_ctr.mul_count + horner, solve_ctr.inv_count
+
+
+@pytest.mark.parametrize("field", [GFM61, PrimeField(257)], ids=["m61", "p257"])
+def test_lcc_decode_counts_and_blocks(field):
+    r = rng(field.modulus % 1000 + 107)
+    for n in (1, 2, 3, 4):
+        L = 2 * n - 1
+        scheme = make_lcc_scheme(n, field, L + 3, rng=r)
+        inputs = random_inputs(field, n, (2, 3, 2), 108 + n)
+        prods = run_workers(field, scheme, inputs, lcc_encode)
+        r.shuffle(prods)
+        # Square and tall systems; for n > 1 also a repeated response, which
+        # leaves the rank at L - 1, alone and with further repeats.
+        cases = [(prods[:L], False), (prods, False)]
+        if n > 1:
+            dup = prods[: L - 1] + [prods[0]]
+            cases += [(dup, True), (dup + [prods[1]] * 2, True)]
+        for products, singular in cases:
+            muls, pivots = expected_lcc_charge(scheme, products)
+            ctr = OpCounter()
+            if singular:
+                with pytest.raises(SingularAfterRetry):
+                    lcc_decode(products, scheme, ctr)
+                # The columns completed before the failing one are charged.
+                assert 0 < pivots < L
+            else:
+                assert lcc_decode(products, scheme, ctr) == direct_products(field, inputs)
+                assert pivots == L
+            assert (ctr.mul_count, ctr.inv_count) == (muls, pivots), (n, len(products), singular)
 
 
 @pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])

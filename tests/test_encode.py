@@ -58,12 +58,13 @@ def reference_csa_share(scheme, inputs, worker_id, counter=None):
     field = scheme.field
     p = field.modulus
     x = scheme.eval_points[worker_id]
-    invs = [field.inv((zi - x) % p, counter) for zi in scheme.z]
+    invs = [pow((zi - x) % p, -1, p) for zi in scheme.z]
     f = (scheme.z[0] - x) % p
     for zi in scheme.z[1:]:
         f = f * (zi - x) % p
     if counter is not None:
         counter.mul_count += 2 * scheme.n - 1
+        counter.inv_count += scheme.n
     a = mat_lincombs(field, [[f * c % p for c in invs]], [a for a, _ in inputs], counter)[0]
     b = mat_lincombs(field, [invs], [b for _, b in inputs], counter)[0]
     return WorkerShare(worker_id=worker_id, x=x, a_tilde=a, b_tilde=b)

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from conftest import rng
+from conftest import naive_min_recovery, rng
 from rookbench import exponents
 from rookbench.exponents import (
     ExponentPair,
@@ -22,7 +22,7 @@ from rookbench.exponents import (
     poly_code_exponents,
     sum_support,
 )
-from rookbench.exponents import _diag_multiplicities, _first_viable, _smallest_shell_values, _ways_table
+from rookbench.exponents import _first_viable, _smallest_shell_values, _sumset, _ways_table
 
 
 # --- oracles ----------------------------------------------------------------
@@ -41,34 +41,6 @@ def decodable_triple_loop(pair: ExponentPair) -> bool:
 
 def support_bruteforce(pair: ExponentPair):
     return sorted({pi + qj for pi in pair.p for qj in pair.q})
-
-
-def naive_min_recovery(n: int, max_exponent: int):
-    """Independent recursive enumerator over subsets containing 0."""
-
-    best = [None]
-
-    def subsets(start, chosen, remaining, acc):
-        if remaining == 0:
-            acc.append(tuple(chosen))
-            return
-        for v in range(start, max_exponent + 1):
-            chosen.append(v)
-            subsets(v + 1, chosen, remaining - 1, acc)
-            chosen.pop()
-
-    tails: list = []
-    subsets(1, [], n - 1, tails)
-    for tp in tails:
-        p = (0,) + tp
-        for tq in tails:
-            q = (0,) + tq
-            pair = ExponentPair(n=n, p=p, q=q)
-            if decodable_triple_loop(pair):
-                l = len(support_bruteforce(pair))
-                if best[0] is None or l < best[0]:
-                    best[0] = l
-    return best[0]
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +337,8 @@ def test_sumset_paths_match_bruteforce():
         assert [s.support[i] for i in s.diag_index] == [a + b for a, b in zip(pair.p, pair.q)]
         assert is_decodable(pair) == decodable_triple_loop(pair)
         counts = Counter(a + b for a in pair.p for b in pair.q)
-        assert _diag_multiplicities(pair) == [counts[a + b] for a, b in zip(pair.p, pair.q)]
+        diag_counts = _sumset(pair.p, pair.q, counts=True)[2].tolist()
+        assert diag_counts == [counts[a + b] for a, b in zip(pair.p, pair.q)]
     assert not is_decodable(pairs[3]) and is_decodable(pairs[4])
     assert not is_3ap_free(pairs[3].p) and is_3ap_free(pairs[4].p)
 
@@ -480,7 +453,10 @@ def test_min_recovery_non_increasing_in_budget():
 def test_min_recovery_matches_naive_enumerator():
     for n in range(1, 5):
         for cap in range(n - 1, 9):
-            assert min_recovery_bruteforce(n, cap)[0] == naive_min_recovery(n, cap), (n, cap)
+            l, w = min_recovery_bruteforce(n, cap)
+            assert l == naive_min_recovery(n, cap), (n, cap)
+            if w is not None:
+                assert is_decodable(w) and sum_support(w).L == l and w.p <= w.q, (n, cap)
     w = min_recovery_bruteforce(4, 8)[1]
     assert (w.p, w.q) == ((0, 1, 3, 4), (0, 1, 3, 4))
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import direct_products, from_rows, gap_powers, identity, rng, scalar, zeros
+from conftest import direct_products, from_rows, gap_powers, identity, random_inputs, rng, scalar, zeros
 from rookbench.exponents import (
     ExponentPair,
     base3_exponents,
@@ -42,15 +42,6 @@ WORKED_INPUTS = list(zip(WORKED_A, WORKED_B))
 
 def worked_scheme(points=(1, 2, 3)):
     return make_rook_scheme(base3_exponents(2), GF101, len(points), eval_points=points)
-
-
-def random_inputs(field, n, dims, seed):
-    r = rng(seed)
-    rows, inner, cols = dims
-    return [
-        (mat_random(field, rows, inner, r), mat_random(field, inner, cols, r))
-        for _ in range(n)
-    ]
 
 
 # --- gap powers -----------------------------------------------------------------
