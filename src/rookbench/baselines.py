@@ -3,8 +3,12 @@
 LCC interpolates the inputs at anchor points z_i and ships evaluations of
 that interpolant; CSA ships evaluations of a rational encoding with poles
 at the anchors.  Both have recovery threshold 2n-1 and both must divide
-while encoding, which is the cost the rook path avoids.  Plain replication
-rounds out the comparison.
+while encoding, which is the cost the rook path avoids.  LCC decodes by
+Lagrange interpolation of the degree-(2n-2) product polynomial through the
+first 2n-1 distinct points (field.interpolation_weights), with no
+elimination; CSA's system mixes pole and polynomial columns, so it is
+solved by elimination (field.solve_linear).  Plain replication rounds out
+the comparison.
 """
 
 from __future__ import annotations
@@ -19,8 +23,26 @@ from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
 from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
-from .field import FieldError, OpCounter, PrimeField, SolveBasis, mat_lincombs, solve_linear  # noqa: F401
-from .rook import WorkerShare, _require_products, _solve_responses, _unabsorbed, generator_shares, power_rows
+from .field import (  # noqa: F401
+    FieldError,
+    FieldMatrix,
+    OpCounter,
+    PrimeField,
+    SolveBasis,
+    interpolation_weights,
+    mat_lincombs,
+    mat_mul,
+    solve_linear,
+)
+from .rook import (
+    WorkerShare,
+    _first_distinct,
+    _require_products,
+    _solve_responses,
+    _unabsorbed,
+    generator_shares,
+    power_rows,
+)
 
 
 class ConfigInvalid(Exception):
@@ -47,11 +69,12 @@ class LccScheme:
     field: PrimeField
     z: tuple
     eval_points: tuple
-    # Rows [z, z^2, ..., z^{2n-2}] per anchor, for evaluating at the anchors.
-    zpows: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    # Rows [1, z, ..., z^{2n-2}] per anchor, for evaluating at the anchors.
+    zpows: FieldMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "zpows", power_rows(self.field, range(1, self.threshold), self.z))
+        rows = power_rows(self.field, range(self.threshold), self.z)
+        object.__setattr__(self, "zpows", FieldMatrix(self.n, self.threshold, rows))
 
     @property
     def n(self) -> int:
@@ -115,19 +138,22 @@ def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = N
 
 
 def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
-    """Interpolate the degree-(2n-2) product polynomial from every product
-    received, then evaluate it at the anchors.  Rows are built for the
-    products the basis has not absorbed, as in rook_decode."""
+    """Interpolate the degree-(2n-2) product polynomial through the first
+    L = 2n - 1 products with distinct points (rook._first_distinct), then
+    evaluate it at the anchors.
+
+    The rows [1, z, ..., z^{L-1}] of the anchors, computed once at binding,
+    are folded into the interpolation weights of all L coefficients in one
+    n x L by L x L mat_mul, so the products are combined once, by one
+    mat_lincombs call of n rows.
+    """
     field = scheme.field
     L = scheme.threshold
     _require_products(products, L)
-    new = _unabsorbed(products, basis)
-    rows = power_rows(field, range(L), [pr.x for pr in new], counter)
-    coeffs = _solve_responses(field, rows, new, counter, basis)
-    # C_0 + z C_1 + z^2 C_2 + ... at every anchor in one product: (L - 1)
-    # scalar-matrix products per anchor, the cost of Horner's rule; the
-    # scalar powers of z, computed once at binding, go uncounted.
-    return mat_lincombs(field, scheme.zpows, coeffs[1:], counter, base=coeffs[0])
+    chosen = _first_distinct(field, products, L, basis)
+    weights = interpolation_weights(field, [pr.x for pr in chosen], range(L), counter)
+    at_anchors = mat_mul(field, scheme.zpows, FieldMatrix(L, L, weights), counter)
+    return mat_lincombs(field, at_anchors.data, [pr.e for pr in chosen], counter)
 
 
 # --- CSA --------------------------------------------------------------------

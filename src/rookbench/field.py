@@ -34,7 +34,11 @@ restricted to the columns without a pivot and the rhs.  Given the basis
 of an earlier call, a system whose rows arrive over several calls
 reduces only its new rows against them, in one product, and eliminates
 those over the columns still without a pivot, so a decoder that retries
-after each response never re-solves from scratch.
+after each response never re-solves from scratch.  A Vandermonde system,
+whose columns are the powers 0..L-1 of L distinct points, needs no
+elimination: interpolation_weights gives the Lagrange weights of the
+coefficients a decoder wants in O(L^2) products and L inversions, and one
+mat_lincombs call applies them to the values.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -43,7 +47,8 @@ prime.
 
 Operation counts are derived by formula from the algorithm they describe
 (square-and-multiply for powers, elimination that skips zero multipliers
-for solves), not tallied per step.  They are accumulated into explicit
+for solves, schoolbook products for interpolation weights), not tallied
+per step.  They are accumulated into explicit
 OpCounter objects passed to the counted operations (one counter per
 logical task), so there is no global mutable state and concurrent tasks
 cannot interfere.
@@ -610,6 +615,51 @@ def power_table(p: int, exponents, xs):
         table = powers[:, digits] if shift == 0 else muladd(0, table, powers[:, digits])
         base = powers[:, -1:]
     return table
+
+
+def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | None = None):
+    """The len(wanted) x L uint64 array W of Lagrange weights for L distinct
+    points xs: row r gives coefficient wanted[r] of the degree-<L polynomial
+    through values y_w at x_w as sum_w W[r][w] * y_w.
+
+    With M(z) = prod_w (z - x_w) = sum_k m_k z^k, the interpolant is
+    sum_w y_w M(z) / ((z - x_w) M'(x_w)), and coefficient t of
+    M(z) / (z - x_w) is sum_j m_{t+1+j} x_w^j.  So one product of the
+    quotient-coefficient rows [m_{t+1}, m_{t+2}, ..., m_L, 0, ...] for t in
+    wanted, plus M''s row [1 m_1, 2 m_2, ..., L m_L], against the power rows
+    [x_w^0, ..., x_w^{L-1}] gives every quotient coefficient and every
+    M'(x_w); each column is then scaled by the inverse of its M'(x_w), which
+    is nonzero because the points are distinct.  The caller checks that
+    they are.
+
+    Charged, with R = len(wanted), L(L - 1)/2 muls for M (w products to
+    multiply a degree-w M by z - x), L - 1 for M''s coefficients k m_k
+    (k >= 2), L(L - 1) for the power rows (as running products, one per
+    entry after the first), (R + 1) L^2 for the schoolbook product, R L for
+    the scaling, and L inversions.
+    """
+    p = field.modulus
+    xs = [x % p for x in xs]
+    L = len(xs)
+    # M's coefficients, m_0 first, one factor z - x at a time.
+    master = [1]
+    for x in xs:
+        neg = p - x
+        master = [(lo + neg * hi) % p for lo, hi in zip([0, *master], [*master, 0])]
+    rows = np.zeros((len(wanted) + 1, L), dtype=np.uint64)
+    for r, t in enumerate(wanted):
+        rows[r, : L - t] = master[t + 1 :]
+    rows[-1] = [k * m % p for k, m in enumerate(master[1:], 1)]
+    powers = power_table(p, range(L), xs).astype(np.uint64, copy=False)
+    quot = _product(p, rows, powers.T)
+    muladd, _, dtype = _modular(p)
+    invs = np.array([pow(int(d), -1, p) for d in quot[-1]], dtype=dtype)
+    weights = muladd(0, quot[:-1].astype(dtype, copy=False), invs).astype(np.uint64, copy=False)
+    if counter is not None:
+        counter.mul_count += L * (L - 1) // 2 + (L - 1) + L * (L - 1)
+        counter.mul_count += (len(wanted) + 1) * L * L + len(wanted) * L
+        counter.inv_count += L
+    return weights
 
 
 class SolveBasis:

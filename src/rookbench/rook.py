@@ -5,13 +5,18 @@ points x_w.  Worker w receives A~(x_w) = sum_i A_i x_w^{p_i} and
 B~(x_w) = sum_j B_j x_w^{q_j}, multiplies them, and returns the product.
 The product polynomial is supported on the sumset P+Q, so any L = |P+Q|
 responses let the master solve a generalized Vandermonde system and read
-off the diagonal coefficients A_k B_k.  The decoder solves the system of
-every response received, so it succeeds as soon as those responses
-determine the products, whichever they are.  Given a field.SolveBasis, it
-keeps that system's elimination between calls: each call builds rows only
-for the responses that arrived since the last and reduces just those
-against the pivot rows found so far.  A call without one starts from a
-fresh basis, so it solves every response it is given.
+off the diagonal coefficients A_k B_k.  When P+Q is the interval 0..L-1
+(poly codes, base3 at n a power of two) the system is an ordinary
+Vandermonde one, which any L distinct points make nonsingular: the decoder
+takes the first L responses with distinct points and combines them with
+field.interpolation_weights' Lagrange weights for the diagonal, O(L^2)
+field products and no elimination.  Any other support is solved: the
+decoder solves the system of every response received, so it succeeds as
+soon as those responses determine the products, whichever they are.  Given
+a field.SolveBasis, it keeps that system's elimination between calls: each
+call builds rows only for the responses that arrived since the last and
+reduces just those against the pivot rows found so far.  A call without
+one starts from a fresh basis, so it solves every response it is given.
 
 Encoding is division-free: each share is one linear combination of the
 input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
@@ -32,6 +37,7 @@ from .field import (
     PrimeField,
     SingularMatrix,
     SolveBasis,
+    interpolation_weights,
     mat_lincombs,
     mat_mul,
     pow_muls,
@@ -246,24 +252,58 @@ def _solve_responses(
         raise SingularAfterRetry(f"the responses' rows have rank below {rows.shape[1]}") from exc
 
 
+def _first_distinct(field: PrimeField, products, needed: int, basis: SolveBasis | None = None) -> list:
+    """The first `needed` products with pairwise distinct points, in order.
+
+    An interval support's system rows are Vandermonde rows, which any
+    `needed` distinct points make nonsingular, so SingularAfterRetry when
+    fewer points are distinct is exactly when the products do not determine
+    the solution.  Nothing is eliminated, so a basis keeps no rows: it only
+    counts the products consumed, up to the last one taken (all of them on
+    a failure), as the solve's basis would count the rows it absorbed.
+    """
+    p = field.modulus
+    chosen, used = {}, 0
+    for pr in products:
+        if len(chosen) == needed:
+            break
+        chosen.setdefault(pr.x % p, pr)
+        used += 1
+    if basis is not None:
+        basis.absorbed = used
+    if len(chosen) < needed:
+        raise SingularAfterRetry(f"the responses have {len(chosen)} distinct points, below {needed}")
+    return list(chosen.values())
+
+
 def rook_decode(
     products,
     scheme: RookScheme,
     counter: OpCounter | None = None,
     basis: SolveBasis | None = None,
 ):
-    """Recover all A_k B_k from every worker product received.
+    """Recover all A_k B_k from the worker products received.
 
-    Solves V C = E where V[w][t] = x_w^{support[t]}, one power_rows row
-    per product the basis has not absorbed (every product without one, the
-    solve then starting from a fresh basis); the diagonal positions of the
-    support hold the wanted products.
+    When the support is the interval 0..L-1 (poly codes, and base3 at n a
+    power of two), the system is an ordinary Vandermonde one: the first L
+    products with distinct points determine it, and the diagonal
+    coefficients are their combinations with field.interpolation_weights,
+    one mat_lincombs call.  Otherwise it solves V C = E where
+    V[w][t] = x_w^{support[t]}, one power_rows row per product the basis has
+    not absorbed (every product without one, the solve then starting from a
+    fresh basis); the diagonal positions of the support hold the wanted
+    products.
     Raises NotEnoughProducts below L products and SingularAfterRetry while
     the products do not determine the solution.
     """
     support = scheme.support
+    field = scheme.field
     _require_products(products, support.L)
+    if support.support[-1] == support.L - 1:
+        chosen = _first_distinct(field, products, support.L, basis)
+        weights = interpolation_weights(field, [pr.x for pr in chosen], support.diag_index, counter)
+        return mat_lincombs(field, weights, [pr.e for pr in chosen], counter)
     new = _unabsorbed(products, basis)
-    rows = power_rows(scheme.field, support.support, [pr.x for pr in new], counter)
-    coeffs = _solve_responses(scheme.field, rows, new, counter, basis)
+    rows = power_rows(field, support.support, [pr.x for pr in new], counter)
+    coeffs = _solve_responses(field, rows, new, counter, basis)
     return [coeffs[t] for t in support.diag_index]

@@ -50,6 +50,14 @@ def direct_products(field, inputs):
     return [mat_mul(field, a, b) for a, b in inputs]
 
 
+def interpolation_charge(L: int, wanted: int) -> tuple[int, int]:
+    """(muls, invs) field.interpolation_weights' docstring charges for L
+    points and `wanted` coefficients: M(z), M''s coefficients, the power
+    rows, the schoolbook product, the scaling, and one inversion per point."""
+    muls = L * (L - 1) // 2 + (L - 1) + L * (L - 1) + (wanted + 1) * L * L + wanted * L
+    return muls, L
+
+
 def reference_pow(p: int, x: int, e: int) -> tuple[int, int]:
     """Left-to-right square-and-multiply: (x^e mod p, multiplications)."""
     if e == 0:

@@ -12,8 +12,10 @@ vector (checked once against the direct products); a case can therefore
 only fail by singularity, and the residual identity r = e_tail - W e_base
 = 0 is asserted outright.  The production decoder is additionally run on
 the base case and on a deterministic sample of kill sets (every case, for
-the small schemes) and must reproduce the true products through actual
-elimination.
+the small schemes) and must reproduce the true products through its own
+path: Lagrange interpolation weights where the support is the interval
+0..L-1 (rook-poly, rook-base3 at n a power of two, LCC), elimination for
+the other supports.
 """
 
 from __future__ import annotations

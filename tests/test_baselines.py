@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import direct_products, from_rows, random_inputs, rng, scalar
+from conftest import direct_products, from_rows, interpolation_charge, random_inputs, rng, scalar
 from rookbench.baselines import (
     CsaScheme,
     LccScheme,
@@ -100,7 +100,7 @@ def test_lcc_anchor_powers_bound_once():
     # A directly built LccScheme computes the anchor powers itself, and a
     # decode reads them rather than rebuilding them.
     scheme = LccScheme(field=GF101, z=(0, 1), eval_points=(2, 3, 4))
-    assert scheme.zpows.tolist() == power_rows(GF101, range(1, 3), (0, 1)).tolist() == [[0, 0], [1, 1]]
+    assert scheme.zpows.data.tolist() == power_rows(GF101, range(3), (0, 1)).tolist() == [[1, 0, 0], [1, 1, 1]]
     prods = run_workers(GF101, scheme, WORKED_INPUTS, lcc_encode)
     assert [m.entries[0] for m in lcc_decode(prods, scheme)] == [6, 35]
 
@@ -292,23 +292,17 @@ def test_csa_decode_counts_and_blocks(field):
 
 
 def expected_lcc_charge(scheme, products):
-    """(muls, solve pivots) of one lcc_decode call: power_rows' charge for
-    the L columns, solve_linear's charge on the same rows, run with a fresh
-    counter (partial when the rows are singular), and, once the solve
-    succeeds, Horner's n(L - 1) scalar-block products at the anchors.  The
-    solve's pivots are the call's only inversions."""
-    field, n, L = scheme.field, scheme.n, scheme.threshold
-    rows_ctr, solve_ctr = OpCounter(), OpCounter()
-    rows = power_rows(field, range(L), [pr.x for pr in products], rows_ctr).tolist()
-    horner = 0
-    try:
-        solve_linear(field, from_rows(rows), [pr.e for pr in products], solve_ctr)
-    except SingularMatrix:
-        pass
-    else:
-        block = products[0].e
-        horner = n * (L - 1) * block.rows * block.cols
-    return rows_ctr.mul_count + solve_ctr.mul_count + horner, solve_ctr.inv_count
+    """(muls, invs) of one lcc_decode call: nothing while fewer than L
+    products have distinct points; otherwise interpolation_weights' charge
+    for all L coefficients, the n x L x L product folding the anchor rows
+    into the weights, and n L scalar-block products combining the first L
+    distinct products."""
+    n, L = scheme.n, scheme.threshold
+    if len({pr.x for pr in products}) < L:
+        return 0, 0
+    muls, invs = interpolation_charge(L, L)
+    block = products[0].e
+    return muls + n * L * L + n * L * block.rows * block.cols, invs
 
 
 @pytest.mark.parametrize("field", [GFM61, PrimeField(257)], ids=["m61", "p257"])
@@ -321,23 +315,23 @@ def test_lcc_decode_counts_and_blocks(field):
         prods = run_workers(field, scheme, inputs, lcc_encode)
         r.shuffle(prods)
         # Square and tall systems; for n > 1 also a repeated response, which
-        # leaves the rank at L - 1, alone and with further repeats.
+        # leaves L - 1 distinct points, alone and with further repeats.
         cases = [(prods[:L], False), (prods, False)]
         if n > 1:
             dup = prods[: L - 1] + [prods[0]]
             cases += [(dup, True), (dup + [prods[1]] * 2, True)]
         for products, singular in cases:
-            muls, pivots = expected_lcc_charge(scheme, products)
+            muls, invs = expected_lcc_charge(scheme, products)
             ctr = OpCounter()
             if singular:
                 with pytest.raises(SingularAfterRetry):
                     lcc_decode(products, scheme, ctr)
-                # The columns completed before the failing one are charged.
-                assert 0 < pivots < L
+                # Nothing is computed before the points are known distinct.
+                assert (muls, invs) == (0, 0)
             else:
                 assert lcc_decode(products, scheme, ctr) == direct_products(field, inputs)
-                assert pivots == L
-            assert (ctr.mul_count, ctr.inv_count) == (muls, pivots), (n, len(products), singular)
+                assert invs == L
+            assert (ctr.mul_count, ctr.inv_count) == (muls, invs), (n, len(products), singular)
 
 
 @pytest.mark.parametrize("make", [make_lcc_scheme, make_csa_scheme])

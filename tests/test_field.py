@@ -8,7 +8,8 @@ from operator import mul
 import numpy as np
 import pytest
 
-from conftest import from_rows, identity, reference_pow, rng, to_rows
+from conftest import from_rows, identity, interpolation_charge, reference_pow, rng, to_rows
+from rookbench.exponents import base3_exponents, poly_code_exponents, sum_support
 from rookbench.field import (
     M61,
     NUMPY_MIN_MULS,
@@ -26,6 +27,7 @@ from rookbench.field import (
     PrimeField,
     SingularMatrix,
     SolveBasis,
+    interpolation_weights,
     is_prime_u64,
     mat_lincombs,
     mat_mul,
@@ -1298,3 +1300,35 @@ def test_m61_update_in_place_at_limb_extremes():
             vec = np.full(n, x, dtype=np.uint64)
             _update_m61(vec, arr, s, np.empty_like(vec), np.empty_like(vec))
             assert vec.tolist() == [(x + a * s) % M61 for a in LIMB_EDGES]
+
+
+# The diagonal of an interval rook pair with L sums; no pair has L = 2, so
+# that size takes its top coefficient.
+INTERVAL_DIAGONALS = {
+    1: sum_support(poly_code_exponents(1)).diag_index,
+    2: (1,),
+    9: sum_support(base3_exponents(4)).diag_index,
+    81: sum_support(base3_exponents(16)).diag_index,
+    144: sum_support(poly_code_exponents(12)).diag_index,
+}
+
+
+@pytest.mark.parametrize("L", sorted(INTERVAL_DIAGONALS))
+@pytest.mark.parametrize("p", [M61, 257, 1099511627689], ids=["m61", "p257", "p40bit"])
+def test_interpolation_weights_match_the_vandermonde_solve(p, L):
+    # The weights times the values are solve_linear's solution at `wanted`
+    # of the Vandermonde system over the same points, for the diagonal and
+    # for every coefficient, and the charge is the docstring's formula.  A
+    # 40-bit prime runs the object-array arithmetic; 0 is one of the points.
+    field = PrimeField(p)
+    r = rng(p % 1000 + L)
+    xs = [0, *field.distinct_nonzero(r, L - 1)]
+    r.shuffle(xs)
+    values = [FieldMatrix(1, 2, [r.randrange(p) for _ in range(2)]) for _ in range(L)]
+    coeffs = solve_linear(field, FieldMatrix(L, L, power_table(p, range(L), xs)), values)
+    for wanted in (INTERVAL_DIAGONALS[L], range(L)):
+        ctr = OpCounter()
+        weights = interpolation_weights(field, xs, wanted, ctr)
+        assert weights.shape == (len(wanted), L) and weights.dtype == np.uint64
+        assert mat_lincombs(field, weights, values) == [coeffs[t] for t in wanted]
+        assert (ctr.mul_count, ctr.inv_count) == interpolation_charge(L, len(wanted))

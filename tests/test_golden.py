@@ -23,7 +23,16 @@ row and re-solved from scratch.  Only the reports whose first decode
 failed moved (seeds 0, 1 and 3), and in them only decode_muls and
 decode_invs; every other field of every golden report, and every grid,
 block and sweep report, is byte-identical, since a decode that succeeds
-on its first call is charged as before.
+on its first call is charged as before.  The grid, block and sweep digests
+were re-recorded when supports that fill the interval 0..L-1 (rook-poly,
+rook-base3 at n = 2 and 4, and LCC) began to decode by interpolation
+weights (field.interpolation_weights) instead of elimination.  Only
+decode_muls moved (the sweep's decode_time with it), and only in the
+successful reports of those three schemes, each to the interpolation
+formula exactly; decode_invs stayed L, since the elimination had pivoted
+once per column.  Every rook-behrend, CSA and replication report, every
+report that did not decode, and the retry and generator digests are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,10 +47,10 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "f779403086be907f2f08cb2a6d8c7b945222c53d9100e3e74e11a99e2910f635"
-SWEEP_SHA256 = "fadc03d618b9a1e8447361045e6035155b6d8b6f9ce3b6fd51918d2e07009750"
+GRID_SHA256 = "c26c300ec197cce2216c452e09fee44c4ce181d7cb2e33ae2072ce447bdcfdae"
+SWEEP_SHA256 = "346b57c65bc9a763dd949da57a15d6ae892ed67cb532306c69d2718770d7efc3"
 RETRY_SHA256 = "cdc7ecaaed955cfcbbf3a9af5d028f92cae6b04cb9f667817c97bdf1aeb97ca0"
-BLOCK_SHA256 = "5a64e0d23a7f7fba4faf33d23d3a2eae83064aead05b076158d433d2ccdba0ee"
+BLOCK_SHA256 = "e1dba0e5ae54cc9da6344ff25f95e06a4beefa751c0dffdf7a9ed9117ed486bd"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 

@@ -1,8 +1,20 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
-from conftest import direct_products, from_rows, gap_powers, identity, random_inputs, rng, scalar, zeros
+from conftest import (
+    direct_products,
+    from_rows,
+    gap_powers,
+    identity,
+    interpolation_charge,
+    random_inputs,
+    rng,
+    scalar,
+    zeros,
+)
 from rookbench.exponents import (
     ExponentPair,
     base3_exponents,
@@ -15,6 +27,7 @@ from rookbench.field import (
     DimensionMismatch,
     OpCounter,
     PrimeField,
+    SolveBasis,
     mat_random,
     solve_linear,
 )
@@ -328,14 +341,23 @@ def test_decode_ignores_products_beyond_threshold():
 
 
 def test_decode_counts_gap_powers_per_row_plus_solve():
-    # Each of the k rows costs its gap powers plus one product per entry
-    # after the first; the solve is counted over all k rows.
+    # behrend(8)'s support is not an interval: each of the k rows costs its
+    # gap powers plus one product per entry after the first, and the solve
+    # is counted over all k rows.  base3(4)'s is 0..L-1: the first L
+    # products are interpolated, charged interpolation_weights' formula for
+    # the n diagonal coefficients plus one mat_lincombs of n rows over L
+    # 1x1 blocks.
     for pair in (base3_exponents(4), behrend_exponents(8)):
         support = sum_support(pair).support
         scheme = make_rook_scheme(pair, GFM61, len(support) + 3, rng=rng(56))
         prods = run_pipeline(scheme, random_inputs(GFM61, pair.n, (1, 2, 1), 57))
         ctr = OpCounter()
         rook_decode(prods, scheme, ctr)
+        if support[-1] == len(support) - 1:
+            L = len(support)
+            muls, invs = interpolation_charge(L, pair.n)
+            assert (ctr.mul_count, ctr.inv_count) == (muls + pair.n * L, invs)
+            continue
         want = OpCounter()
         rows = []
         for pr in prods:
@@ -347,6 +369,28 @@ def test_decode_counts_gap_powers_per_row_plus_solve():
         want.mul_count += len(prods) * (len(support) - 1)
         solve_linear(GFM61, from_rows(rows), [pr.e for pr in prods], want)
         assert (ctr.mul_count, ctr.inv_count) == (want.mul_count, want.inv_count)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [poly_code_exponents(2), poly_code_exponents(3), base3_exponents(2), base3_exponents(4)],
+    ids=["poly2", "poly3", "base3-2", "base3-4"],
+)
+def test_interval_support_decodes_every_l_subset_on_its_first_call(pair):
+    # Over GF(13), whose 12 nonzero points all serve, every L of them make
+    # a Vandermonde system: one decode call with a fresh basis recovers the
+    # products, inverts once per point and counts the L products consumed.
+    gf13 = PrimeField(13)
+    scheme = make_rook_scheme(pair, gf13, 12, eval_points=range(1, 13))
+    L = scheme.support.L
+    assert scheme.support.support == tuple(range(L))
+    inputs = random_inputs(gf13, pair.n, (1, 2, 1), 58)
+    prods = run_pipeline(scheme, inputs)
+    want = direct_products(gf13, inputs)
+    for subset in combinations(prods, L):
+        ctr, basis = OpCounter(), SolveBasis()
+        assert rook_decode(list(subset), scheme, ctr, basis) == want
+        assert (ctr.inv_count, basis.absorbed) == (L, L)
 
 
 def test_decode_is_arrival_order_invariant():
