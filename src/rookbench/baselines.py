@@ -326,6 +326,11 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
     the coded schemes keep their elimination in it and replication, which
     solves nothing, ignores it.  A configuration the field or the worker
     count cannot hold raises ConfigInvalid.
+
+    A rook code binds its generator's pair normalized
+    (ExponentPair.normalized), which keeps L and the diagonal but spares a
+    small field the equal rows of x and -x that an even gap gcd gives.
+    poly and base3 pairs are already normalized; behrend pairs are not.
     """
     try:
         if desc.scheme == "lcc":
@@ -342,7 +347,7 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
             "rook-base3": base3_exponents,
             "rook-behrend": behrend_exponents,
         }
-        return rook.make_rook_scheme(generators[desc.scheme](desc.n), field, m, rng=rng)
+        return rook.make_rook_scheme(generators[desc.scheme](desc.n).normalized(), field, m, rng=rng)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -357,7 +362,8 @@ def _bind_anywhere(descriptor: SchemeDescriptor):
 
 
 def rook_exponents_for(descriptor: SchemeDescriptor):
-    """A rook descriptor's exponent pair, the one its generator makes."""
+    """A rook descriptor's exponent pair as bound: its generator's pair,
+    normalized (see bind_scheme)."""
     scheme = _bind_anywhere(descriptor)
     if not isinstance(scheme, rook.RookScheme):
         raise ValueError(f"{descriptor.scheme} has no exponent pair")

@@ -73,9 +73,11 @@ def _int_list(text: str) -> list:
 
 def cmd_gen(args) -> int:
     pair = _GENERATORS[args.scheme](args.n)
-    support = sum_support(pair)
+    # The support of the normalized pair a rook scheme binds; L is the same
+    # as the generator's pair.  Binding needs the largest product exponent,
+    # not the largest input one.
+    support = sum_support(pair.normalized())
     if args.modulus is not None:
-        # Binding needs the largest product exponent, not the largest input one.
         PrimeField(args.modulus).check_exponent_bound(support.support[-1])
     _write_out(args.out, json.dumps(pair.to_json_dict()) + "\n")
     print(f"L={support.L} decodable={str(is_decodable(pair)).lower()}")
@@ -108,7 +110,8 @@ def cmd_bench_delta(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "delta_muls", "ratio"])
     for n in args.n_list:
-        delta = encode_delta(behrend_exponents(n))
+        # The pair a rook-behrend share is charged for: the normalized one.
+        delta = encode_delta(behrend_exponents(n).normalized())
         if n > 1:
             ratio = delta / (n * math.sqrt(math.log2(n)))
         else:

@@ -53,6 +53,22 @@ class ExponentPair:
     def max_exponent(self) -> int:
         return max(self.p[-1], self.q[-1])
 
+    def normalized(self) -> "ExponentPair":
+        """((P - p_0) / g, (Q - q_0) / g), g the gcd of every gap of P and Q.
+
+        g is one divisor shared by both sides, so every sum moves by the
+        same affine map s -> (s - p_0 - q_0) / g: |P+Q|, each diagonal
+        sum's place in the sorted support and decodability are unchanged,
+        and no exponent grows.  Over a small field this matters: with g
+        even, x and -x give equal rows, so L responses need not decode.
+        A pair with p_0 = q_0 = 0 and g = 1 comes back equal to itself.
+        """
+        p0, q0 = self.p[0], self.q[0]
+        g = math.gcd(*(v - p0 for v in self.p), *(v - q0 for v in self.q)) or 1
+        return ExponentPair(
+            n=self.n, p=tuple((v - p0) // g for v in self.p), q=tuple((v - q0) // g for v in self.q)
+        )
+
     def to_json_dict(self) -> dict:
         def enc(v):
             return v if v < _JSON_INT_MAX else str(v)

@@ -6,13 +6,14 @@ B~(x_w) = sum_j B_j x_w^{q_j}, multiplies them, and returns the product.
 The product polynomial is supported on the sumset P+Q, so any L = |P+Q|
 responses let the master solve a generalized Vandermonde system and read
 off the diagonal coefficients A_k B_k.  When P+Q is the interval 0..L-1
-(poly codes, base3 at n a power of two) the system is an ordinary
-Vandermonde one, which any L distinct points make nonsingular: the decoder
-takes the first L responses with distinct points and combines them with
-field.interpolation_weights' Lagrange weights for the diagonal, O(L^2)
-field products and no elimination.  Any other support is solved: the
-decoder solves the system of every response received, so it succeeds as
-soon as those responses determine the products, whichever they are.  Given
+(poly codes, base3 at n a power of two, bound behrend at n <= 2) the
+system is an ordinary Vandermonde one, which any L distinct points make
+nonsingular: the decoder takes the first L responses with distinct points
+and combines them with field.interpolation_weights' Lagrange weights for
+the diagonal, O(L^2) field products and no elimination.  Any other
+support is solved: the decoder solves the system of every response
+received, so it succeeds as soon as those responses determine the
+products, whichever they are.  Given
 a field.SolveBasis, it keeps that system's elimination between calls: each
 call builds rows only for the responses that arrived since the last and
 reduces just those against the pivot rows found so far.  A call without
@@ -284,11 +285,12 @@ def rook_decode(
 ):
     """Recover all A_k B_k from the worker products received.
 
-    When the support is the interval 0..L-1 (poly codes, and base3 at n a
-    power of two), the system is an ordinary Vandermonde one: the first L
-    products with distinct points determine it, and the diagonal
-    coefficients are their combinations with field.interpolation_weights,
-    one mat_lincombs call.  Otherwise it solves V C = E where
+    When the support is the interval 0..L-1 (poly codes, base3 at n a
+    power of two, bound behrend at n <= 2), the system is an ordinary
+    Vandermonde one: the first L products with distinct points determine
+    it, and the diagonal coefficients are their combinations with
+    field.interpolation_weights, one mat_lincombs call.  Otherwise it
+    solves V C = E where
     V[w][t] = x_w^{support[t]}, one power_rows row per product the basis has
     not absorbed (every product without one, the solve then starting from a
     fresh basis); the diagonal positions of the support hold the wanted

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from rookbench.baselines import SchemeDescriptor, rook_exponents_for
 from rookbench.cli import build_parser, main
+from rookbench.rook import encode_delta
 
 
 def run_cli(argv, capsys):
@@ -57,6 +59,17 @@ def test_gen_modulus_bounds_the_largest_product_exponent(capsys):
     assert code == 2 and "exponent 26 too large" in err
     code, out, _ = run_cli(["gen", "--scheme", "base3", "--n", "8", "--modulus", "29"], capsys)
     assert (code, out.strip()) == (0, "L=27 decodable=true")
+
+
+def test_gen_modulus_checks_the_normalized_pair_that_simulate_binds(capsys):
+    # behrend n = 8 binds normalized: its largest product exponent is 80,
+    # not the raw pair's 168, so GF(101) takes it and GF(79) does not.
+    for command in (["gen", "--scheme", "behrend"], ["simulate", "--scheme", "rook-behrend", "--seed", "1"]):
+        code, _, err = run_cli(command + ["--n", "8", "--modulus", "101"], capsys)
+        assert code == 0, (command, err)
+        code, out, err = run_cli(command + ["--n", "8", "--modulus", "79"], capsys)
+        assert (code, out) == (2, ""), command
+        assert "exponent 80 too large" in err, command
 
 
 def test_check_decodable_file(tmp_path, capsys):
@@ -139,6 +152,16 @@ def test_bench_delta(tmp_path, capsys):
     assert lines[0] == "n,delta_muls,ratio"
     assert len(lines) == 3
     assert lines[1].startswith("16,")
+
+
+def test_bench_delta_is_what_a_rook_behrend_share_is_charged(capsys):
+    code, out, _ = run_cli(["bench-delta", "--n-list", "16,64"], capsys)
+    assert code == 0
+    rows = [line.split(",")[:2] for line in out.strip().split("\n")[1:]]
+    assert rows == [
+        [str(n), str(encode_delta(rook_exponents_for(SchemeDescriptor(scheme="rook-behrend", n=n))))]
+        for n in (16, 64)
+    ]
 
 
 def test_bench_delta_degenerate_n(capsys):

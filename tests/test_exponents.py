@@ -490,3 +490,26 @@ def test_exponent_pair_json_roundtrip():
     assert isinstance(d["p"][1], str)  # beyond 2^53: decimal string
     assert isinstance(d["q"][1], int)
     assert ExponentPair.from_json_dict(d) == pair
+
+
+def test_normalized_shifts_both_sides_and_divides_by_one_joint_gcd():
+    # P's gaps have gcd 6 and Q's 3; one shared divisor, 3, keeps the sums affine.
+    assert ExponentPair(2, (3, 9), (1, 4)).normalized() == ExponentPair(2, (0, 2), (0, 1))
+    assert ExponentPair(1, (7,), (5,)).normalized() == ExponentPair(1, (0,), (0,))
+
+
+@pytest.mark.parametrize("generator", [poly_code_exponents, base3_exponents, behrend_exponents])
+def test_normalized_generator_pairs_keep_their_support_shape(generator):
+    # Every pair starts at 0 on both sides with joint gap gcd 1 (0 when n = 1
+    # has no gap), L and the diagonal's places in the support are unchanged,
+    # and poly and base3 pairs come back as they are.
+    for n in range(1, 129):
+        pair = generator(n)
+        norm = pair.normalized()
+        assert norm.p[0] == norm.q[0] == 0, n
+        assert math.gcd(*norm.p, *norm.q) == (1 if n > 1 else 0), n
+        assert sum_support(norm).L == sum_support(pair).L, n
+        assert sum_support(norm).diag_index == sum_support(pair).diag_index, n
+        assert norm.max_exponent <= pair.max_exponent, n
+        if generator is not behrend_exponents:
+            assert norm == pair, n

@@ -32,7 +32,21 @@ successful reports of those three schemes, each to the interpolation
 formula exactly; decode_invs stayed L, since the elimination had pivoted
 once per column.  Every rook-behrend, CSA and replication report, every
 report that did not decode, and the retry and generator digests are
-byte-identical.
+byte-identical.  All four were re-recorded when rook codes began to bind
+their pair normalized (ExponentPair.normalized: P - p_0 and Q - q_0, over
+the gcd of every gap).  poly and base3 pairs already are, so only
+rook-behrend reports moved.  Their encode_muls moved by the shares encoded
+times the change in delta(P, Q).  Over 2^61 - 1 only counts moved:
+behrend n = 4 rows cost fewer gap products, so decode_muls
+fell by that per row, and behrend n = 2 became the interval {0, 1, 2}, so
+its decode_muls became the interpolation formula.  Over GF(257) the
+elimination's charge skips zero entries, so decode_muls moved by other
+amounts there.  The old retry subject, behrend n = 8 over GF(257), had
+only even exponents, so x and -x gave equal rows; normalized, all four
+seeds decode at L, so responses_used and the clock moved too.  The retry
+digest therefore also takes rook-behrend n = 4 over GF(29) on all 28
+nonzero points, where two of four seeds still decode only after a failed
+call.  The generator digests did not move.
 """
 
 from __future__ import annotations
@@ -47,10 +61,10 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "c26c300ec197cce2216c452e09fee44c4ce181d7cb2e33ae2072ce447bdcfdae"
-SWEEP_SHA256 = "346b57c65bc9a763dd949da57a15d6ae892ed67cb532306c69d2718770d7efc3"
-RETRY_SHA256 = "cdc7ecaaed955cfcbbf3a9af5d028f92cae6b04cb9f667817c97bdf1aeb97ca0"
-BLOCK_SHA256 = "e1dba0e5ae54cc9da6344ff25f95e06a4beefa751c0dffdf7a9ed9117ed486bd"
+GRID_SHA256 = "f24a3c1d3658e953efe9d01e5b263890c56d91ea3bbf1dca8da39da465ed6e6b"
+SWEEP_SHA256 = "2bf3e5bcd50f1236fb4455e9f21439db3dc3c001913508f9c4190dbb433ba433"
+RETRY_SHA256 = "df7f929384c8e46c203b0d7af4a5f710699a3c287611ace6d16308b536215f09"
+BLOCK_SHA256 = "6cce03ef49716bec785d38ba5b7cf58dad48c52b8d4a74dbc488793ca61ad752"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 
@@ -108,17 +122,21 @@ def test_sweep_csv_matches_golden():
 
 
 def test_singular_retry_reports_match_golden():
-    # rook-behrend over GF(257), where every support exponent is even, so x
-    # and -x give equal rows: three seeds' first L responses are singular
-    # and decode only once later responses raise the rank, which pins the
-    # reports of decodes that fail before one succeeds.
-    desc = SchemeDescriptor(scheme="rook-behrend", n=8)
+    # rook-behrend n = 8 over GF(257) on 60 workers, then n = 4 over GF(29)
+    # on all 28 nonzero points.  In the second, two seeds' first L
+    # responses are singular and decode only once later responses raise
+    # the rank, which pins the reports of decodes that fail before one
+    # succeeds.
     fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
     reports = [
-        run_simulation(SimConfig(descriptor=desc, m=60, seed=s, fault=fault, modulus=257)).to_json()
+        run_simulation(
+            SimConfig(descriptor=SchemeDescriptor(scheme="rook-behrend", n=n), m=m, seed=s, fault=fault, modulus=modulus)
+        )
+        for n, m, modulus in ((8, 60, 257), (4, 28, 29))
         for s in range(4)
     ]
-    assert _digest("\n".join(reports)) == RETRY_SHA256
+    assert any(rep.responses_used > rep.threshold for rep in reports[4:])  # a decode failed first
+    assert _digest("\n".join(rep.to_json() for rep in reports)) == RETRY_SHA256
 
 
 # (n, digit_range, length) cases; the last two explicit ones have d^l past

@@ -6,7 +6,7 @@ import pytest
 
 from rookbench import baselines, rook
 from rookbench.baselines import SchemeDescriptor, bind_scheme, scheme_threshold
-from rookbench.exponents import ExponentPair
+from rookbench.exponents import ExponentPair, behrend_exponents, sum_support
 from rookbench.field import PrimeField, SolveBasis, mat_mul, mat_random
 from rookbench.sim import (
     SWEEP_COLUMNS,
@@ -83,17 +83,45 @@ def test_coded_schemes_survive_heavy_faults(scheme):
 
 
 def test_rook_behrend_gf257_decodes_once_responses_determine_products():
-    # Every support exponent of behrend_exponents(8) is even, so x and -x
-    # give equal rows and the first L responses are often singular; every
-    # seed's full system has rank L, and the decoder uses every response.
-    desc = SchemeDescriptor(scheme="rook-behrend", n=8)
-    used = set()
-    for seed in range(50):
-        rep = run_simulation(SimConfig(descriptor=desc, m=60, seed=seed, modulus=257))
+    # rook-behrend binds normalized exponents, so over GF(257) n = 8 has no
+    # x, -x collision and decodes at L.  n = 4 over GF(29), with all 28
+    # nonzero points as workers, still meets singular first-L systems, so
+    # some seeds decode only after a failed call.  Every seed's full system
+    # has rank L, and the decoder counts every response it consumed.
+    for n, m, modulus in ((8, 60, 257), (4, 28, 29)):
+        desc = SchemeDescriptor(scheme="rook-behrend", n=n)
+        used = set()
+        for seed in range(50):
+            rep = run_simulation(SimConfig(descriptor=desc, m=m, seed=seed, modulus=modulus))
+            assert rep.success and rep.verified, (modulus, seed)
+            assert rep.threshold <= rep.responses_used <= rep.responses_received
+            used.add(rep.responses_used)
+        if modulus == 29:
+            assert max(used) > rep.threshold  # a decode failed before one succeeded
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_rook_behrend_gf257_first_L_responses_decode(n):
+    # The bound pair is normalized, so its gaps have gcd 1 and x, -x no
+    # longer always give equal rows: L responses decode for nearly every
+    # draw of points.
+    field = PrimeField(257)
+    desc = SchemeDescriptor(scheme="rook-behrend", n=n)
+    L = scheme_threshold(desc)
+    nonsingular = 0
+    for seed in range(200):
+        r = stream(seed, "first-L", n)
+        scheme = bind_scheme(desc, field, L, r)
+        inputs = [(mat_random(field, 1, 1, r), mat_random(field, 1, 1, r)) for _ in range(n)]
+        nonsingular += _decodes(scheme, [rook.rook_worker(field, share) for share in scheme.encode(inputs, range(L))])
+    assert nonsingular >= 199, nonsingular
+
+
+def test_rook_behrend_n8_binds_and_decodes_over_gf101():
+    # Normalized, behrend n = 8's largest product exponent is 80, below 100.
+    for seed in range(5):
+        rep = run_simulation(cfg(scheme="rook-behrend", n=8, m=40, seed=seed, modulus=101))
         assert rep.success and rep.verified, seed
-        assert rep.threshold <= rep.responses_used <= rep.responses_received
-        used.add(rep.responses_used)
-    assert max(used) > rep.threshold  # counts every response the decode consumed
 
 
 def _decodes(scheme, products):
@@ -114,23 +142,28 @@ def test_kept_basis_decodes_at_the_first_arrival_of_full_rank(p):
     # decodes the direct products.  Over GF(7) only n = 2 binds, whose
     # rows are Vandermonde or Cauchy ones, so a rook pair with support
     # {0, 1, 3, 4} (x^3 is +-1 there) joins the five codes to make retries.
+    # Over GF(257) the bound codes rarely retry, so the raw behrend_exponents(8)
+    # pair joins them: its exponents are all even, so x and -x give equal rows.
     field = PrimeField(p)
-    gapped = ExponentPair(n=2, p=(0, 1), q=(0, 3))
+    raw = {None: ExponentPair(n=2, p=(0, 1), q=(0, 3))}  # pairs bound as given, by stream label
+    if p == 257:
+        raw["raw-behrend"] = behrend_exponents(8)
     cases = [
         SchemeDescriptor(scheme=name, n=n)
         for name in ("rook-poly", "rook-base3", "rook-behrend", "lcc", "csa")
         for n in ((2, 3, 4, 8) if p == 257 else (2, 3, 4))
     ]
     outcomes = {"first": 0, "later": 0, "never": 0}
-    for desc in cases + [None]:
-        n, L = (2, 4) if desc is None else (desc.n, scheme_threshold(desc))
-        m = min(L + 8, p - 1 - (n if desc is not None and desc.scheme in ("lcc", "csa") else 0))
+    for desc in cases + list(raw):
+        bound = isinstance(desc, SchemeDescriptor)
+        n, L = (desc.n, scheme_threshold(desc)) if bound else (raw[desc].n, sum_support(raw[desc]).L)
+        m = min(L + 8, p - 1 - (n if bound and desc.scheme in ("lcc", "csa") else 0))
         if m < L:
             continue  # GF(p) has too few points for L responses
         for seed in range(8 if n == 8 else 20):
-            r = stream(seed, p, n, desc and desc.scheme)
+            r = stream(seed, p, n, desc.scheme if bound else desc)
             try:
-                scheme = bind_scheme(desc, field, m, r) if desc else rook.make_rook_scheme(gapped, field, m, r)
+                scheme = bind_scheme(desc, field, m, r) if bound else rook.make_rook_scheme(raw[desc], field, m, r)
             except ConfigInvalid:
                 break  # an exponent too large for GF(p)
             inputs = [(mat_random(field, 1, 2, r), mat_random(field, 2, 1, r)) for _ in range(n)]
