@@ -3,12 +3,14 @@
 LCC interpolates the inputs at anchor points z_i and ships evaluations of
 that interpolant; CSA ships evaluations of a rational encoding with poles
 at the anchors.  Both have recovery threshold 2n-1 and both must divide
-while encoding, which is the cost the rook path avoids.  LCC decodes by
-Lagrange interpolation of the degree-(2n-2) product polynomial through the
-first 2n-1 distinct points (field.interpolation_weights), with no
-elimination; CSA's system mixes pole and polynomial columns, so it is
-solved by elimination (field.solve_linear).  Plain replication rounds out
-the comparison.
+while encoding, which is the cost the rook path avoids.  Both decode the
+same way, with no elimination: Lagrange interpolation of a degree-(2n-2)
+polynomial through the first 2n-1 distinct points
+(field.interpolation_weights), evaluated at the anchors.  For LCC that
+polynomial is the product itself; for CSA it is the product times
+f(x) = prod_i (z_i - x), which clears the poles.  Only rook supports that
+are not intervals are solved by elimination (rook.rook_decode).  Plain
+replication rounds out the comparison.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
@@ -38,8 +38,6 @@ from .rook import (
     WorkerShare,
     _first_distinct,
     _require_products,
-    _solve_responses,
-    _unabsorbed,
     generator_shares,
     power_rows,
 )
@@ -70,11 +68,11 @@ class LccScheme:
     z: tuple
     eval_points: tuple
     # Rows [1, z, ..., z^{2n-2}] per anchor, for evaluating at the anchors.
-    zpows: FieldMatrix = dc_field(init=False, repr=False, compare=False)
+    anchor_rows: FieldMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = power_rows(self.field, range(self.threshold), self.z)
-        object.__setattr__(self, "zpows", FieldMatrix(self.n, self.threshold, rows))
+        object.__setattr__(self, "anchor_rows", FieldMatrix(self.n, self.threshold, rows))
 
     @property
     def n(self) -> int:
@@ -137,23 +135,27 @@ def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = N
     return generator_shares(field, workers, xs, bases, bases, inputs, counter)
 
 
-def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
-    """Interpolate the degree-(2n-2) product polynomial through the first
-    L = 2n - 1 products with distinct points (rook._first_distinct), then
-    evaluate it at the anchors.
-
-    The rows [1, z, ..., z^{L-1}] of the anchors, computed once at binding,
-    are folded into the interpolation weights of all L coefficients in one
-    n x L by L x L mat_mul, so the products are combined once, by one
-    mat_lincombs call of n rows.
-    """
-    field = scheme.field
-    L = scheme.threshold
+def _at_anchors(products, scheme, counter: OpCounter | None, basis: SolveBasis | None):
+    """The first L = 2n - 1 products with distinct points
+    (rook._first_distinct), and the n x L rows taking their values to the
+    values at the anchors of the degree-(L-1) polynomial through them:
+    scheme.anchor_rows, fixed at binding, times the interpolation weights
+    of all L coefficients, one n x L by L x L mat_mul."""
+    field, L = scheme.field, scheme.threshold
     _require_products(products, L)
     chosen = _first_distinct(field, products, L, basis)
     weights = interpolation_weights(field, [pr.x for pr in chosen], range(L), counter)
-    at_anchors = mat_mul(field, scheme.zpows, FieldMatrix(L, L, weights), counter)
-    return mat_lincombs(field, at_anchors.data, [pr.e for pr in chosen], counter)
+    return chosen, mat_mul(field, scheme.anchor_rows, FieldMatrix(L, L, weights), counter).data
+
+
+def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+    """Interpolate the degree-(2n-2) product polynomial through the first
+    L = 2n - 1 products with distinct points, then evaluate it at the
+    anchors (_at_anchors): the products are combined once, by one
+    mat_lincombs call of n rows.
+    """
+    chosen, rows = _at_anchors(products, scheme, counter, basis)
+    return mat_lincombs(scheme.field, rows, [pr.e for pr in chosen], counter)
 
 
 # --- CSA --------------------------------------------------------------------
@@ -166,6 +168,9 @@ class CsaScheme:
     eval_points: tuple
     # c_i = prod_{k != i} (z_k - z_i), the residue at the pole z_i.
     residues: tuple = dc_field(init=False, repr=False, compare=False)
+    # Rows c_i^{-2} [1, z_i, ..., z_i^{2n-2}] per anchor, taking the
+    # coefficients of f(x) times the product to the A_i B_i (csa_decode).
+    anchor_rows: FieldMatrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Checked here, whoever builds the scheme: no point may sit on a pole.
@@ -176,6 +181,10 @@ class CsaScheme:
             math.prod((zk - zi) % p for k, zk in enumerate(self.z) if k != i) % p for i, zi in enumerate(self.z)
         )
         object.__setattr__(self, "residues", residues)
+        scales = [pow(c, -2, p) for c in residues]
+        powers = power_rows(self.field, range(self.threshold), self.z).tolist()
+        rows = [[s * v % p for v in row] for s, row in zip(scales, powers)]
+        object.__setattr__(self, "anchor_rows", FieldMatrix(self.n, self.threshold, rows))
 
     @property
     def n(self) -> int:
@@ -221,29 +230,30 @@ def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = N
 
 
 def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
-    """Separate the pole part from the polynomial noise part, in generator form.
+    """Clear the poles, then decode as lcc_decode does.
 
-    The product evaluations satisfy
-    E_w = sum_i c_i A_i B_i/(z_i - x_w) + sum_j N_j x_w^j, with the residues
-    c_i fixed at binding, so response w's row carries c_i (z_i - x_w)^{-1}
-    in its n pole columns: one inversion and one product each.  The first n
-    blocks of the (2n-1)-column solve over every product received are the
-    A_i B_i, and the noise blocks are discarded.  Rows are built for the
-    products the basis has not absorbed, as in rook_decode.
+    With f_i(x) = f(x)/(z_i - x) = prod_{k != i} (z_k - x), the product
+    evaluations are E(x) = A~(x) B~(x) = sum_{i,j} f_i(x) A_i B_j/(z_j - x),
+    so g(x) = f(x) E(x) = sum_{i,j} f_i(x) f_j(x) A_i B_j is a polynomial of
+    degree at most L - 1 = 2n - 2, and g(z_i) = c_i^2 A_i B_i, as f_j(z_i)
+    is c_i for j = i and 0 otherwise.  So A_i B_i is c_i^{-2} g(z_i): the
+    anchor rows c_i^{-2} [1, z_i, ..., z_i^{L-1}], fixed at binding, times
+    the interpolation weights (_at_anchors), each column w scaled by
+    f(x_w), combine the first L products with distinct points.
+
+    Charged, with blen the entries of a product, interpolation_weights'
+    charge for L points and all L coefficients, n L^2 for the anchor
+    product, L (n - 1) for the f(x_w), n L for the column scaling and
+    n L blen for the one mat_lincombs; the L inversions are the weights'.
     """
-    field = scheme.field
+    field, n, L = scheme.field, scheme.n, scheme.threshold
     p = field.modulus
-    _require_products(products, scheme.threshold)
-    new = _unabsorbed(products, basis)
-    polys = power_rows(field, range(scheme.n - 1), [pr.x for pr in new], counter)
-    poles = [
-        [c * pow((zi - pr.x) % p, -1, p) % p for zi, c in zip(scheme.z, scheme.residues)] for pr in new
-    ]
-    rows = np.hstack([np.array(poles, dtype=np.uint64).reshape(len(new), scheme.n), polys])
+    chosen, rows = _at_anchors(products, scheme, counter, basis)
+    fs = [math.prod((zi - pr.x) % p for zi in scheme.z) % p for pr in chosen]
+    rows = [[w * f % p for w, f in zip(row, fs)] for row in rows.tolist()]
     if counter is not None:
-        counter.mul_count += scheme.n * len(new)
-        counter.inv_count += scheme.n * len(new)
-    return _solve_responses(field, rows, new, counter, basis)[: scheme.n]
+        counter.mul_count += L * (n - 1) + n * L
+    return mat_lincombs(field, rows, [pr.e for pr in chosen], counter)
 
 
 # --- replication -------------------------------------------------------------

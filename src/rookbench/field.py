@@ -7,7 +7,7 @@ read-only uint64 array, which the kernels below take and return as it is;
 an entry of p or more acts as its residue.  Powers and inverses use
 builtin pow for single values, and each caller charges its inversions by
 formula; power_table computes x^e for many x and e at once, the
-encoders' generator matrices and the decoders' system rows.
+encoders' generator matrices and the decoders' power rows.
 Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
 combinations of the same blocks (all the shares of an op, a decoder's
 evaluations at the anchors) are one mat_lincombs call, the len(rows) x
@@ -25,7 +25,8 @@ there (digits 3 and 4 enter planes 0 and 1 times 4), folded by
 shift-and-add; any other prime has one plane per digit, each reduced and
 weighted by 2^(21d) mod p.  mat_random draws a large matrix with one
 getrandbits call, with the values and rng state of one randrange per entry.
-solve_linear, the decoders' hot loop, is one numpy Gauss-Jordan kernel
+solve_linear, which only rook supports that are not intervals reach (every
+other coded decoder interpolates), is one numpy Gauss-Jordan kernel
 that adds each column's multipliers times its pivot row to the trailing
 block of [V | rhs] in place, the block held as one contiguous array in one
 of the buffers allocated once per solve.  It keeps its elimination in a
@@ -38,7 +39,8 @@ after each response never re-solves from scratch.  A Vandermonde system,
 whose columns are the powers 0..L-1 of L distinct points, needs no
 elimination: interpolation_weights gives the Lagrange weights of the
 coefficients a decoder wants in O(L^2) products and L inversions, and one
-mat_lincombs call applies them to the values.
+mat_lincombs call applies them to the values.  Interval rook supports,
+LCC and CSA decode that way.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -313,39 +315,33 @@ def mat_lincombs(
     coeff_rows,
     blocks,
     counter: OpCounter | None = None,
-    base: FieldMatrix | None = None,
 ) -> list[FieldMatrix]:
-    """[base + sum_i row[i] * blocks[i] for row in coeff_rows]; counts one
+    """[sum_i row[i] * blocks[i] for row in coeff_rows]; counts one
     multiplication per coefficient per entry, len(coeff_rows) *
     len(blocks) * rows * cols in all.
 
     Coefficients act as their residues mod p; coeff_rows may also be a 2-D
     array of residues (power_table's), which reaches the kernel as it is.
-    All the sums are one len(coeff_rows) x terms by terms x entries product
-    of the coefficient rows and the stacked block entries, base being one
-    more block with coefficient 1 in every row; each result holds one row
-    of that product's array.  Raises DimensionMismatch,
-    counting nothing, when a coefficient row does not pair off with the
-    blocks or a shape differs from the first block's (or base's).  No rows
-    give [].
+    All the sums are one len(coeff_rows) x len(blocks) by len(blocks) x
+    entries product of the coefficient rows and the stacked block entries;
+    each result holds one row of that product's array.  Raises
+    DimensionMismatch, counting nothing, when a coefficient row does not
+    pair off with the blocks, there are no blocks, or a shape differs from
+    the first block's.  No rows give [].
     """
     for row in coeff_rows:
         if len(row) != len(blocks):
             raise DimensionMismatch(f"{len(row)} coefficients for {len(blocks)} blocks")
-    if base is None and not blocks:
+    if not blocks:
         raise DimensionMismatch("empty linear combination has no shape")
-    first = blocks[0] if base is None else base
-    rows, cols = first.rows, first.cols
+    rows, cols = blocks[0].rows, blocks[0].cols
     if any(b.rows != rows or b.cols != cols for b in blocks):
         raise DimensionMismatch("linear combination shape mismatch")
     p = field.modulus
-    terms, tail = (blocks, []) if base is None else ([*blocks, base], [1])
-    if isinstance(coeff_rows, np.ndarray):
-        a = np.hstack([coeff_rows, np.ones((len(coeff_rows), len(tail)), coeff_rows.dtype)])
-    else:
-        a = [[c % p for c in row] + tail for row in coeff_rows]
-    a = np.asarray(a, dtype=np.uint64).reshape(len(coeff_rows), len(terms))
-    out = _product(p, a, _stack(terms, rows * cols))
+    if not isinstance(coeff_rows, np.ndarray):
+        coeff_rows = [[c % p for c in row] for row in coeff_rows]
+    a = np.asarray(coeff_rows, dtype=np.uint64).reshape(len(coeff_rows), len(blocks))
+    out = _product(p, a, _stack(blocks, rows * cols))
     if counter is not None:
         counter.mul_count += len(coeff_rows) * len(blocks) * rows * cols
     return FieldMatrix._split(out.reshape(len(coeff_rows), rows, cols))

@@ -10,10 +10,11 @@ off the diagonal coefficients A_k B_k.  When P+Q is the interval 0..L-1
 system is an ordinary Vandermonde one, which any L distinct points make
 nonsingular: the decoder takes the first L responses with distinct points
 and combines them with field.interpolation_weights' Lagrange weights for
-the diagonal, O(L^2) field products and no elimination.  Any other
-support is solved: the decoder solves the system of every response
-received, so it succeeds as soon as those responses determine the
-products, whichever they are.  Given
+the diagonal, O(L^2) field products and no elimination, as the LCC and
+CSA decoders do.  Only a support that is not an interval is solved by
+elimination: the decoder solves the system of every response received,
+so it succeeds as soon as those responses determine the products,
+whichever they are.  Given
 a field.SolveBasis, it keeps that system's elimination between calls: each
 call builds rows only for the responses that arrived since the last and
 reduces just those against the pivot rows found so far.  A call without
@@ -163,8 +164,8 @@ def power_rows(field: PrimeField, exponents, xs, counter: OpCounter | None = Non
     The values come from one power_table, whose array is returned as it is.
     Each row is charged as the running product of the gap powers x^{e_0},
     x^{e_1 - e_0}, ...: square-and-multiply per gap (pow_muls) plus one
-    product per entry after the first.  Every decoder builds its system
-    rows here.
+    product per entry after the first.  The rook decoder builds its system
+    rows here, and LCC and CSA their anchor rows, uncharged, at binding.
     """
     gaps = _gaps(exponents)
     rows = power_table(field.modulus, exponents, xs)
@@ -221,7 +222,7 @@ def _require_products(products, needed: int) -> None:
     methods check before they call the decoder, so a call below the
     threshold opens no decoder span when perfbench traces rook_decode,
     lcc_decode and csa_decode; its rook.decode_calls metric and
-    tests/test_bench_hooks.py's [3, 2, 1, 2] decode calls rest on that.
+    tests/test_bench_hooks.py's [1, 2, 2, 1] decode calls rest on that.
     The decoders check again for direct callers, which expect
     NotEnoughProducts too, so neither check is redundant.
     """
@@ -229,37 +230,14 @@ def _require_products(products, needed: int) -> None:
         raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
 
 
-def _unabsorbed(products, basis: SolveBasis | None):
-    """The products whose rows the basis has not taken yet; all of them
-    without a basis, as solve_linear then starts from a fresh one."""
-    return products if basis is None else products[basis.absorbed :]
-
-
-def _solve_responses(
-    field: PrimeField, rows, products, counter: OpCounter | None = None, basis: SolveBasis | None = None
-):
-    """Solve the system with rows[i] for products[i], one row per response;
-    rows is an array of residues.  With a basis, rows and products are the
-    responses it has not absorbed, and they join those it has.
-
-    The system may be tall: a repeated or otherwise dependent response is
-    just a dependent row.  Raises SingularAfterRetry when the rows' rank is
-    below their width, that is when the responses do not yet determine the
-    unknowns.
-    """
-    try:
-        return solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], counter, basis)
-    except SingularMatrix as exc:
-        raise SingularAfterRetry(f"the responses' rows have rank below {rows.shape[1]}") from exc
-
-
 def _first_distinct(field: PrimeField, products, needed: int, basis: SolveBasis | None = None) -> list:
     """The first `needed` products with pairwise distinct points, in order.
 
-    An interval support's system rows are Vandermonde rows, which any
-    `needed` distinct points make nonsingular, so SingularAfterRetry when
-    fewer points are distinct is exactly when the products do not determine
-    the solution.  Nothing is eliminated, so a basis keeps no rows: it only
+    The decoders that interpolate (an interval rook support's, LCC's and
+    CSA's) recover a polynomial of degree below `needed`, which any
+    `needed` distinct points determine, so SingularAfterRetry when fewer
+    points are distinct is exactly when the products do not determine the
+    solution.  Nothing is eliminated, so a basis keeps no rows: it only
     counts the products consumed, up to the last one taken (all of them on
     a failure), as the solve's basis would count the rows it absorbed.
     """
@@ -289,12 +267,13 @@ def rook_decode(
     power of two, bound behrend at n <= 2), the system is an ordinary
     Vandermonde one: the first L products with distinct points determine
     it, and the diagonal coefficients are their combinations with
-    field.interpolation_weights, one mat_lincombs call.  Otherwise it
-    solves V C = E where
-    V[w][t] = x_w^{support[t]}, one power_rows row per product the basis has
-    not absorbed (every product without one, the solve then starting from a
-    fresh basis); the diagonal positions of the support hold the wanted
-    products.
+    field.interpolation_weights, one mat_lincombs call.  Otherwise, and
+    only here in the package, it eliminates: field.solve_linear solves
+    V C = E where V[w][t] = x_w^{support[t]}, one power_rows row per product
+    the basis has not absorbed (every product without one, the solve then
+    starting from a fresh basis).  A repeated or otherwise dependent
+    response is just a dependent row, and the diagonal positions of the
+    support hold the wanted products.
     Raises NotEnoughProducts below L products and SingularAfterRetry while
     the products do not determine the solution.
     """
@@ -305,7 +284,10 @@ def rook_decode(
         chosen = _first_distinct(field, products, support.L, basis)
         weights = interpolation_weights(field, [pr.x for pr in chosen], support.diag_index, counter)
         return mat_lincombs(field, weights, [pr.e for pr in chosen], counter)
-    new = _unabsorbed(products, basis)
+    new = products if basis is None else products[basis.absorbed :]
     rows = power_rows(field, support.support, [pr.x for pr in new], counter)
-    coeffs = _solve_responses(field, rows, new, counter, basis)
+    try:
+        coeffs = solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in new], counter, basis)
+    except SingularMatrix as exc:
+        raise SingularAfterRetry(f"the responses' rows have rank below {support.L}") from exc
     return [coeffs[t] for t in support.diag_index]

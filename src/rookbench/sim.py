@@ -6,13 +6,13 @@ never respond, survivors respond at base_delay * (work size) plus an
 exponential straggle term, and the master consumes responses in completion
 order, asking the bound scheme to decode after each one (coded schemes
 wait for their threshold, then interpolate through the first threshold
-responses with distinct points when their support is an interval, or
-solve the system of every response received so far; replication checks
-coverage).  One field.SolveBasis per op goes to every decode call of that
-op, so a coded decoder that fails keeps its elimination, and the next
-call reduces only the newly arrived response against it instead of
-solving from scratch.  Every successful decode is verified against direct
-per-pair products.
+responses with distinct points; only a rook code whose support is not an
+interval solves the system of every response received so far instead;
+replication checks coverage).  One field.SolveBasis per op goes to every
+decode call of that op, so such a rook decoder that fails keeps its
+elimination, and the next call reduces only the newly arrived response
+against it instead of solving from scratch.  Every successful decode is
+verified against direct per-pair products.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents
-from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SingularMatrix, solve_linear
+from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SolveBasis, solve_linear
 from rookbench.rook import NotEnoughProducts, SingularAfterRetry, power_rows, rook_worker
 
 GF101 = PrimeField(101)
@@ -100,7 +100,7 @@ def test_lcc_anchor_powers_bound_once():
     # A directly built LccScheme computes the anchor powers itself, and a
     # decode reads them rather than rebuilding them.
     scheme = LccScheme(field=GF101, z=(0, 1), eval_points=(2, 3, 4))
-    assert scheme.zpows.data.tolist() == power_rows(GF101, range(3), (0, 1)).tolist() == [[1, 0, 0], [1, 1, 1]]
+    assert scheme.anchor_rows.data.tolist() == power_rows(GF101, range(3), (0, 1)).tolist() == [[1, 0, 0], [1, 1, 1]]
     prods = run_workers(GF101, scheme, WORKED_INPUTS, lcc_encode)
     assert [m.entries[0] for m in lcc_decode(prods, scheme)] == [6, 35]
 
@@ -240,25 +240,18 @@ def reference_csa_blocks(scheme, products):
 
 
 def expected_csa_charge(scheme, products):
-    """(muls, invs, solve pivots) of one csa_decode call: power_rows' charge
-    for the noise columns, one inversion and one product per pole entry, and
-    solve_linear's charge on the same rows, run with a fresh counter (partial
-    when the rows are singular)."""
-    field, n = scheme.field, scheme.n
-    p = field.modulus
-    xs = [pr.x for pr in products]
-    rows_ctr, solve_ctr = OpCounter(), OpCounter()
-    polys = power_rows(field, range(n - 1), xs, rows_ctr).tolist()
-    rows = [
-        [c * pow((zi - x) % p, -1, p) % p for zi, c in zip(scheme.z, scheme.residues)] + poly
-        for x, poly in zip(xs, polys)
-    ]
-    try:
-        solve_linear(field, from_rows(rows), [pr.e for pr in products], solve_ctr)
-    except SingularMatrix:
-        pass
-    k = len(products)
-    return rows_ctr.mul_count + n * k + solve_ctr.mul_count, n * k + solve_ctr.inv_count, solve_ctr.inv_count
+    """(muls, invs) of one csa_decode call: nothing while fewer than L
+    products have distinct points; otherwise interpolation_weights' charge
+    for all L coefficients, the n x L x L product of the anchor rows and
+    the weights, L (n - 1) for the f(x_w), n L for scaling the weights'
+    columns by them, and n L scalar-block products combining the first L
+    distinct products."""
+    n, L = scheme.n, scheme.threshold
+    if len({pr.x for pr in products}) < L:
+        return 0, 0
+    muls, invs = interpolation_charge(L, L)
+    block = products[0].e
+    return muls + n * L * L + L * (n - 1) + n * L + n * L * block.rows * block.cols, invs
 
 
 @pytest.mark.parametrize("field", [GFM61, PrimeField(257)], ids=["m61", "p257"])
@@ -271,24 +264,51 @@ def test_csa_decode_counts_and_blocks(field):
         prods = run_workers(field, scheme, inputs, csa_encode)
         r.shuffle(prods)
         # Square and tall systems; for n > 1 also a repeated response, which
-        # leaves the rank at L - 1, alone and with further repeats.
+        # leaves L - 1 distinct points, alone and with further repeats.
         cases = [(prods[:L], False), (prods, False)]
         if n > 1:
             dup = prods[: L - 1] + [prods[0]]
             cases += [(dup, True), (dup + [prods[1]] * 2, True)]
         for products, singular in cases:
-            muls, invs, pivots = expected_csa_charge(scheme, products)
+            muls, invs = expected_csa_charge(scheme, products)
             ctr = OpCounter()
             if singular:
                 with pytest.raises(SingularAfterRetry):
                     csa_decode(products, scheme, ctr)
-                # The columns completed before the failing one are charged.
-                assert 0 < pivots < L
+                # Nothing is computed before the points are known distinct.
+                assert (muls, invs) == (0, 0)
             else:
                 got = csa_decode(products, scheme, ctr)
                 assert got == reference_csa_blocks(scheme, products) == direct_products(field, inputs)
-                assert pivots == L
+                assert invs == L
             assert (ctr.mul_count, ctr.inv_count) == (muls, invs), (n, len(products), singular)
+
+
+def test_csa_decode_charge_at_block_size():
+    # n = 4 with 32 x 32 blocks: 510 for the weights of L = 7 points, 196
+    # for the anchor product, 21 for the f(x_w), 28 for the column scaling
+    # and 28,672 for the combination.
+    scheme = make_csa_scheme(4, GFM61, 7, rng=rng(103))
+    inputs = random_inputs(GFM61, 4, (32, 32, 32), 104)
+    prods = run_workers(GFM61, scheme, inputs, csa_encode)
+    ctr = OpCounter()
+    assert csa_decode(prods, scheme, ctr) == direct_products(GFM61, inputs)
+    assert (ctr.mul_count, ctr.inv_count) == expected_csa_charge(scheme, prods) == (29_427, 7)
+
+
+def test_csa_every_distinct_subset_decodes_at_once_over_gf13():
+    # Any L distinct points off the poles determine f(x) times the product,
+    # so every L-subset of GF(13)'s eleven such points, 0 among them,
+    # decodes on its first call, charged the L inversions of its weights.
+    field = PrimeField(13)
+    scheme = make_csa_scheme(2, field, 11, z=(1, 2), eval_points=[0, *range(3, 13)])
+    inputs = random_inputs(field, 2, (2, 2, 2), 105)
+    prods = run_workers(field, scheme, inputs, csa_encode)
+    want = direct_products(field, inputs)
+    for subset in combinations(prods, scheme.threshold):
+        ctr = OpCounter()
+        assert scheme.decode(list(subset), ctr, SolveBasis()) == want
+        assert ctr.inv_count == scheme.threshold
 
 
 def expected_lcc_charge(scheme, products):

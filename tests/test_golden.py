@@ -1,52 +1,19 @@
 """Golden outputs: simulate JSON, sweep CSV and generated exponents stay byte-identical.
 
 Any change to a report byte (a counter, an error name, the simulated
-clock, the responses used) changes a digest.  The retry digest was
-recorded when every decoder's rows began to come from one power-row
-kernel, which charges L - 1 products per rook decode row where rook had
-charged L.  The grid, block and sweep digests were re-recorded twice, and
-each time only CSA counts moved.  First CSA folded f(x) into its A-side
-generator rows instead of rescaling each finished A~ by it: a CSA share's
-encode_muls moved by n - rows * inner (n muls to scale the row instead of
-one per entry of A~).  Then CSA's decoder folded the residues c_i, fixed
-at binding, into its pole columns instead of inverting them and rescaling
-each solved block on every call: a successful CSA decode from k responses
-moved by k * n - n * rows * cols in decode_muls (one product per pole
-entry instead of one per entry of the n blocks) and by -n in decode_invs
-(the sweep's decode_time by their sum).  The generator digests were
-recorded from the linear digit-shell scan, before the gallop search and
-the numpy shell table replaced it.  The retry digest was re-recorded when
-the simulator began to keep each op's elimination across its decode calls
-(field.SolveBasis): a decode after a failed one reduces only the newly
-arrived row against the pivot rows kept so far, where it had rebuilt every
-row and re-solved from scratch.  Only the reports whose first decode
-failed moved (seeds 0, 1 and 3), and in them only decode_muls and
-decode_invs; every other field of every golden report, and every grid,
-block and sweep report, is byte-identical, since a decode that succeeds
-on its first call is charged as before.  The grid, block and sweep digests
-were re-recorded when supports that fill the interval 0..L-1 (rook-poly,
-rook-base3 at n = 2 and 4, and LCC) began to decode by interpolation
-weights (field.interpolation_weights) instead of elimination.  Only
-decode_muls moved (the sweep's decode_time with it), and only in the
-successful reports of those three schemes, each to the interpolation
-formula exactly; decode_invs stayed L, since the elimination had pivoted
-once per column.  Every rook-behrend, CSA and replication report, every
-report that did not decode, and the retry and generator digests are
-byte-identical.  All four were re-recorded when rook codes began to bind
-their pair normalized (ExponentPair.normalized: P - p_0 and Q - q_0, over
-the gcd of every gap).  poly and base3 pairs already are, so only
-rook-behrend reports moved.  Their encode_muls moved by the shares encoded
-times the change in delta(P, Q).  Over 2^61 - 1 only counts moved:
-behrend n = 4 rows cost fewer gap products, so decode_muls
-fell by that per row, and behrend n = 2 became the interval {0, 1, 2}, so
-its decode_muls became the interpolation formula.  Over GF(257) the
-elimination's charge skips zero entries, so decode_muls moved by other
-amounts there.  The old retry subject, behrend n = 8 over GF(257), had
-only even exponents, so x and -x gave equal rows; normalized, all four
-seeds decode at L, so responses_used and the clock moved too.  The retry
-digest therefore also takes rook-behrend n = 4 over GF(29) on all 28
-nonzero points, where two of four seeds still decode only after a failed
-call.  The generator digests did not move.
+clock, the responses used) changes a digest.  Each digest pins:
+- GRID_SHA256: 216 simulate reports, every scheme at n = 2 and 4, both
+  encode sides and three failure rates, over 2^61 - 1 and GF(257), with
+  2 x 2 blocks;
+- BLOCK_SHA256: 12 simulate reports at n = 4 with 16 x 16 blocks, whose
+  products run the numpy kernel;
+- SWEEP_SHA256: the sweep CSV of every scheme at n = 2 and 4, two trials;
+- RETRY_SHA256: rook-behrend reports, some of whose decodes fail before
+  one succeeds, so it pins the elimination kept across decode calls
+  (field.SolveBasis);
+- GENERATOR_GOLDENS: behrend_exponents' search and explicit modes.
+A change that moves a digest on purpose records which fields moved, and
+why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -61,10 +28,10 @@ from rookbench.exponents import behrend_exponents
 from rookbench.field import M61
 from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to_csv
 
-GRID_SHA256 = "f24a3c1d3658e953efe9d01e5b263890c56d91ea3bbf1dca8da39da465ed6e6b"
-SWEEP_SHA256 = "2bf3e5bcd50f1236fb4455e9f21439db3dc3c001913508f9c4190dbb433ba433"
+GRID_SHA256 = "ff3513eb23fbee74d04d106200f8b13f4f5f49f479d1183b429cc820b3738ee9"
+SWEEP_SHA256 = "4cdd8498ddbe7ad25486c0fa251eb5366f41c302536dcc915e1659afb972a1c5"
 RETRY_SHA256 = "df7f929384c8e46c203b0d7af4a5f710699a3c287611ace6d16308b536215f09"
-BLOCK_SHA256 = "6cce03ef49716bec785d38ba5b7cf58dad48c52b8d4a74dbc488793ca61ad752"
+BLOCK_SHA256 = "39a7760819b64430282cf267fc79d6f40ff6433626feac2ae8ac5487941ed985"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))
 
@@ -102,10 +69,7 @@ def test_simulate_reports_match_golden():
 def test_block_reports_match_golden():
     # 16x16x16 blocks put every worker product (4,096 muls) and the n = 4
     # encodes (1,024) at or above field.NUMPY_MIN_MULS, where the grid's
-    # 2x2x2 blocks stay below it.  First recorded when every product still
-    # ran the pure-Python loops, so it pins the numpy kernel to them; the
-    # CSA encode fold re-recorded it with only CSA's encode_muls moved, and
-    # the CSA decode fold with only its decode_muls and decode_invs moved.
+    # 2x2x2 blocks stay below it.
     reports = []
     for scheme, (seed, modulus) in product(ALL_SCHEMES, SEEDS[:2]):
         desc = SchemeDescriptor(scheme=scheme, n=4, lam=2)

@@ -185,6 +185,31 @@ def test_kept_basis_decodes_at_the_first_arrival_of_full_rank(p):
     assert outcomes["first"] and outcomes["later"], outcomes
 
 
+def test_only_rook_supports_that_are_not_intervals_eliminate(monkeypatch):
+    # LCC, CSA and rook codes whose support is the interval 0..L-1 decode by
+    # interpolation, so they decode and verify with the solve refused; a
+    # rook support with gaps reaches it.
+    class Solved(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(rook, "solve_linear", refuse)
+    interpolating = [(s, n) for s in ("lcc", "csa", "rook-poly") for n in (1, 2, 3, 4)]
+    interpolating += [("rook-base3", 2), ("rook-base3", 4), ("rook-behrend", 2)]
+    fault = FaultModel(straggle_mean=2.0)
+    for scheme, n in interpolating:
+        m = scheme_threshold(SchemeDescriptor(scheme=scheme, n=n)) + 2
+        for seed in range(3):
+            rep = run_simulation(cfg(scheme=scheme, n=n, m=m, seed=seed, fault=fault))
+            assert rep.success and rep.verified and rep.decode_invs == rep.threshold, (scheme, n, seed)
+    for scheme, n in (("rook-behrend", 4), ("rook-base3", 3)):
+        m = scheme_threshold(SchemeDescriptor(scheme=scheme, n=n)) + 2
+        with pytest.raises(Solved):
+            run_simulation(cfg(scheme=scheme, n=n, m=m, fault=fault))
+
+
 def test_straggle_reorders_arrivals():
     c = cfg(m=8, seed=5, fault=FaultModel(straggle_mean=10.0))
     rep = run_simulation(c)
