@@ -40,7 +40,11 @@ whose columns are the powers 0..L-1 of L distinct points, needs no
 elimination: interpolation_weights gives the Lagrange weights of the
 coefficients a decoder wants in O(L^2) products and L inversions, and one
 mat_lincombs call applies them to the values.  Interval rook supports,
-LCC and CSA decode that way.
+LCC and CSA decode that way.  The weights' master polynomial
+prod_w (z - x_w) comes from a product tree, _master, whose leaves
+multiply in up to _LEAF factors one at a time and whose merges are one
+Python int product each, of the two halves' coefficients packed into
+fixed-width slots.
 The numpy kernels do modular arithmetic through one multiply-add, and the
 solve through its in-place form, picked by the modulus: uint64 31/30-bit
 limb products with shift-add reduction for 2^61 - 1, the plain uint64
@@ -49,8 +53,10 @@ prime.
 
 Operation counts are derived by formula from the algorithm they describe
 (square-and-multiply for powers, elimination that skips zero multipliers
-for solves, schoolbook products for interpolation weights), not tallied
-per step.  They are accumulated into explicit
+for solves, schoolbook products and a master polynomial built one factor
+at a time for interpolation weights), not tallied per step, so a faster
+kernel for the same values leaves them as they are.  They are
+accumulated into explicit
 OpCounter objects passed to the counted operations (one counter per
 logical task), so there is no global mutable state and concurrent tasks
 cannot interfere.
@@ -613,6 +619,42 @@ def power_table(p: int, exponents, xs):
     return table
 
 
+# Points per leaf of _master's product tree.
+_LEAF = 8
+
+
+def _master(p: int, xs) -> list[int]:
+    """The coefficients m_0 .. m_L of prod_w (z - x_w) mod p, m_0 first,
+    for L points xs (the leaves reduce them).
+
+    A product tree: each leaf multiplies its factors z - x in one at a
+    time, and each merge is one Python int product of the two halves'
+    coefficient vectors packed into slots of s bytes (Kronecker
+    substitution).  A coefficient of the product of two reduced
+    polynomials of total degree <= L is a sum of at most L products below
+    p^2, so s = ceil((2 bits(p) + bits(L)) / 8) holds it and no slot
+    carries into the next.
+    """
+    L = len(xs)
+    width = (2 * p.bit_length() + L.bit_length() + 7) // 8
+    polys = []
+    for i in range(0, L, _LEAF):
+        poly = [1]
+        for x in xs[i : i + _LEAF]:
+            neg = p - x
+            poly = [(lo + neg * hi) % p for lo, hi in zip([0, *poly], [*poly, 0])]
+        polys.append(poly)
+    while len(polys) > 1:
+        merged = []
+        for a, b in zip(polys[::2], polys[1::2]):
+            size = (len(a) + len(b) - 1) * width
+            a, b = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little") for v in (a, b))
+            buf = (a * b).to_bytes(size, "little")
+            merged.append([int.from_bytes(buf[i : i + width], "little") % p for i in range(0, size, width)])
+        polys = merged + polys[len(merged) * 2 :]
+    return polys[0] if polys else [1]
+
+
 def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | None = None):
     """The len(wanted) x L uint64 array W of Lagrange weights for L distinct
     points xs: row r gives coefficient wanted[r] of the degree-<L polynomial
@@ -625,23 +667,27 @@ def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | No
     wanted, plus M''s row [1 m_1, 2 m_2, ..., L m_L], against the power rows
     [x_w^0, ..., x_w^{L-1}] gives every quotient coefficient and every
     M'(x_w); each column is then scaled by the inverse of its M'(x_w), which
-    is nonzero because the points are distinct.  The caller checks that
-    they are.
+    is nonzero because the points are distinct.  Points equal mod p raise
+    SingularMatrix, before any work or charge.  M's coefficients come from
+    _master's product tree.
 
     Charged, with R = len(wanted), L(L - 1)/2 muls for M (w products to
     multiply a degree-w M by z - x), L - 1 for M''s coefficients k m_k
     (k >= 2), L(L - 1) for the power rows (as running products, one per
     entry after the first), (R + 1) L^2 for the schoolbook product, R L for
-    the scaling, and L inversions.
+    the scaling, and L inversions.  The charge describes those algorithms,
+    not the kernels that compute the same values: M as one factor at a
+    time, though _master merges packed products; the power rows as running
+    products, though power_table uses windows; the product as schoolbook,
+    though _product may multiply limb planes.
     """
     p = field.modulus
     xs = [x % p for x in xs]
     L = len(xs)
-    # M's coefficients, m_0 first, one factor z - x at a time.
-    master = [1]
-    for x in xs:
-        neg = p - x
-        master = [(lo + neg * hi) % p for lo, hi in zip([0, *master], [*master, 0])]
+    if len(set(xs)) < L:
+        repeated = next(x for i, x in enumerate(xs) if x in xs[:i])
+        raise SingularMatrix(f"interpolation point {repeated} repeats mod {p}")
+    master = _master(p, xs)
     rows = np.zeros((len(wanted) + 1, L), dtype=np.uint64)
     for r, t in enumerate(wanted):
         rows[r, : L - t] = master[t + 1 :]

@@ -104,14 +104,20 @@ def test_span_counts_match_reports_when_workers_encode(modulus):
 
 
 def test_span_counts_match_reports_at_decode_bound_shape():
-    # decode-bound's first op: rook-base3 n=16, 4x4x4 blocks, about a hundred
-    # workers, so each side's generator-matrix product is past NUMPY_MIN_MULS.
-    op = workloads.Plan("decode-bound", 1).round(0)[0]
-    config = op.config
+    # decode-bound's first round: two rook-base3 n=16 ops, 4x4x4 blocks,
+    # about a hundred workers, so each side's generator-matrix product is
+    # past NUMPY_MIN_MULS; then rook-poly n=12, 2x2x2 blocks, whose decode
+    # interpolates through L = 144 points.
+    ops = workloads.Plan("decode-bound", 1).round(0)
+    configs = [op.config for op in ops]
+    config = configs[0]
     assert (config.descriptor.scheme, config.descriptor.n, config.dims) == ("rook-base3", 16, (4, 4, 4))
     assert config.m * 16 * 4 * 4 >= NUMPY_MIN_MULS
-    _cross_check_each([config])
-    assert workloads.gate(op, run_simulation(config))
+    last = configs[-1]
+    assert (last.descriptor.scheme, last.descriptor.n, last.dims) == ("rook-poly", 12, (2, 2, 2))
+    _cross_check_each(configs)
+    for op, config in zip(ops, configs):
+        assert workloads.gate(op, run_simulation(config)), op.label
 
 
 def test_span_counts_match_reports_at_block_bound_shape():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from functools import partial
+from math import comb
 from operator import mul
 
 import numpy as np
@@ -14,9 +15,11 @@ from rookbench.field import (
     M61,
     NUMPY_MIN_MULS,
     _CHUNK,
+    _LEAF,
     _LIMB_BITS,
     _SLICE,
     _limb_count,
+    _master,
     _mod_matmul,
     _muladd_m61,
     _plane_fold,
@@ -1303,3 +1306,35 @@ def test_interpolation_weights_match_the_vandermonde_solve(p, L):
         assert weights.shape == (len(wanted), L) and weights.dtype == np.uint64
         assert mat_lincombs(field, weights, values) == [coeffs[t] for t in wanted]
         assert (ctr.mul_count, ctr.inv_count) == interpolation_charge(L, len(wanted))
+
+
+def reference_master(p: int, xs) -> list[int]:
+    """prod_w (z - x_w) mod p, one factor at a time, m_0 first."""
+    master = [1]
+    for x in xs:
+        master = [(lo - x * hi) % p for lo, hi in zip([0, *master], [*master, 0])]
+    return master
+
+
+@pytest.mark.parametrize("L", [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 81, 144, 255])
+@pytest.mark.parametrize("p", [M61, 257, 13, 1099511627689], ids=["m61", "p257", "p13", "p40bit"])
+def test_master_matches_one_factor_at_a_time(p, L):
+    # Random points below 2p, 0 among them, so some are p or more (points
+    # repeat over GF(13)); then L equal points p - 1, whose product
+    # (z + 1)^L has the binomials mod p as coefficients.  Over GF(13) and
+    # the 40-bit prime, a slot that left out the bits(L) term would carry.
+    r = rng(p % 1000 + L)
+    xs = [r.randrange(2 * p) for _ in range(L)]
+    if xs:
+        xs[r.randrange(L)] = 0
+    assert _master(p, xs) == reference_master(p, xs)
+    assert _master(p, [p - 1] * L) == reference_master(p, [p - 1] * L) == [comb(L, k) % p for k in range(L + 1)]
+
+
+@pytest.mark.parametrize("p, xs", [(257, [3, 260]), (257, [5, 0, 9, 257]), (M61, [1, 7, M61 + 7])])
+def test_interpolation_weights_reject_points_equal_mod_p(p, xs):
+    ctr = OpCounter()
+    repeated = xs[-1] % p
+    with pytest.raises(SingularMatrix, match=rf"point {repeated} repeats mod {p}"):
+        interpolation_weights(PrimeField(p), xs, range(len(xs)), ctr)
+    assert (ctr.mul_count, ctr.inv_count) == (0, 0)
