@@ -9,7 +9,6 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    SolveBasis,
     mat_mul,
     mat_random,
     solve_linear,

@@ -28,7 +28,6 @@ from .field import (  # noqa: F401
     FieldMatrix,
     OpCounter,
     PrimeField,
-    SolveBasis,
     interpolation_weights,
     mat_lincombs,
     mat_mul,
@@ -85,9 +84,9 @@ class LccScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
         return lcc_encode(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+    def decode(self, products, counter: OpCounter | None = None):
         _require_products(products, self.threshold)
-        return lcc_decode(products, self, counter, basis)
+        return lcc_decode(products, self, counter)
 
 
 def make_lcc_scheme(n, field, m, rng=None, z=None, eval_points=None) -> LccScheme:
@@ -135,7 +134,7 @@ def lcc_encode(scheme: LccScheme, inputs, workers, counter: OpCounter | None = N
     return generator_shares(field, workers, xs, bases, bases, inputs, counter)
 
 
-def _at_anchors(products, scheme, counter: OpCounter | None, basis: SolveBasis | None):
+def _at_anchors(products, scheme, counter: OpCounter | None):
     """The first L = 2n - 1 products with distinct points
     (rook._first_distinct), and the n x L rows taking their values to the
     values at the anchors of the degree-(L-1) polynomial through them:
@@ -143,18 +142,18 @@ def _at_anchors(products, scheme, counter: OpCounter | None, basis: SolveBasis |
     of all L coefficients, one n x L by L x L mat_mul."""
     field, L = scheme.field, scheme.threshold
     _require_products(products, L)
-    chosen = _first_distinct(field, products, L, basis)
+    chosen = _first_distinct(field, products, L)
     weights = interpolation_weights(field, [pr.x for pr in chosen], range(L), counter)
     return chosen, mat_mul(field, scheme.anchor_rows, FieldMatrix(L, L, weights), counter).data
 
 
-def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+def lcc_decode(products, scheme: LccScheme, counter: OpCounter | None = None):
     """Interpolate the degree-(2n-2) product polynomial through the first
     L = 2n - 1 products with distinct points, then evaluate it at the
     anchors (_at_anchors): the products are combined once, by one
     mat_lincombs call of n rows.
     """
-    chosen, rows = _at_anchors(products, scheme, counter, basis)
+    chosen, rows = _at_anchors(products, scheme, counter)
     return mat_lincombs(scheme.field, rows, [pr.e for pr in chosen], counter)
 
 
@@ -197,9 +196,9 @@ class CsaScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list[WorkerShare]:
         return csa_encode(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+    def decode(self, products, counter: OpCounter | None = None):
         _require_products(products, self.threshold)
-        return csa_decode(products, self, counter, basis)
+        return csa_decode(products, self, counter)
 
 
 def make_csa_scheme(n, field, m, rng=None, z=None, eval_points=None) -> CsaScheme:
@@ -229,7 +228,7 @@ def csa_encode(scheme: CsaScheme, inputs, workers, counter: OpCounter | None = N
     return generator_shares(field, workers, xs, rows_a, rows_b, inputs, counter)
 
 
-def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None):
     """Clear the poles, then decode as lcc_decode does.
 
     With f_i(x) = f(x)/(z_i - x) = prod_{k != i} (z_k - x), the product
@@ -248,7 +247,7 @@ def csa_decode(products, scheme: CsaScheme, counter: OpCounter | None = None, ba
     """
     field, n, L = scheme.field, scheme.n, scheme.threshold
     p = field.modulus
-    chosen, rows = _at_anchors(products, scheme, counter, basis)
+    chosen, rows = _at_anchors(products, scheme, counter)
     fs = [math.prod((zi - pr.x) % p for zi in scheme.z) % p for pr in chosen]
     rows = [[w * f % p for w, f in zip(row, fs)] for row in rows.tolist()]
     if counter is not None:
@@ -283,9 +282,8 @@ class ReplicationScheme:
             for w, i in zip(workers, map(self.assignment, workers))
         ]
 
-    def decode(self, products, counter: OpCounter | None = None, basis=None):
-        """Each pair's first product; UncoveredPair while some pair has none.
-        Nothing is solved, so the basis is ignored."""
+    def decode(self, products, counter: OpCounter | None = None):
+        """Each pair's first product; UncoveredPair while some pair has none."""
         first = {}
         for pr in products:
             first.setdefault(pr.x, pr.e)
@@ -329,13 +327,9 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
 
     Every bound scheme has `threshold`, `encode(inputs, workers, counter)`
     giving the shares of the listed workers in one call, in their order,
-    and `decode(products, counter, basis=None)` giving all n products or
-    raising a FieldError (NotEnoughProducts below the threshold).  Passing
-    one field.SolveBasis to every decode call over a growing product list
-    makes each call solve only the products that arrived since the last;
-    the coded schemes keep their elimination in it and replication, which
-    solves nothing, ignores it.  A configuration the field or the worker
-    count cannot hold raises ConfigInvalid.
+    and `decode(products, counter)` giving all n products or raising a
+    FieldError (NotEnoughProducts below the threshold).  A configuration
+    the field or the worker count cannot hold raises ConfigInvalid.
 
     A rook code binds its generator's pair normalized
     (ExponentPair.normalized), which keeps L and the diagonal but spares a

@@ -101,6 +101,9 @@ def cmd_check(args) -> int:
 
 def cmd_minsearch(args) -> int:
     l_min, witness = min_recovery_bruteforce(args.n, args.max_exponent)
+    if witness is None:
+        print(f"Lmin=none: no decodable pair of {args.n} exponents up to {args.max_exponent}")
+        return 1
     print(f"Lmin={l_min} P={list(witness.p)} Q={list(witness.q)}")
     return 0
 

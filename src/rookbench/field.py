@@ -29,14 +29,8 @@ solve_linear, which only rook supports that are not intervals reach (every
 other coded decoder interpolates), is one numpy Gauss-Jordan kernel
 that adds each column's multipliers times its pivot row to the trailing
 block of [V | rhs] in place, the block held as one contiguous array in one
-of the buffers allocated once per solve.  It keeps its elimination in a
-SolveBasis, fresh when the caller passes none: the reduced pivot rows,
-restricted to the columns without a pivot and the rhs.  Given the basis
-of an earlier call, a system whose rows arrive over several calls
-reduces only its new rows against them, in one product, and eliminates
-those over the columns still without a pivot, so a decoder that retries
-after each response never re-solves from scratch.  A Vandermonde system,
-whose columns are the powers 0..L-1 of L distinct points, needs no
+of the buffers allocated once per solve.  A Vandermonde system, whose
+columns are the powers 0..L-1 of L distinct points, needs no
 elimination: interpolation_weights gives the Lagrange weights of the
 coefficients a decoder wants in O(L^2) products and L inversions, and one
 mat_lincombs call applies them to the values.  Interval rook supports,
@@ -704,60 +698,29 @@ def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | No
     return weights
 
 
-class SolveBasis:
-    """What solve_linear keeps of one system's elimination between calls.
-
-    `block` holds the reduced pivot rows restricted to the columns without
-    a pivot and the rhs, a read-only rank x (len(free) + blen) uint64 array
-    whose row i belongs to column pivots[i], pivots in increasing order;
-    `free` lists the columns without a pivot, in order (None before the
-    first call), and `absorbed` counts the rows taken so far.  Pass one new
-    basis to every call over the rows of one growing system, each call
-    with the rows that arrived since the last; a call without one starts
-    from a fresh basis.
-    """
-
-    __slots__ = ("pivots", "free", "block", "absorbed")
-
-    def __init__(self) -> None:
-        self.pivots: list[int] = []
-        self.free: list[int] | None = None
-        self.block = None
-        self.absorbed = 0
-
-
 def solve_linear(
     field: PrimeField,
     v: FieldMatrix,
     rhs: list[FieldMatrix],
     counter: OpCounter | None = None,
-    basis: SolveBasis | None = None,
 ) -> list[FieldMatrix]:
     """Solve V * C = rhs block-wise by Gauss-Jordan elimination over the field.
 
-    V is k x L and rhs k equally-shaped matrix blocks.  V's rows join the
-    pivot rows the basis kept (a fresh basis when none is given): each is
-    reduced by them, r - r[pivots] * B in one product, and the reduced rows
-    are eliminated over the columns still without a pivot, where the pivot
-    is the column's first nonzero entry among the rows not yet pivot rows.
-    A column without one is kept, rows that reduce to zero are dropped, and
-    rows beyond the pivots are not checked (exact evaluations are
-    consistent).  The basis keeps every pivot row; once every column has
-    one they are the L solution blocks, which the results share.  Until
-    then SingularMatrix names the first column without a pivot.
+    V is k x L and rhs k equally-shaped matrix blocks.  Each column's pivot
+    is its first nonzero entry among the rows not yet pivot rows.  A column
+    without one is kept, rows that reduce to zero are dropped, and rows
+    beyond the pivots are not checked (exact evaluations are consistent).
+    Once every column has its pivot, the pivot rows are the L solution
+    blocks, which the results share; until then SingularMatrix names the
+    first column without a pivot.
 
     Counts are those of forward elimination that skips zero multipliers,
-    then back substitution, call by call.  A new row's reduction costs
-    f + blen muls per nonzero entry in a pivot column, f being the columns
-    without a pivot before the call.  A pivot costs one inversion, and
-    (w + blen) muls per nonzero of its column among the rows not yet pivot
-    rows, w being the columns without a pivot from it on.  Back
-    substitution is charged from one tally, per column without a pivot
-    before the call, of the pivot rows that hold a nonzero in it: each
-    basis row as it stood before the call, each new row as it was when
-    pivoted.  Every such hit in a column pivoted in the call costs
-    f' + blen, f' being the columns still without a pivot after the call
-    (0 once V's rank is L).
+    then back substitution.  A pivot costs one inversion, and (w + blen)
+    muls per nonzero of its column among the rows not yet pivot rows, w
+    being the columns without a pivot from it on.  Back substitution is
+    charged from one tally, per pivoted column, of the pivot rows that held
+    a nonzero in it when they were pivoted: each such hit costs f + blen, f
+    being the columns left without a pivot (0 once V's rank is L).
 
     Each column takes one multiplier per row (one multiply-add of the
     column by the scalar p - inv), then adds the multipliers times the
@@ -765,10 +728,8 @@ def solve_linear(
     place with _modular(p)'s update.  No pivoted column allocates an array
     of the block's size; a kept one moves once to the end of the block.
     """
-    if basis is None:
-        basis = SolveBasis()
-    n = v.cols
-    if len(rhs) != v.rows:
+    k, n = v.rows, v.cols
+    if len(rhs) != k:
         raise DimensionMismatch("rhs block count must equal V's row count")
     if n == 0:
         return []
@@ -782,52 +743,38 @@ def solve_linear(
     p = field.modulus
     blen = br * bc
     muladd, update, dtype = _modular(p)
-    pivots, free = ([], list(range(n))) if basis.free is None else (basis.pivots, basis.free)
-    top, nv = len(pivots), len(free)
-    if top + nv != n or (top and basis.block.shape[1] != nv + blen):
-        raise DimensionMismatch("rows do not fit the basis")
-    k = top + v.rows
     # Buffers of [V | rhs]'s size, three for 2^61 - 1 and two otherwise, as
     # only 2^61 - 1's update uses its second scratch array: the block of the
-    # columns without a pivot and the rhs, k x (nv + blen), is one
-    # contiguous row-major array in the first, the update's scratch are the
-    # others, and the block without a newly pivoted column is copied into
-    # the second, which then swaps with the first.  So every pass runs over
-    # whole contiguous rows, however tall or wide the system.  The basis's
-    # pivot rows come first.
-    bufs = list(np.empty((3 if p == M61 else 2, k * (nv + blen)), dtype=dtype))
-    x = bufs[0].reshape(k, nv + blen)
-    rows = _reduced(p, v.data)
-    x[top:, :nv] = rows[:, free] if top else rows
-    x[top:, nv:] = _reduced(p, _stack(rhs, blen))
-    if top:
-        x[:top] = basis.block
-        known = rows[:, pivots]
-        x[top:] = muladd(x[top:], _product(p, known, basis.block).astype(dtype, copy=False), p - 1)
-        if counter is not None:
-            counter.mul_count += int(np.count_nonzero(known)) * (nv + blen)
+    # columns without a pivot and the rhs is one contiguous row-major array
+    # in the first, the update's scratch are the others, and the block
+    # without a newly pivoted column is copied into the second, which then
+    # swaps with the first.  So every pass runs over whole contiguous rows,
+    # however tall or wide the system.
+    bufs = list(np.empty((3 if p == M61 else 2, k * (n + blen)), dtype=dtype))
+    x = bufs[0].reshape(k, n + blen)
+    x[:, :n] = _reduced(p, v.data)
+    x[:, n:] = _reduced(p, _stack(rhs, blen))
 
     # The current column is block column 0.  A column kept without a pivot
     # moves to the end of the block's V part, where the pivot rows that
     # follow are zero, so every pivot row starts at block column 0 and
-    # covers the columns not yet reached, free[i:], then the kept ones.
-    # hits[i]: the pivot rows holding a nonzero in free[i], each basis row as
-    # it was before the call and each new row as it was when pivoted (read
-    # before normalization, which keeps the pattern).
-    hits = np.count_nonzero(basis.block[:, :nv], axis=0) if top else np.zeros(nv, dtype=np.intp)
-    found, left = [], []
-    for i, col in enumerate(free):
+    # covers the columns not yet reached, then the kept ones.  hits[i]: the
+    # pivot rows holding a nonzero in column i, each as it was when pivoted
+    # (read before normalization, which keeps the pattern).
+    hits = np.zeros(n, dtype=np.intp)
+    top, left = 0, []
+    for i in range(n):
         nonzero = x[top:, 0].nonzero()[0]
         if nonzero.size == 0:
-            x[:, :nv] = np.roll(x[:, :nv], -1, axis=1)
-            left.append(col)
+            x[:, : n - top] = np.roll(x[:, : n - top], -1, axis=1)
+            left.append(i)
             continue
         pivot = top + int(nonzero[0])
         if pivot != top:
             x[[top, pivot]] = x[[pivot, top]]
         prow = x[top]
         inv = pow(int(prow[0]), -1, p)
-        w = len(free) - i
+        w = n - i
         if counter is not None:
             counter.mul_count += (w + blen) * nonzero.size
             counter.inv_count += 1
@@ -843,23 +790,15 @@ def solve_linear(
         nxt = bufs[1][: size - k].reshape(k, -1)
         nxt[...] = x[:, 1:]
         x, bufs[0], bufs[1] = nxt, bufs[1], bufs[0]
-        found.append(col)
         top += 1
-        nv -= 1
 
     if counter is not None:
-        # Back substitution clears the pivot rows' hits in the columns
-        # pivoted here.
-        pivoted = [i for i, col in enumerate(free) if col not in left]
-        counter.mul_count += (len(left) + blen) * int(hits[pivoted].sum())
-    # The pivot rows in column order, read-only: once every column has its
-    # pivot they are the solution, which the results then share.
-    order = np.argsort(pivots + found)
-    basis.block = x[:top][order].astype(np.uint64, copy=False)
-    basis.block.setflags(write=False)
-    basis.pivots = sorted(pivots + found)
-    basis.free = left
-    basis.absorbed += v.rows
+        # Back substitution clears the pivot rows' hits in the pivoted
+        # columns.
+        counter.mul_count += (len(left) + blen) * int(np.delete(hits, left).sum())
     if left:
         raise SingularMatrix(f"no nonzero pivot in column {left[0]}")
-    return FieldMatrix._split(basis.block.reshape(n, br, bc))
+    # The pivot rows, in column order, are the solution, read-only.
+    block = x[:n].astype(np.uint64)
+    block.setflags(write=False)
+    return FieldMatrix._split(block.reshape(n, br, bc))

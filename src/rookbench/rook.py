@@ -14,11 +14,7 @@ the diagonal, O(L^2) field products and no elimination, as the LCC and
 CSA decoders do.  Only a support that is not an interval is solved by
 elimination: the decoder solves the system of every response received,
 so it succeeds as soon as those responses determine the products,
-whichever they are.  Given
-a field.SolveBasis, it keeps that system's elimination between calls: each
-call builds rows only for the responses that arrived since the last and
-reduces just those against the pivot rows found so far.  A call without
-one starts from a fresh basis, so it solves every response it is given.
+whichever they are.
 
 Encoding is division-free: each share is one linear combination of the
 input blocks with coefficients x^{p_i} (x^{q_j}), charged the square-and-
@@ -38,7 +34,6 @@ from .field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    SolveBasis,
     interpolation_weights,
     mat_lincombs,
     mat_mul,
@@ -74,10 +69,10 @@ class RookScheme:
     def encode(self, inputs, workers, counter: OpCounter | None = None) -> list["WorkerShare"]:
         return rook_encode_share(self, inputs, workers, counter)
 
-    def decode(self, products, counter: OpCounter | None = None, basis: SolveBasis | None = None):
+    def decode(self, products, counter: OpCounter | None = None):
         """All A_k B_k; NotEnoughProducts until `threshold` responses are in."""
         _require_products(products, self.threshold)
-        return rook_decode(products, self, counter, basis)
+        return rook_decode(products, self, counter)
 
 
 def make_rook_scheme(
@@ -230,37 +225,27 @@ def _require_products(products, needed: int) -> None:
         raise NotEnoughProducts(f"need {needed} products, have {len(products)}")
 
 
-def _first_distinct(field: PrimeField, products, needed: int, basis: SolveBasis | None = None) -> list:
+def _first_distinct(field: PrimeField, products, needed: int) -> list:
     """The first `needed` products with pairwise distinct points, in order.
 
     The decoders that interpolate (an interval rook support's, LCC's and
     CSA's) recover a polynomial of degree below `needed`, which any
     `needed` distinct points determine, so SingularAfterRetry when fewer
     points are distinct is exactly when the products do not determine the
-    solution.  Nothing is eliminated, so a basis keeps no rows: it only
-    counts the products consumed, up to the last one taken (all of them on
-    a failure), as the solve's basis would count the rows it absorbed.
+    solution.
     """
     p = field.modulus
-    chosen, used = {}, 0
+    chosen = {}
     for pr in products:
         if len(chosen) == needed:
             break
         chosen.setdefault(pr.x % p, pr)
-        used += 1
-    if basis is not None:
-        basis.absorbed = used
     if len(chosen) < needed:
         raise SingularAfterRetry(f"the responses have {len(chosen)} distinct points, below {needed}")
     return list(chosen.values())
 
 
-def rook_decode(
-    products,
-    scheme: RookScheme,
-    counter: OpCounter | None = None,
-    basis: SolveBasis | None = None,
-):
+def rook_decode(products, scheme: RookScheme, counter: OpCounter | None = None):
     """Recover all A_k B_k from the worker products received.
 
     When the support is the interval 0..L-1 (poly codes, base3 at n a
@@ -269,11 +254,10 @@ def rook_decode(
     it, and the diagonal coefficients are their combinations with
     field.interpolation_weights, one mat_lincombs call.  Otherwise, and
     only here in the package, it eliminates: field.solve_linear solves
-    V C = E where V[w][t] = x_w^{support[t]}, one power_rows row per product
-    the basis has not absorbed (every product without one, the solve then
-    starting from a fresh basis).  A repeated or otherwise dependent
-    response is just a dependent row, and the diagonal positions of the
-    support hold the wanted products.
+    V C = E where V[w][t] = x_w^{support[t]}, one power_rows row per
+    product.  A repeated or otherwise dependent response is just a
+    dependent row, and the diagonal positions of the support hold the
+    wanted products.
     Raises NotEnoughProducts below L products and SingularAfterRetry while
     the products do not determine the solution.
     """
@@ -281,13 +265,12 @@ def rook_decode(
     field = scheme.field
     _require_products(products, support.L)
     if support.support[-1] == support.L - 1:
-        chosen = _first_distinct(field, products, support.L, basis)
+        chosen = _first_distinct(field, products, support.L)
         weights = interpolation_weights(field, [pr.x for pr in chosen], support.diag_index, counter)
         return mat_lincombs(field, weights, [pr.e for pr in chosen], counter)
-    new = products if basis is None else products[basis.absorbed :]
-    rows = power_rows(field, support.support, [pr.x for pr in new], counter)
+    rows = power_rows(field, support.support, [pr.x for pr in products], counter)
     try:
-        coeffs = solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in new], counter, basis)
+        coeffs = solve_linear(field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], counter)
     except SingularMatrix as exc:
         raise SingularAfterRetry(f"the responses' rows have rank below {support.L}") from exc
     return [coeffs[t] for t in support.diag_index]

@@ -8,11 +8,8 @@ order, asking the bound scheme to decode after each one (coded schemes
 wait for their threshold, then interpolate through the first threshold
 responses with distinct points; only a rook code whose support is not an
 interval solves the system of every response received so far instead;
-replication checks coverage).  One field.SolveBasis per op goes to every
-decode call of that op, so such a rook decoder that fails keeps its
-elimination, and the next call reduces only the newly arrived response
-against it instead of solving from scratch.  Every successful decode is
-verified against direct per-pair products.
+replication checks coverage).  Every successful decode is verified
+against direct per-pair products.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 from . import rook
 from .baselines import ConfigInvalid, SchemeDescriptor, bind_scheme, scheme_threshold
-from .field import M61, FieldError, OpCounter, PrimeField, SolveBasis, mat_mul, mat_random
+from .field import M61, FieldError, OpCounter, PrimeField, mat_mul, mat_random
 from .rook import NotEnoughProducts
 
 
@@ -148,10 +145,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     responses = {w: rook.rook_worker(fld, shares[w], worker_ctr) for w in survivors}
 
     # The master takes responses in completion order and tries to decode
-    # after each one, until a decode succeeds; the basis carries each
-    # failed decode's elimination to the next.
+    # after each one, until a decode succeeds.
     decode_ctr = OpCounter()
-    basis = SolveBasis()
     products = []
     decoded = None
     error = None
@@ -160,7 +155,7 @@ def run_simulation(config: SimConfig) -> SimReport:
         products.append(responses[w])
         clock = t
         try:
-            decoded = scheme.decode(products, decode_ctr, basis)
+            decoded = scheme.decode(products, decode_ctr)
         except NotEnoughProducts:
             continue
         except FieldError as exc:

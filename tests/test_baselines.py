@@ -20,7 +20,7 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents
-from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, SolveBasis, solve_linear
+from rookbench.field import M61, FieldMatrix, OpCounter, PrimeField, solve_linear
 from rookbench.rook import NotEnoughProducts, SingularAfterRetry, power_rows, rook_worker
 
 GF101 = PrimeField(101)
@@ -307,7 +307,7 @@ def test_csa_every_distinct_subset_decodes_at_once_over_gf13():
     want = direct_products(field, inputs)
     for subset in combinations(prods, scheme.threshold):
         ctr = OpCounter()
-        assert scheme.decode(list(subset), ctr, SolveBasis()) == want
+        assert scheme.decode(list(subset), ctr) == want
         assert ctr.inv_count == scheme.threshold
 
 

@@ -137,6 +137,11 @@ def test_minsearch(capsys):
     assert "Lmin=1" in out
     code, out, _ = run_cli(["minsearch", "--n", "3", "--max-exponent", "8"], capsys)
     assert "Lmin=6" in out
+    # No decodable pair fits: a one-line negative result, exit 1.
+    for n, top in ((3, 2), (4, 3)):
+        code, out, err = run_cli(["minsearch", "--n", str(n), "--max-exponent", str(top)], capsys)
+        assert (code, err) == (1, "")
+        assert out == f"Lmin=none: no decodable pair of {n} exponents up to {top}\n"
 
 
 def test_minsearch_budget_exceeded(capsys):

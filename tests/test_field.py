@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from functools import partial
 from math import comb
 from operator import mul
 
@@ -29,7 +28,6 @@ from rookbench.field import (
     OpCounter,
     PrimeField,
     SingularMatrix,
-    SolveBasis,
     interpolation_weights,
     is_prime_u64,
     mat_lincombs,
@@ -349,12 +347,8 @@ def test_every_returned_block_rejects_writes(p):
     for dims in ((2, 2), (8, 8)):
         blocks = [mat_random(field, *dims, r) for _ in range(L)]
         coeff_rows = [[r.randrange(p) for _ in blocks] for _ in range(5)]
-        basis = SolveBasis()
-        with pytest.raises(SingularMatrix):
-            solve_linear(field, from_rows(to_rows(v)[:5]), blocks[:5], basis=basis)
-        kept = solve_linear(field, from_rows(to_rows(v)[5:]), blocks[5:], basis=basis)
-        outs = mat_lincombs(field, coeff_rows, blocks) + solve_linear(field, v, blocks) + kept
-        assert len(outs) == 5 + 2 * L
+        outs = mat_lincombs(field, coeff_rows, blocks) + solve_linear(field, v, blocks)
+        assert len(outs) == 5 + L
         for out in outs:
             assert not out.data.flags.writeable
             with pytest.raises(ValueError):
@@ -813,30 +807,12 @@ def test_distinct_nonzero_draw(gf101):
         gf101.distinct_nonzero(rng(14), 99, exclude=(1, 2))
 
 
-class ReferenceBasis:
-    """What reference_solve keeps: the pivot rows over all n columns and the
-    rhs, each zero in every other pivot column, and their columns."""
-
-    def __init__(self):
-        self.pivots = []
-        self.rows = []
-        self.absorbed = 0
-
-
-def reference_solve(field, v, rhs, counter=None, basis=None):
+def reference_solve(field, v, rhs, counter=None):
     """Pure-Python Gaussian elimination and back substitution, skipping zero
-    multipliers; the values and op counts solve_linear must reproduce.  V's
-    rows join those the ReferenceBasis kept, a fresh one without a basis."""
-    return _reference_absorb(field, v, rhs, counter, ReferenceBasis() if basis is None else basis)
-
-
-def _reference_absorb(field, v, rhs, counter, basis):
-    """reference_solve's elimination: reduce each new row by the kept pivot
-    rows, eliminate the reduced rows forward over the columns without a
-    pivot, skipping a column none of them has a nonzero in, then
-    back-substitute the new pivots, right to left, into every earlier pivot
-    row.  The basis keeps the result; SingularMatrix, naming the first
-    column without a pivot, while one has none."""
+    multipliers; the values and op counts solve_linear must reproduce.
+    Forward elimination skips a column no remaining row has a nonzero in,
+    then the pivots are back-substituted, right to left, into every other
+    pivot row.  SingularMatrix names the first column without a pivot."""
     k, n = v.rows, v.cols
     if len(rhs) != k:
         raise DimensionMismatch("rhs block count must equal V's row count")
@@ -852,27 +828,14 @@ def _reference_absorb(field, v, rhs, counter, basis):
     p = field.modulus
     blen = br * bc
     tail = list(range(n, n + blen))
-    free = [c for c in range(n) if c not in basis.pivots]
     new = [[x % p for x in row] + [x % p for x in blk.entries] for row, blk in zip(to_rows(v), rhs)]
     muls = 0
     invs = 0
 
-    # The kept rows are zero in each other's pivot columns, so each
-    # multiplier is the new row's own entry there.
-    for r in new:
-        for q, prow in zip(basis.pivots, basis.rows):
-            f = r[q]
-            if not f:
-                continue
-            for j in free + tail:
-                r[j] = (r[j] - f * prow[j]) % p
-            r[q] = 0
-            muls += len(free) + blen
-
     top = 0
     found = []
-    left = list(free)
-    for c in free:
+    left = list(range(n))
+    for c in range(n):
         pivot = next((i for i in range(top, k) if new[i][c]), None)
         if pivot is None:
             continue
@@ -895,10 +858,10 @@ def _reference_absorb(field, v, rhs, counter, basis):
         left.remove(c)
         top += 1
 
-    # Right to left, a new pivot row is zero in every other new pivot column
-    # by the time it is used, and clearing its column leaves the others'.
-    rows = basis.rows + new[:top]
-    owner = dict(zip(basis.pivots + found, rows))
+    # Right to left, a pivot row is zero in every other pivot column by the
+    # time it is used, and clearing its column leaves the others'.
+    rows = new[:top]
+    owner = dict(zip(found, rows))
     for c in sorted(found, reverse=True):
         prow = owner[c]
         for r in rows:
@@ -910,9 +873,6 @@ def _reference_absorb(field, v, rhs, counter, basis):
             r[c] = 0
             muls += len(left) + blen
 
-    basis.pivots = basis.pivots + found
-    basis.rows = rows
-    basis.absorbed += k
     if counter is not None:
         counter.mul_count += muls
         counter.inv_count += invs
@@ -1017,83 +977,6 @@ def test_tall_solve_matches_reference_elimination(p, blen):
     assert outcomes == {False, True}
 
 
-def _arrival_batches(p: int, n: int, blen: int, r: random.Random):
-    """The rows of a consistent system, rhs = V * want, split into batches
-    as responses arrive: first rows that are zero in some columns, so those
-    have no pivot yet, then full rows, with repeated, scaled and zero rows
-    mixed in."""
-    br, bc = {1: (1, 1), 4: (2, 2)}[blen]
-    want = [[r.randrange(p) for _ in range(blen)] for _ in range(n)]
-    late = set(r.sample(range(n), r.randrange(n + 1)))
-
-    def draw(count, cols):
-        return [[r.randrange(p) if j in cols else 0 for j in range(n)] for _ in range(count)]
-
-    rows = draw(r.randrange(n + 2), set(range(n)) - late) + draw(n + 2, set(range(n)))
-    for _ in range(r.randrange(5)):
-        row = rows[r.randrange(len(rows))]
-        kind = r.randrange(3)
-        extra = row if kind == 0 else [x * r.randrange(1, p) % p for x in row] if kind == 1 else [0] * n
-        rows.insert(r.randrange(len(rows) + 1), extra)
-    batches = []
-    while rows:
-        size = r.randrange(1, n + 2) if not batches else r.randrange(1, 4)
-        batch, rows = rows[:size], rows[size:]
-        rhs = [
-            FieldMatrix(br, bc, [sum(row[j] * want[j][t] for j in range(n)) % p for t in range(blen)])
-            for row in batch
-        ]
-        batches.append((from_rows(batch), rhs))
-    return batches, want
-
-
-@pytest.mark.parametrize("blen", [1, 4])
-@pytest.mark.parametrize("p", SOLVE_MODULI)
-def test_kept_basis_solve_matches_reference_absorb(p, blen):
-    # Batch by batch, the kept-basis solve gives the reference's values or
-    # error, mul_count and inv_count, and keeps the same pivot rows; past
-    # full rank a batch still solves, from the kept rows.
-    field = PrimeField(p)
-    r = rng(p % 991 + 20 * blen)
-    outcomes = set()
-    for n in range(1, 11):
-        for _ in range(4):
-            batches, want = _arrival_batches(p, n, blen, r)
-            basis, ref = SolveBasis(), ReferenceBasis()
-            for v, rhs in batches:
-                got = _solve_outcome(partial(_solve_checked, basis=basis), field, v, rhs)
-                assert got == _solve_outcome(partial(reference_solve, basis=ref), field, v, rhs), (n, v)
-                assert all(type(c) is int for c in got[1])
-                # The kernel keeps its pivot rows in column order.
-                assert (basis.pivots, basis.absorbed) == (sorted(ref.pivots), ref.absorbed)
-                kept = basis.free + list(range(n, n + blen))
-                by_column = [row for _, row in sorted(zip(ref.pivots, ref.rows))]
-                assert basis.block.tolist() == [[row[j] for j in kept] for row in by_column]
-                assert not basis.block.flags.writeable
-                if isinstance(got[0], str):
-                    assert got[0] == f"no nonzero pivot in column {basis.free[0]}"
-                else:
-                    assert got[0] == want
-                outcomes.add(isinstance(got[0], str))
-    assert outcomes == {False, True}
-
-
-def test_kept_basis_rejects_rows_that_do_not_fit(gf101):
-    basis = SolveBasis()
-    with pytest.raises(SingularMatrix):
-        solve_linear(gf101, FieldMatrix(1, 3, [1, 2, 3]), [FieldMatrix(1, 1, [4])], basis=basis)
-    for v, rhs in (
-        (FieldMatrix(1, 2, [1, 2]), [FieldMatrix(1, 1, [4])]),
-        (FieldMatrix(1, 3, [1, 2, 3]), [FieldMatrix(1, 2, [4, 5])]),
-    ):
-        ctr = OpCounter()
-        with pytest.raises(DimensionMismatch):
-            solve_linear(gf101, v, rhs, ctr, basis)
-        assert (ctr.mul_count, ctr.inv_count, basis.absorbed) == (0, 0, 1)
-    with pytest.raises(DimensionMismatch):
-        solve_linear(gf101, FieldMatrix(0, 3, []), [], basis=basis)
-
-
 def test_solve_dimension_checks_match_reference(gf101):
     two = [FieldMatrix(1, 1, [1]), FieldMatrix(1, 1, [2])]
     cases = [
@@ -1142,12 +1025,12 @@ def _stacked(blocks):
     return FieldMatrix(len(blocks), blocks[0].rows * blocks[0].cols, np.stack([b.data.ravel() for b in blocks]))
 
 
-def _solve_checked(field, v, rhs, counter=None, basis=None):
+def _solve_checked(field, v, rhs, counter=None):
     """solve_linear's blocks, checked to be read-only and C-contiguous, and
     V's and the rhs blocks' arrays checked to be as they were."""
     before = [m.data.copy() for m in (v, *rhs)]
     try:
-        got = solve_linear(field, v, rhs, counter, basis)
+        got = solve_linear(field, v, rhs, counter)
     finally:
         assert all(np.array_equal(x, m.data) for x, m in zip(before, (v, *rhs)))
     for blk in got:

@@ -9,8 +9,8 @@ clock, the responses used) changes a digest.  Each digest pins:
   products run the numpy kernel;
 - SWEEP_SHA256: the sweep CSV of every scheme at n = 2 and 4, two trials;
 - RETRY_SHA256: rook-behrend reports, some of whose decodes fail before
-  one succeeds, so it pins the elimination kept across decode calls
-  (field.SolveBasis);
+  one succeeds, so it pins the charge of an op that decodes more than
+  once, each call solving every response received so far;
 - GENERATOR_GOLDENS: behrend_exponents' search and explicit modes.
 A change that moves a digest on purpose records which fields moved, and
 why, in CHANGES.md.
@@ -30,7 +30,7 @@ from rookbench.sim import FaultModel, SimConfig, run_simulation, sweep, sweep_to
 
 GRID_SHA256 = "ff3513eb23fbee74d04d106200f8b13f4f5f49f479d1183b429cc820b3738ee9"
 SWEEP_SHA256 = "4cdd8498ddbe7ad25486c0fa251eb5366f41c302536dcc915e1659afb972a1c5"
-RETRY_SHA256 = "df7f929384c8e46c203b0d7af4a5f710699a3c287611ace6d16308b536215f09"
+RETRY_SHA256 = "b74a869f0f163ade580b05cdf3ae217113bde06899bca9de66b6e936e80cdf18"
 BLOCK_SHA256 = "39a7760819b64430282cf267fc79d6f40ff6433626feac2ae8ac5487941ed985"
 
 SEEDS = ((11, M61), (12, M61), (13, 257))

@@ -7,7 +7,7 @@ import pytest
 from rookbench import baselines, rook
 from rookbench.baselines import SchemeDescriptor, bind_scheme, scheme_threshold
 from rookbench.exponents import ExponentPair, behrend_exponents, sum_support
-from rookbench.field import PrimeField, SolveBasis, mat_mul, mat_random
+from rookbench.field import FieldMatrix, OpCounter, PrimeField, SingularMatrix, mat_mul, mat_random, solve_linear
 from rookbench.sim import (
     SWEEP_COLUMNS,
     ConfigInvalid,
@@ -134,11 +134,35 @@ def _decodes(scheme, products):
     return True
 
 
+def _first_full_rank(scheme, products):
+    """The first prefix length whose evaluation rows, x^e over the scheme's
+    support (0..L-1 for LCC and CSA), have rank L over GF(p), else None:
+    pure-Python elimination, row by row, independent of the decoders."""
+    p = scheme.field.modulus
+    exps = scheme.support.support if isinstance(scheme, rook.RookScheme) else range(scheme.threshold)
+    pivots = {}  # column -> reduced row whose first nonzero entry is a 1 there
+    for t, pr in enumerate(products, 1):
+        row = [pow(pr.x, e, p) for e in exps]
+        for c in range(len(exps)):
+            if not row[c]:
+                continue
+            if c not in pivots:
+                inv = pow(row[c], -1, p)
+                pivots[c] = [a * inv % p for a in row]
+                break
+            f = row[c]
+            row = [(a - f * b) % p for a, b in zip(row, pivots[c])]
+        if len(pivots) == len(exps):
+            return t
+    return None
+
+
 @pytest.mark.parametrize("p", [7, 101, 257])
-def test_kept_basis_decodes_at_the_first_arrival_of_full_rank(p):
-    # Responses arrive one by one into one basis.  The kept decoder raises
+def test_decode_succeeds_at_the_first_arrival_of_full_rank(p):
+    # Responses arrive one by one, each decode call given all of them so
+    # far, as the simulator gives them.  The decoder raises
     # NotEnoughProducts below L, SingularAfterRetry before the first prefix
-    # whose rows a from-scratch solve finds of rank L, and at that arrival
+    # whose rows have rank L (_first_full_rank), and at that arrival
     # decodes the direct products.  Over GF(7) only n = 2 binds, whose
     # rows are Vandermonde or Cauchy ones, so a rook pair with support
     # {0, 1, 3, 4} (x^3 is +-1 there) joins the five codes to make retries.
@@ -169,20 +193,54 @@ def test_kept_basis_decodes_at_the_first_arrival_of_full_rank(p):
             inputs = [(mat_random(field, 1, 2, r), mat_random(field, 2, 1, r)) for _ in range(n)]
             products = [rook.rook_worker(field, share) for share in scheme.encode(inputs, range(m))]
             r.shuffle(products)
-            first = next((t for t in range(L, m + 1) if _decodes(scheme, products[:t])), None)
-            basis = SolveBasis()
+            first = _first_full_rank(scheme, products)
             for t in range(1, (first or m) + 1):
                 if t < L:
                     with pytest.raises(rook.NotEnoughProducts):
-                        scheme.decode(products[:t], None, basis)
+                        scheme.decode(products[:t])
                 elif t != first:
                     with pytest.raises(rook.SingularAfterRetry):
-                        scheme.decode(products[:t], None, basis)
+                        scheme.decode(products[:t])
                 else:
-                    assert scheme.decode(products[:t], None, basis) == [mat_mul(field, a, b) for a, b in inputs]
-            assert basis.absorbed == (first or m)
+                    assert scheme.decode(products[:t]) == [mat_mul(field, a, b) for a, b in inputs]
             outcomes["never" if first is None else "first" if first == L else "later"] += 1
     assert outcomes["first"] and outcomes["later"], outcomes
+
+
+@pytest.mark.parametrize("seed, used", [(0, 10), (1, 11), (2, 11), (3, 10)])
+def test_each_decode_call_is_charged_a_solve_of_every_response_so_far(seed, used, monkeypatch):
+    # The retrying subjects of the golden retry reports: rook-behrend n = 4
+    # over GF(29) on all 28 nonzero points, whose support is not an
+    # interval.  Seeds 1 and 2 fail a decode before one succeeds.  Each
+    # call is charged what power_rows and solve_linear charge for every
+    # product received so far, from scratch, the report's decode charge is
+    # the sum over the calls, and responses_used is the golden's.
+    calls = []
+    decode = rook.rook_decode
+
+    def recorded(products, scheme, counter):
+        before = (counter.mul_count, counter.inv_count)
+        try:
+            return decode(products, scheme, counter)
+        finally:
+            calls.append((list(products), scheme, counter.mul_count - before[0], counter.inv_count - before[1]))
+
+    monkeypatch.setattr(rook, "rook_decode", recorded)
+    fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
+    rep = run_simulation(cfg(scheme="rook-behrend", n=4, m=28, seed=seed, fault=fault, modulus=29))
+    assert rep.success and rep.verified and rep.responses_used == used
+    assert [len(products) for products, *_ in calls] == list(range(rep.threshold, used + 1))
+    for products, scheme, muls, invs in calls:
+        support = scheme.support
+        assert support.support[-1] != support.L - 1  # eliminates
+        ctr = OpCounter()
+        rows = rook.power_rows(scheme.field, support.support, [pr.x for pr in products], ctr)
+        try:
+            solve_linear(scheme.field, FieldMatrix(*rows.shape, rows), [pr.e for pr in products], ctr)
+        except SingularMatrix:
+            pass
+        assert (muls, invs) == (ctr.mul_count, ctr.inv_count)
+    assert (rep.decode_muls, rep.decode_invs) == tuple(map(sum, zip(*[c[2:] for c in calls])))
 
 
 def test_only_rook_supports_that_are_not_intervals_eliminate(monkeypatch):
