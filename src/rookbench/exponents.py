@@ -272,19 +272,21 @@ def behrend_exponents(
 # --- validity checks --------------------------------------------------------
 
 
-def _sumset(p, q, counts: bool = False):
-    """Distinct sums of P + Q for strictly increasing P, Q.
+def _sumset(p, q):
+    """Distinct sums of P + Q for strictly increasing P, Q, and decodability.
 
-    Returns (support, diag_index, diag_counts): the sorted distinct sums as
-    an array, the position of each p_k + q_k in it, and with counts=True how
-    many of the |P|*|Q| cross sums equal each p_k + q_k (else None).
+    Returns (support, diag_index, decodable): the sorted distinct sums as
+    an array, the position of each p_k + q_k in it, and whether each
+    p_k + q_k occurs exactly once among the |P|*|Q| cross sums.  Diagonal
+    sums strictly increase with k, so the pair is decodable iff no
+    off-diagonal sum p_i + q_j (i != j) equals one of them.
 
     Sums are marked in a table over [p_0 + q_0, p_-1 + q_-1] unless that
     table would be bigger than the 8*|P|*|Q| bytes of all sums, in which case
-    they are sorted.  Each row p_i + Q holds distinct sums, so a row's table
-    indices never repeat.  When P = Q only the rows of the upper triangle
-    j >= i are read; a diagonal sum 2*p_k is then met once on the diagonal
-    and once per unordered pair, so its full count is twice that less one.
+    they are sorted.  Either way the off-diagonal sums go in first: the table
+    reads its diagonal entries before marking them, and the sort counts each
+    diagonal sum in with them, so a count of 1 means no other pair meets it.
+    When P = Q, p_i + p_j = p_j + p_i, so only the pairs j > i are read.
     Sums past int64 stay Python ints and are sorted.
     """
     same = p == q
@@ -293,33 +295,31 @@ def _sumset(p, q, counts: bool = False):
     pa = np.array(p, dtype=dtype)
     qa = pa if same else np.array(q, dtype=dtype)
     diag_sums = pa + qa
-    tails = [qa[i:] if same else qa for i in range(len(p))]
-    # a sum's count is at most min(|P|, |Q|), which int32 holds
-    cell_bytes = 4 if counts else 1
-    if dtype is np.int64 and (hi - lo + 1) * cell_bytes <= 8 * len(p) * len(q):
-        table = np.zeros(hi - lo + 1, dtype=np.int32 if counts else bool)
-        for pi, tail in zip(p, tails):
-            if counts:
-                table[(pi - lo) + tail] += 1
-            else:
-                table[(pi - lo) + tail] = True
+    rows = [(pi, qa[i + 1 :]) for i, pi in enumerate(p)]
+    if not same:
+        rows += [(pi, qa[:i]) for i, pi in enumerate(p)]
+    if dtype is np.int64 and hi - lo + 1 <= 8 * len(p) * len(q):
+        table = np.zeros(hi - lo + 1, dtype=bool)
+        for pi, tail in rows:
+            table[(pi - lo) + tail] = True
+        diag_at = diag_sums - lo
+        decodable = not table[diag_at].any()
+        table[diag_at] = True
         support = np.flatnonzero(table)
-        sum_counts = table[support]
         support += lo
+        diag_index = np.searchsorted(support, diag_sums)
     else:
         support, sum_counts = np.unique(
-            np.concatenate([pi + tail for pi, tail in zip(p, tails)]), return_counts=True
+            np.concatenate([pi + tail for pi, tail in rows] + [diag_sums]), return_counts=True
         )
-    diag_index = np.searchsorted(support, diag_sums)
-    if not counts:
-        return support, diag_index, None
-    diag_counts = sum_counts[diag_index]
-    return support, diag_index, 2 * diag_counts - 1 if same else diag_counts
+        diag_index = np.searchsorted(support, diag_sums)
+        decodable = bool((sum_counts[diag_index] == 1).all())
+    return support, diag_index, decodable
 
 
 def is_decodable(pair: ExponentPair) -> bool:
     """True iff every diagonal sum occurs exactly once among all n^2 sums."""
-    return bool((_sumset(pair.p, pair.q, counts=True)[2] == 1).all())
+    return _sumset(pair.p, pair.q)[2]
 
 
 def sum_support(pair: ExponentPair) -> SumSupport:
@@ -331,16 +331,15 @@ def sum_support(pair: ExponentPair) -> SumSupport:
 def is_3ap_free(values) -> bool:
     """True iff no three distinct elements satisfy a + c = 2b.
 
-    A + A counts 2b once as b + b and twice more for each such pair a < c,
-    so the set is 3-AP-free iff every 2b occurs exactly once, which is the
-    decodability of the pair (A, A).
+    Such a triple makes 2b = b + b equal the off-diagonal sum a + c, so
+    the set is 3-AP-free iff the pair (A, A) is decodable.
     """
     a = sorted(values)
     if len(a) != len(set(a)):
         raise ValueError("elements must be distinct")
     if len(a) < 3:
         return True
-    return bool((_sumset(a, a, counts=True)[2] == 1).all())
+    return _sumset(a, a)[2]
 
 
 # min_recovery_bruteforce's budget: the space grows as C(max_exponent, n-1)^2.
@@ -374,8 +373,7 @@ def min_recovery_bruteforce(n: int, max_exponent: int):
         p = (0,) + tp
         for tq in tails[i:]:
             q = (0,) + tq
-            # Decodable iff every diagonal sum occurs once; L is |P+Q|.
-            support, _, diag_counts = _sumset(p, q, counts=True)
-            if (best_l is None or len(support) < best_l) and (diag_counts == 1).all():
+            support, _, decodable = _sumset(p, q)
+            if decodable and (best_l is None or len(support) < best_l):
                 best_l, best = len(support), (p, q)
     return best_l, None if best is None else ExponentPair(n, *best)

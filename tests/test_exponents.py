@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -313,10 +314,19 @@ def test_is_decodable_matches_triple_loop_oracle():
         q = tuple(sorted(r.sample(range(12), n)))
         pair = ExponentPair(n, p, q)
         assert is_decodable(pair) == decodable_triple_loop(pair)
+    # Spread out, the sums are sorted as int64 (scale 2^40) or as Python
+    # ints (offset 2^62); a few small steps keep collisions common.
+    for scale, offset in ((1 << 40, 0), (1, 1 << 62), (1 << 40, 1 << 62)):
+        for _ in range(40):
+            n = r.randrange(1, 6)
+            p = tuple(offset + scale * v for v in sorted(r.sample(range(12), n)))
+            q = p if r.random() < 0.3 else tuple(offset + scale * v for v in sorted(r.sample(range(12), n)))
+            pair = ExponentPair(n, p, q)
+            assert is_decodable(pair) == decodable_triple_loop(pair)
 
 
 def test_is_decodable_numpy_path_matches_oracle():
-    pair = base3_exponents(200)  # n >= 128 takes the vectorized path
+    pair = base3_exponents(200)  # a larger pair, on the table path
     assert is_decodable(pair) == decodable_triple_loop(pair)
     bad = ExponentPair(200, tuple(range(200)), tuple(range(200)))
     assert not is_decodable(bad)
@@ -330,6 +340,10 @@ def test_sumset_paths_match_bruteforce():
         ExponentPair(3, (0, near, near + 3), (1, near + 1, near + 2)),  # Python ints
         ExponentPair(3, (near, near + 1, near + 2), (near, near + 1, near + 2)),
         ExponentPair(3, (near, near + 1, near + 3), (near, near + 1, near + 3)),
+        # not decodable, one per path that lacked one
+        ExponentPair(3, (0, 1, 3), (0, 2, 3)),  # table, 0 + 3 = 1 + 2
+        ExponentPair(3, (0, 1 << 40, 1 << 41), (0, 1 << 40, 1 << 41)),  # sorted as int64, P = Q
+        ExponentPair(3, (0, 1 << 40, 2 << 40), (0, 1 << 40, 3 << 40)),  # sorted as int64
     ]
     for pair in pairs:
         s = sum_support(pair)
@@ -337,9 +351,11 @@ def test_sumset_paths_match_bruteforce():
         assert [s.support[i] for i in s.diag_index] == [a + b for a, b in zip(pair.p, pair.q)]
         assert is_decodable(pair) == decodable_triple_loop(pair)
         counts = Counter(a + b for a in pair.p for b in pair.q)
-        diag_counts = _sumset(pair.p, pair.q, counts=True)[2].tolist()
-        assert diag_counts == [counts[a + b] for a, b in zip(pair.p, pair.q)]
+        decodable = _sumset(pair.p, pair.q)[2]
+        assert type(decodable) is bool
+        assert decodable == all(counts[a + b] == 1 for a, b in zip(pair.p, pair.q))
     assert not is_decodable(pairs[3]) and is_decodable(pairs[4])
+    assert not any(is_decodable(pair) for pair in pairs[5:])
     assert not is_3ap_free(pairs[3].p) and is_3ap_free(pairs[4].p)
 
 
@@ -404,6 +420,21 @@ def test_3ap_free_implies_decodable():
         assert is_3ap_free(a)
         pair = ExponentPair(len(a), tuple(a), tuple(a))
         assert is_decodable(pair)
+
+
+def test_is_decodable_peaks_no_higher_than_sum_support():
+    # Decodability is read from the support pass itself, with no second table.
+    pair = behrend_exponents(1024)
+
+    def peak(check):
+        tracemalloc.start()
+        try:
+            check(pair)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(is_decodable) <= peak(sum_support)
 
 
 def test_sumset_lower_bound_on_decodable_pairs():

@@ -379,7 +379,7 @@ def test_mat_muladd_matches_int_oracle(p):
         assert got.entries == [(a + s * b) % p for a, b in zip(x.entries, y.entries)]
 
 
-def test_mat_muladd_counts_checks_shape_and_leaves_inputs(gf101):
+def test_mat_lincombs_of_two_terms_counts_checks_shape_and_leaves_inputs(gf101):
     x = mat_random(gf101, 2, 3, rng(24))
     y = mat_random(gf101, 2, 3, rng(25))
     x_before, y_before = list(x.entries), list(y.entries)
@@ -440,7 +440,7 @@ def test_mat_lincomb_matches_int_oracle_and_old_chain(p):
         assert got == chained_lincomb(field, coeffs, blocks)
 
 
-def test_mat_lincomb_counts_and_leaves_inputs(gf101):
+def test_mat_lincombs_counts_and_leaves_inputs(gf101):
     r = rng(32)
     blocks = [mat_random(gf101, 2, 3, r) for _ in range(4)]
     coeffs = [3, 0, 100, 7]
@@ -458,7 +458,7 @@ def test_mat_lincomb_counts_and_leaves_inputs(gf101):
         assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
-def test_mat_lincomb_dimension_errors_count_nothing(gf101):
+def test_mat_lincombs_dimension_errors_count_nothing(gf101):
     r = rng(33)
     a, b = mat_random(gf101, 2, 3, r), mat_random(gf101, 2, 3, r)
     cases = [
@@ -476,7 +476,7 @@ def test_mat_lincomb_dimension_errors_count_nothing(gf101):
         assert (ctr.mul_count, ctr.inv_count) == (0, 0)
 
 
-def test_mat_lincomb_long_combination():
+def test_mat_lincombs_long_combination():
     # 200,000 1 x 1 terms are the numpy kernel's inner dimension, about 391
     # of its exact float64 chunks of field._CHUNK terms.
     field = PrimeField(M61)
