@@ -15,6 +15,7 @@ replication rounds out the comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from . import rook
 # sum_support and solve_linear are unused here, but perfbench/spans.py
 # traces baselines.sum_support and baselines.solve_linear.
-from .exponents import base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
+from .exponents import ExponentPair, base3_exponents, behrend_exponents, poly_code_exponents, sum_support  # noqa: F401
 from .field import (  # noqa: F401
     FieldError,
     FieldMatrix,
@@ -321,6 +322,24 @@ class SchemeDescriptor:
         return self.lam * self.n if self.scheme == "replication" else None
 
 
+@functools.lru_cache(maxsize=64)
+def _rook_pair(scheme: str, n: int) -> ExponentPair:
+    """A rook code's generator pair, normalized, generated once per process
+    per (scheme, n).  The pair depends on neither field nor points, and it
+    is frozen, so every bind may share it.
+
+    The generator is looked up by its module attribute on a miss only: a
+    replaced generator is called once the cache is cleared
+    (`_rook_pair.cache_clear()`).
+    """
+    generators = {
+        "rook-poly": poly_code_exponents,
+        "rook-base3": base3_exponents,
+        "rook-behrend": behrend_exponents,
+    }
+    return generators[scheme](n).normalized()
+
+
 def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
     """Bind a descriptor to a field and m workers: the one place that picks a
     scheme's code by its name.
@@ -335,6 +354,9 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
     (ExponentPair.normalized), which keeps L and the diagonal but spares a
     small field the equal rows of x and -x that an even gap gcd gives.
     poly and base3 pairs are already normalized; behrend pairs are not.
+    The pair is generated once per process per (scheme, n) (_rook_pair);
+    every check that depends on the field or m, and the draw of the
+    points, runs on every bind.
     """
     try:
         if desc.scheme == "lcc":
@@ -345,13 +367,7 @@ def bind_scheme(desc: SchemeDescriptor, field: PrimeField, m: int, rng):
             if m != desc.fixed_m:
                 raise ValueError(f"replication needs m = lambda*n = {desc.fixed_m}, got {m}")
             return ReplicationScheme(n=desc.n, lam=desc.lam)
-        # Built per call, so a replaced module attribute is the one called.
-        generators = {
-            "rook-poly": poly_code_exponents,
-            "rook-base3": base3_exponents,
-            "rook-behrend": behrend_exponents,
-        }
-        return rook.make_rook_scheme(generators[desc.scheme](desc.n).normalized(), field, m, rng=rng)
+        return rook.make_rook_scheme(_rook_pair(desc.scheme, desc.n), field, m, rng=rng)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 

@@ -589,11 +589,12 @@ def power_table(p: int, exponents, xs):
     Square-and-multiply over windows of k bits of every exponent at once,
     k about log2(len(exponents)) (the 2^k-ary method): for each window, k
     doublings (fewer in the last window), each one multiply-add on a whole
-    array, turn [1, b] into the powers b^0 .. b^(2^k) of the window's base
-    b = x^(2^shift); the
-    window's digits of the exponents pick their columns, and one more
-    multiply-add folds them into the table.  x^0 is 1, 0^0 included.
-    Entries are residues of _modular(p)'s dtype.
+    array, turn [1, b] into the powers b^0 .. b^t of the window's base
+    b = x^(2^shift), t being 2^k (b^(2^k) is the next window's base) or,
+    in the last window, the largest digit there; the window's digits of
+    the exponents pick their columns, and one more multiply-add folds them
+    into the table.  x^0 is 1, 0^0 included.  Entries are residues of
+    _modular(p)'s dtype.
     """
     muladd, _, dtype = _modular(p)
     e = np.array(exponents, dtype=np.uint64)
@@ -603,11 +604,15 @@ def power_table(p: int, exponents, xs):
     table = np.ones((base.shape[0], e.size), dtype=dtype)
     for shift in range(0, top, k):
         steps = min(k, top - shift)
+        digits = ((e >> np.uint64(shift)) & np.uint64((1 << steps) - 1)).astype(np.intp)
+        # The last window's top bit is set in its largest digit, so only
+        # its last doubling stops short.
+        t = int(digits.max()) if shift + steps == top else 1 << steps
         powers = np.concatenate([np.ones_like(base), base], axis=1)
         for _ in range(steps):
-            # Columns b^0 .. b^j times b^j, the last, are b^j .. b^(2j).
-            powers = np.concatenate([powers[:, :-1], muladd(0, powers, powers[:, -1:])], axis=1)
-        digits = ((e >> np.uint64(shift)) & np.uint64((1 << steps) - 1)).astype(np.intp)
+            # Columns b^1 .. b^i times b^j, the last, are b^(j+1) .. b^(j+i).
+            j = powers.shape[1] - 1
+            powers = np.concatenate([powers, muladd(0, powers[:, 1 : min(j, t - j) + 1], powers[:, -1:])], axis=1)
         table = powers[:, digits] if shift == 0 else muladd(0, table, powers[:, digits])
         base = powers[:, -1:]
     return table

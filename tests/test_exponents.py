@@ -11,6 +11,7 @@ import pytest
 
 from conftest import naive_min_recovery, rng
 from rookbench import exponents
+from rookbench.baselines import SchemeDescriptor, rook_exponents_for
 from rookbench.exponents import (
     ExponentPair,
     ParameterSearchExhausted,
@@ -295,6 +296,24 @@ def test_behrend_requires_both_parameters():
 
 def test_behrend_deterministic():
     assert behrend_exponents(37).p == behrend_exponents(37).p
+
+
+def test_behrend_generator_stays_uncached(monkeypatch):
+    # Binding caches rook pairs, but the generator itself searches on
+    # every call, warm bind cache or not.
+    rook_exponents_for(SchemeDescriptor(scheme="rook-behrend", n=8))
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _first_viable(*args)
+
+    monkeypatch.setattr(exponents, "_first_viable", recording)
+    first = behrend_exponents(8)
+    searched = len(calls)
+    assert searched > 0
+    assert behrend_exponents(8) == first
+    assert calls == calls[:searched] * 2
 
 
 # --- checks -------------------------------------------------------------------

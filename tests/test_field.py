@@ -699,6 +699,10 @@ def test_power_table_matches_builtin_pow(p):
         [p - 2, 5, 0, 5, 1],  # unsorted, repeated
         [0, 0],
     ]
+    # range(L) is one window whose doublings stop at its largest digit
+    # L - 1: the last doubling adds no column at L = 2, 129 and 257, where
+    # L - 1 is a power of two, and only part of one at L = 144 and 256.
+    cases += [list(range(L)) for L in (2, 129, 144, 256, 257)]
     for exponents in cases:
         table = power_table(p, exponents, xs)
         assert table.shape == (len(xs), len(exponents))

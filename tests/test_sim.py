@@ -371,6 +371,8 @@ def test_bind_errors_are_config_invalid(desc, modulus, message):
 
 
 def test_rook_exponents_generated_once_per_simulation(monkeypatch):
+    # The bind cache looks a generator up on a miss only, so it is cleared
+    # for the replaced one to be called.
     calls = []
     original = baselines.behrend_exponents
 
@@ -379,9 +381,37 @@ def test_rook_exponents_generated_once_per_simulation(monkeypatch):
         return original(n, *args, **kwargs)
 
     monkeypatch.setattr(baselines, "behrend_exponents", counted)
-    rep = run_simulation(cfg(scheme="rook-behrend", n=4, m=14))
-    assert rep.success and rep.verified
+    baselines._rook_pair.cache_clear()
+    for seed in (7, 8):
+        rep = run_simulation(cfg(scheme="rook-behrend", n=4, m=14, seed=seed))
+        assert rep.success and rep.verified
     assert calls == [4]
+
+
+def test_warm_rook_pair_still_meets_field_checks():
+    desc = SchemeDescriptor(scheme="rook-poly", n=12)
+    small = SimConfig(descriptor=desc, m=20, modulus=101)
+    baselines._rook_pair.cache_clear()
+    with pytest.raises(ConfigInvalid, match="too large for modulus 101") as cold:
+        run_simulation(small)
+    baselines._rook_pair.cache_clear()
+    bind_scheme(desc, PrimeField((1 << 61) - 1), 150, stream(0, "scheme"))
+    with pytest.raises(ConfigInvalid) as warm:
+        run_simulation(small)
+    assert baselines._rook_pair.cache_info().hits == 1
+    assert str(warm.value) == str(cold.value)
+
+
+@pytest.mark.parametrize("scheme", baselines.ROOK_SCHEMES)
+def test_warm_cache_report_matches_cold(scheme):
+    n = 4
+    m = scheme_threshold(SchemeDescriptor(scheme=scheme, n=n)) + 6
+    config = cfg(scheme=scheme, n=n, m=m, seed=31, fault=FaultModel(fail_prob=0.2, straggle_mean=1.0))
+    baselines._rook_pair.cache_clear()
+    cold = run_simulation(config).to_json()
+    hits = baselines._rook_pair.cache_info().hits
+    assert run_simulation(config).to_json() == cold
+    assert baselines._rook_pair.cache_info().hits > hits
 
 
 def test_insufficient_workers_is_recorded_not_raised():
