@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -45,6 +46,18 @@ from .rook import (
 
 class ConfigInvalid(Exception):
     pass
+
+
+def integer(name: str, value) -> int:
+    """value as an int: anything operator.index takes (numpy integers
+    included) except bool, so that 2.0 or True is not read as a count or a
+    seed.  Anything else raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class UncoveredPair(FieldError):
@@ -311,6 +324,9 @@ class SchemeDescriptor:
     def __post_init__(self):
         if self.scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        object.__setattr__(self, "n", integer("n", self.n))
+        if self.lam is not None:
+            object.__setattr__(self, "lam", integer("lam", self.lam))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.scheme == "replication" and (self.lam is None or self.lam < 1):

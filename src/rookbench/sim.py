@@ -1,15 +1,18 @@
 """Deterministic master-worker simulator with fail-stop and straggler faults.
 
-Each worker draws its fate from a PRNG stream keyed by (seed, worker id),
-so a run is reproducible regardless of host parallelism: failed workers
-never respond, survivors respond at base_delay * (work size) plus an
-exponential straggle term, and the master consumes responses in completion
-order, asking the bound scheme to decode after each one (coded schemes
-wait for their threshold, then interpolate through the first threshold
-responses with distinct points; only a rook code whose support is not an
-interval solves the system of every response received so far instead;
-replication checks coverage).  Every successful decode is verified
-against direct per-pair products.
+Each op draws its randomness from three PRNG streams keyed by (seed, role):
+"scheme" picks the evaluation points, "inputs" draws A_0, B_0, A_1, B_1, ...
+in order, and "workers" gives worker w its draws 2w (fail-stop) and 2w + 1
+(straggle), both taken whatever the worker's fate, so a worker's fate
+depends on neither m nor any other worker and a run is reproducible
+regardless of host parallelism.  Failed workers never respond, survivors
+respond at base_delay * (work size) plus an exponential straggle term, and
+the master consumes responses in completion order, asking the bound scheme
+to decode after each one (coded schemes wait for their threshold, then
+interpolate through the first threshold responses with distinct points;
+only a rook code whose support is not an interval solves the system of
+every response received so far instead; replication checks coverage).
+Every successful decode is verified against direct per-pair products.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import hashlib
 import io
 import json
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, field as dc_field
 
 from . import rook
-from .baselines import ConfigInvalid, SchemeDescriptor, bind_scheme, scheme_threshold
+from .baselines import ConfigInvalid, SchemeDescriptor, bind_scheme, integer, scheme_threshold
 from .field import M61, FieldError, OpCounter, PrimeField, mat_mul, mat_random
 from .rook import NotEnoughProducts
 
@@ -78,20 +82,31 @@ class SimReport:
 
 def stream(seed: int, *key) -> random.Random:
     """Independent PRNG stream keyed by (seed, *key); stable across runs."""
-    material = repr((int(seed),) + tuple(key)).encode()
+    material = repr((operator.index(seed),) + tuple(key)).encode()
     digest = hashlib.sha256(material).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _validate(dims, encode_at: str, fault: FaultModel, modulus: int) -> PrimeField:
-    """Check a run's settings other than its scheme and m; return its field."""
-    if len(dims) != 3 or any(d < 1 for d in dims):
+def _integer(name: str, value) -> int:
+    try:
+        return integer(name, value)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
+
+
+def _validate(dims, encode_at: str, fault: FaultModel, modulus: int) -> tuple[tuple, PrimeField]:
+    """Check a run's settings other than its scheme, m and seed; return its
+    dims as ints and its field."""
+    if len(dims) != 3:
+        raise ConfigInvalid("dims must be three positive integers")
+    dims = tuple(_integer("dims", d) for d in dims)
+    if any(d < 1 for d in dims):
         raise ConfigInvalid("dims must be three positive integers")
     if encode_at not in ("master", "workers"):
         raise ConfigInvalid(f"encode_at must be master or workers, got {encode_at!r}")
     fault.validate()
     try:
-        return PrimeField(modulus)
+        return dims, PrimeField(_integer("modulus", modulus))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -101,45 +116,51 @@ def _check_workers(m: int) -> None:
         raise ConfigInvalid("m must be >= 1")
 
 
-def run_simulation(config: SimConfig) -> SimReport:
-    """One full encode / fault-inject / collect / decode / verify round."""
-    _check_workers(config.m)
-    fld = _validate(config.dims, config.encode_at, config.fault, config.modulus)
-    desc = config.descriptor
-    rows, inner, cols = config.dims
-    seed = config.seed
+def _worker_fates(seed: int, m: int, fault: FaultModel, work_units: int):
+    """(arrivals, failed) of m workers from the one "workers" stream.
 
-    inputs = [
-        (
-            mat_random(fld, rows, inner, stream(seed, "input", i, "a")),
-            mat_random(fld, inner, cols, stream(seed, "input", i, "b")),
-        )
-        for i in range(desc.n)
-    ]
-    oracle = [mat_mul(fld, a, b) for a, b in inputs]
-    scheme = bind_scheme(desc, fld, config.m, stream(seed, "scheme"))
-
-    # Fault and timing draws, one stream per worker.
-    work_units = rows * inner * cols
+    Worker w fails when the stream's random() draw 2w is below fail_prob;
+    otherwise it arrives at base_delay * work_units plus
+    straggle_mean * -log(1 - u), u being draw 2w + 1: random.expovariate's
+    formula, with the scalar math.log, so a seed replays bit for bit on any
+    host.  Both draws are taken for every worker, so worker w's fate is the
+    same at every m > w.  Arrivals are (time, worker) in completion order,
+    ties broken by worker id.
+    """
+    draws = stream(seed, "workers").random
+    base = fault.base_delay * work_units
     arrivals = []
     failed = []
-    for w in range(config.m):
-        wrng = stream(seed, "worker", w)
-        if wrng.random() < config.fault.fail_prob:
+    for w in range(m):
+        fail, straggle = draws(), draws()  # draws 2w and 2w + 1
+        if fail < fault.fail_prob:
             failed.append(w)
-            continue
-        t = config.fault.base_delay * work_units
-        if config.fault.straggle_mean > 0:
-            t += wrng.expovariate(1.0 / config.fault.straggle_mean)
-        arrivals.append((t, w))
+        else:
+            arrivals.append((base + fault.straggle_mean * -math.log(1.0 - straggle), w))
     arrivals.sort()
+    return arrivals, failed
+
+
+def run_simulation(config: SimConfig) -> SimReport:
+    """One full encode / fault-inject / collect / decode / verify round."""
+    m = _integer("m", config.m)
+    _check_workers(m)
+    seed = _integer("seed", config.seed)
+    (rows, inner, cols), fld = _validate(config.dims, config.encode_at, config.fault, config.modulus)
+    desc = config.descriptor
+
+    rng = stream(seed, "inputs")
+    inputs = [(mat_random(fld, rows, inner, rng), mat_random(fld, inner, cols, rng)) for _ in range(desc.n)]
+    oracle = [mat_mul(fld, a, b) for a, b in inputs]
+    scheme = bind_scheme(desc, fld, m, stream(seed, "scheme"))
+    arrivals, failed = _worker_fates(seed, m, config.fault, rows * inner * cols)
     survivors = sorted(w for _, w in arrivals)
 
     # Encoding cost lands on the master (all m shares) or on each surviving
     # worker, depending on where encoding is delegated; either way the
     # shares are encoded in one call.
     encode_ctr = OpCounter()
-    encoded = range(config.m) if config.encode_at == "master" else survivors
+    encoded = range(m) if config.encode_at == "master" else survivors
     shares = {share.worker_id: share for share in scheme.encode(inputs, encoded, encode_ctr)}
     worker_ctr = OpCounter()
     responses = {w: rook.rook_worker(fld, shares[w], worker_ctr) for w in survivors}
@@ -167,7 +188,7 @@ def run_simulation(config: SimConfig) -> SimReport:
     return SimReport(
         scheme=desc.scheme,
         n=desc.n,
-        m=config.m,
+        m=m,
         seed=seed,
         success=success,
         responses_received=len(arrivals),
@@ -217,6 +238,9 @@ def sweep(
     Worker count is threshold + extra_workers (replication uses lambda * n).
     decode_time is an op-count proxy: decode multiplications + inversions.
     """
+    trials = _integer("trials", trials)
+    extra_workers = _integer("extra_workers", extra_workers)
+    seed = _integer("seed", seed)
     if trials < 0:
         raise ConfigInvalid("trials must be >= 0")
     fault = fault or FaultModel()

@@ -79,13 +79,13 @@ def test_span_counts_match_reports(modulus):
 
 def test_span_counts_match_reports_over_repeated_decodes():
     # rook-behrend n = 4 over GF(29), on all 28 nonzero points: some runs'
-    # first L responses are singular, so they decode more than once before
-    # their responses determine the products, and the report's decode
-    # counters sum every call.
+    # first L responses are singular (seeds 0 and 4), so they decode more
+    # than once before their responses determine the products, and the
+    # report's decode counters sum every call.
     desc = SchemeDescriptor(scheme="rook-behrend", n=4)
     fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
-    configs = [SimConfig(descriptor=desc, m=28, seed=s, fault=fault, modulus=29) for s in range(4)]
-    assert _cross_check_each(configs) == [1, 2, 2, 1]
+    configs = [SimConfig(descriptor=desc, m=28, seed=s, fault=fault, modulus=29) for s in range(5)]
+    assert _cross_check_each(configs) == [2, 1, 1, 1, 5]
 
 
 @pytest.mark.parametrize("modulus", [M61, 257], ids=["m61", "p257"])

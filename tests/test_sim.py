@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from rookbench import baselines, rook
+from rookbench import baselines, rook, sim
 from rookbench.baselines import SchemeDescriptor, bind_scheme, scheme_threshold
 from rookbench.exponents import ExponentPair, behrend_exponents, sum_support
 from rookbench.field import FieldMatrix, OpCounter, PrimeField, SingularMatrix, mat_mul, mat_random, solve_linear
@@ -13,6 +15,7 @@ from rookbench.sim import (
     ConfigInvalid,
     FaultModel,
     SimConfig,
+    _worker_fates,
     run_simulation,
     stream,
     sweep,
@@ -60,6 +63,87 @@ def test_stream_is_keyed_and_stable():
     assert stream(1, "worker", 0).random() == stream(1, "worker", 0).random()
     assert stream(1, "worker", 0).random() != stream(1, "worker", 1).random()
     assert stream(1, "worker", 0).random() != stream(2, "worker", 0).random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_worker_fates_do_not_depend_on_m(seed):
+    # Worker w's draws are numbers 2w and 2w + 1 of the "workers" stream,
+    # taken whatever its fate, so seven more workers change nothing for
+    # workers 0..m-1: not who fails, not when or in which order they arrive.
+    fault = FaultModel(fail_prob=0.3, straggle_mean=2.0)
+    small = run_simulation(cfg(m=6, seed=seed, fault=fault))
+    large = run_simulation(cfg(m=13, seed=seed, fault=fault))
+    assert small.failed_workers == [w for w in large.failed_workers if w < 6]
+    arrivals, failed = _worker_fates(seed, 6, fault, 8)
+    more_arrivals, more_failed = _worker_fates(seed, 13, fault, 8)
+    assert failed == small.failed_workers and more_failed == large.failed_workers
+    assert arrivals == [(t, w) for t, w in more_arrivals if w < 6]
+    draws = stream(seed, "workers")
+    u = [draws.random() for _ in range(2 * 13)]
+    assert more_failed == [w for w in range(13) if u[2 * w] < 0.3]
+    survivors = [w for w in range(13) if w not in more_failed]
+    assert sorted(more_arrivals) == sorted((8 + 2.0 * -math.log(1 - u[2 * w + 1]), w) for w in survivors)
+
+
+def test_worker_fates_follow_the_fault_model():
+    # 2,000 seeds x 8 workers: the fail share and the mean straggle of the
+    # survivors lie within 4 sigma of fail_prob and straggle_mean.
+    fault = FaultModel(fail_prob=0.3, straggle_mean=2.5, base_delay=0.5)
+    workers, work_units = 8, 8
+    fails, straggles = 0, []
+    for seed in range(2000):
+        arrivals, failed = _worker_fates(seed, workers, fault, work_units)
+        fails += len(failed)
+        straggles += [t - fault.base_delay * work_units for t, _ in arrivals]
+    draws = 2000 * workers
+    sigma = math.sqrt(fault.fail_prob * (1 - fault.fail_prob) / draws)
+    assert abs(fails / draws - fault.fail_prob) < 4 * sigma
+    assert min(straggles) >= 0
+    sigma = fault.straggle_mean / math.sqrt(len(straggles))  # an exponential's sd is its mean
+    assert abs(sum(straggles) / len(straggles) - fault.straggle_mean) < 4 * sigma
+
+
+def test_without_straggle_every_survivor_arrives_at_the_base_delay():
+    arrivals, failed = _worker_fates(3, 20, FaultModel(fail_prob=0.5, base_delay=0.25), 8)
+    assert failed and arrivals
+    assert arrivals == [(2.0, w) for w in range(20) if w not in failed]
+
+
+def test_inputs_are_rejection_draws_of_one_stream_in_order(monkeypatch):
+    # Over GF(257) about half the 9-bit draws are rejected.  The inputs
+    # A_0, B_0, A_1, B_1 are the accepted draws of stream(seed, "inputs")
+    # in that order, through both mat_random paths (A: 32 x 16 entries, at
+    # NUMPY_MIN_MULS; B: 16 x 24, below it), and their entries are uniform
+    # on [0, 257) by a chi-square bound.
+    drawn = []
+
+    def recording(*args):
+        drawn.append(mat_random(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(sim, "mat_random", recording)
+    counts = np.zeros(257, dtype=np.int64)
+    rejected = 0
+    for seed in range(8):
+        drawn.clear()
+        rep = run_simulation(cfg(scheme="rook-poly", n=2, m=6, seed=seed, dims=(32, 16, 24), modulus=257))
+        assert rep.success and rep.verified
+        assert [(a.rows, a.cols) for a in drawn] == [(32, 16), (16, 24)] * 2
+        entries = [e for a in drawn for e in a.entries]
+        assert max(entries) < 257
+        counts += np.bincount(entries, minlength=257)
+        raw, accepted, consumed = stream(seed, "inputs"), [], 0
+        while len(accepted) < len(entries):
+            draw = raw.getrandbits(9)
+            consumed += 1
+            if draw < 257:
+                accepted.append(draw)
+        assert accepted == entries
+        rejected += consumed - len(entries)
+    assert rejected > 0
+    expected = counts.sum() / 257
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2 < 256 + 4 * math.sqrt(2 * 256), chi2  # 256 degrees of freedom
 
 
 @pytest.mark.parametrize("scheme", ["rook-poly", "rook-base3", "rook-behrend", "lcc", "csa"])
@@ -207,11 +291,11 @@ def test_decode_succeeds_at_the_first_arrival_of_full_rank(p):
     assert outcomes["first"] and outcomes["later"], outcomes
 
 
-@pytest.mark.parametrize("seed, used", [(0, 10), (1, 11), (2, 11), (3, 10)])
+@pytest.mark.parametrize("seed, used", [(0, 11), (1, 10), (2, 10), (3, 10), (4, 14)])
 def test_each_decode_call_is_charged_a_solve_of_every_response_so_far(seed, used, monkeypatch):
     # The retrying subjects of the golden retry reports: rook-behrend n = 4
     # over GF(29) on all 28 nonzero points, whose support is not an
-    # interval.  Seeds 1 and 2 fail a decode before one succeeds.  Each
+    # interval.  Seeds 0 and 4 fail a decode before one succeeds.  Each
     # call is charged what power_rows and solve_linear charge for every
     # product received so far, from scratch, the report's decode charge is
     # the sum over the calls, and responses_used is the golden's.
@@ -229,6 +313,7 @@ def test_each_decode_call_is_charged_a_solve_of_every_response_so_far(seed, used
     fault = FaultModel(fail_prob=0.0, straggle_mean=2.0)
     rep = run_simulation(cfg(scheme="rook-behrend", n=4, m=28, seed=seed, fault=fault, modulus=29))
     assert rep.success and rep.verified and rep.responses_used == used
+    assert rep.threshold == 10
     assert [len(products) for products, *_ in calls] == list(range(rep.threshold, used + 1))
     for products, scheme, muls, invs in calls:
         support = scheme.support
@@ -429,6 +514,40 @@ def test_config_validation():
         run_simulation(cfg(fault=FaultModel(fail_prob=1.5)))
     with pytest.raises(ConfigInvalid):
         run_simulation(cfg(encode_at="nowhere"))
+
+
+_NON_INTEGERS = {
+    "dims": lambda: run_simulation(cfg(dims=(2.0, 2, 2))),
+    "m": lambda: run_simulation(cfg(m=5.0)),
+    "m-bool": lambda: run_simulation(cfg(m=True)),
+    "seed": lambda: run_simulation(cfg(seed=1.5)),
+    "modulus": lambda: run_simulation(cfg(modulus=257.0)),
+    "trials": lambda: sweep(["lcc"], [2], trials=1.5),
+    "extra_workers": lambda: sweep(["lcc"], [2], extra_workers=1.5),
+    "n_values": lambda: sweep(["lcc"], [2.0]),
+    "sweep-seed": lambda: sweep(["lcc"], [2], seed=2.5),
+    "sweep-lam": lambda: sweep(["replication"], [2], lam=2.0),
+    "descriptor-n": lambda: SchemeDescriptor(scheme="lcc", n=2.0),
+    "descriptor-n-bool": lambda: SchemeDescriptor(scheme="lcc", n=True),
+}
+
+
+@pytest.mark.parametrize("case", _NON_INTEGERS)
+def test_non_integer_counts_and_seeds_are_rejected(case):
+    # A count or seed is what operator.index takes, bool aside: 2.0 is not
+    # read as 2, nor 1.5 as seed 1.  The descriptor raises ValueError, which
+    # the simulator's callers turn into ConfigInvalid.
+    error = ValueError if case.startswith("descriptor") else ConfigInvalid
+    with pytest.raises(error, match="must be an integer"):
+        _NON_INTEGERS[case]()
+
+
+def test_numpy_integer_counts_and_seeds_are_accepted():
+    desc = SchemeDescriptor(scheme="rook-base3", n=np.int64(2))
+    c = SimConfig(descriptor=desc, m=np.int32(5), dims=tuple(np.int64(d) for d in (2, 3, 2)), seed=np.uint16(7))
+    rep = run_simulation(c)
+    assert rep.to_json() == run_simulation(cfg(m=5, dims=(2, 3, 2), seed=7)).to_json()
+    assert sweep(["lcc"], [np.int64(2)], trials=np.int8(1), seed=np.int64(3)) == sweep(["lcc"], [2], seed=3)
 
 
 @pytest.mark.parametrize(
