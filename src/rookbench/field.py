@@ -7,7 +7,10 @@ read-only uint64 array, which the kernels below take and return as it is;
 an entry of p or more acts as its residue.  Powers and inverses use
 builtin pow for single values, and each caller charges its inversions by
 formula; power_table computes x^e for many x and e at once, the
-encoders' generator matrices and the decoders' power rows.
+encoders' generator matrices and the decoders' power rows, and
+interpolation_weights inverts its L values with one pow (Montgomery's
+trick).  is_prime_u64 caches its answers, so a process tests each modulus
+once.
 Every block product (a worker's, the oracle's) is one mat_mul call.  Linear
 combinations of the same blocks (all the shares of an op, a decoder's
 evaluations at the anchors) are one mat_lincombs call, the len(rows) x
@@ -32,9 +35,10 @@ block of [V | rhs] in place, the block held as one contiguous array in one
 of the buffers allocated once per solve.  A Vandermonde system, whose
 columns are the powers 0..L-1 of L distinct points, needs no
 elimination: interpolation_weights gives the Lagrange weights of the
-coefficients a decoder wants in O(L^2) products and L inversions, and one
-mat_lincombs call applies them to the values.  Interval rook supports,
-LCC and CSA decode that way.  The weights' master polynomial
+coefficients a decoder wants in O(L^2) products and one batch inversion
+of L values, charged as L inversions, and one mat_lincombs call applies
+them to the values.  Interval rook supports, LCC and CSA decode that
+way.  The weights' master polynomial
 prod_w (z - x_w) comes from a product tree, _master, whose leaves
 multiply in up to _LEAF factors one at a time and whose merges are one
 Python int product each, of the two halves' coefficients packed into
@@ -47,10 +51,10 @@ prime.
 
 Operation counts are derived by formula from the algorithm they describe
 (square-and-multiply for powers, elimination that skips zero multipliers
-for solves, schoolbook products and a master polynomial built one factor
-at a time for interpolation weights), not tallied per step, so a faster
-kernel for the same values leaves them as they are.  They are
-accumulated into explicit
+for solves, schoolbook products, a master polynomial built one factor
+at a time and one inversion per point for interpolation weights), not
+tallied per step, so a faster kernel for the same values leaves them as
+they are.  They are accumulated into explicit
 OpCounter objects passed to the counted operations (one counter per
 logical task), so there is no global mutable state and concurrent tasks
 cannot interfere.
@@ -58,7 +62,7 @@ cannot interfere.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 from operator import mul
 
@@ -83,8 +87,13 @@ class SingularMatrix(FieldError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def is_prime_u64(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
+    """Deterministic Miller-Rabin primality test, exact for n < 2^64.
+
+    Cached, so a process tests each modulus once however many PrimeFields
+    (one per simulated op) it builds over it.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -668,7 +677,10 @@ def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | No
     M'(x_w); each column is then scaled by the inverse of its M'(x_w), which
     is nonzero because the points are distinct.  Points equal mod p raise
     SingularMatrix, before any work or charge.  M's coefficients come from
-    _master's product tree.
+    _master's product tree, and the L inverses from Montgomery's trick in
+    Python ints: the prefix products of the M'(x_w), one pow for the
+    inverse of their product, and a backward pass, 3(L - 1) products in
+    all.
 
     Charged, with R = len(wanted), L(L - 1)/2 muls for M (w products to
     multiply a degree-w M by z - x), L - 1 for M''s coefficients k m_k
@@ -678,7 +690,10 @@ def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | No
     not the kernels that compute the same values: M as one factor at a
     time, though _master merges packed products; the power rows as running
     products, though power_table uses windows; the product as schoolbook,
-    though _product may multiply limb planes.
+    though _product may multiply limb planes; the inverses as L, though
+    the batch makes one.  Whether the batch form should itself be charged
+    (1 inversion plus 3(L - 1) muls) is a counting decision this kernel
+    does not make.
     """
     p = field.modulus
     xs = [x % p for x in xs]
@@ -693,8 +708,19 @@ def interpolation_weights(field: PrimeField, xs, wanted, counter: OpCounter | No
     rows[-1] = [k * m % p for k, m in enumerate(master[1:], 1)]
     powers = power_table(p, range(L), xs).astype(np.uint64, copy=False)
     quot = _product(p, rows, powers.T)
+    # Montgomery's trick: prefix products of the M'(x_w), one inversion of
+    # their product, then a backward pass that peels off one factor at a time.
+    derivs = quot[-1].tolist()
+    prefix = [1]
+    for d in derivs:
+        prefix.append(prefix[-1] * d % p)
+    inv = pow(prefix[-1], -1, p)
+    invs = [0] * L
+    for w in range(L - 1, -1, -1):
+        invs[w] = inv * prefix[w] % p
+        inv = inv * derivs[w] % p
     muladd, _, dtype = _modular(p)
-    invs = np.array([pow(int(d), -1, p) for d in quot[-1]], dtype=dtype)
+    invs = np.array(invs, dtype=dtype)
     weights = muladd(0, quot[:-1].astype(dtype, copy=False), invs).astype(np.uint64, copy=False)
     if counter is not None:
         counter.mul_count += L * (L - 1) // 2 + (L - 1) + L * (L - 1)

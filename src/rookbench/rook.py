@@ -187,7 +187,9 @@ def rook_encode_share(scheme: RookScheme, inputs, workers, counter: OpCounter | 
     """Encode (A~(x_w), B~(x_w)) for each worker w in `workers`, in order.
 
     The generator rows [x_w^{p_0}, x_w^{p_1}, ...] (and likewise for Q)
-    come from one power_table per side; generator_shares makes the shares.
+    come from one power_table per side, or one for both when Q equals P
+    (base3 and behrend pairs), compared by value since normalized pairs are
+    new tuples; generator_shares makes the shares.
     Each share is charged exactly delta(P, Q) (the gap powers) plus
     (rows(A) + cols(B)) * inner * n for the scalar-matrix products; no
     inversions ever occur on this path.  mat_lincombs rejects a wrong
@@ -197,7 +199,8 @@ def rook_encode_share(scheme: RookScheme, inputs, workers, counter: OpCounter | 
     pair = scheme.pair
     p = scheme.field.modulus
     xs = [scheme.eval_points[w] for w in workers]
-    rows_a, rows_b = power_table(p, pair.p, xs), power_table(p, pair.q, xs)
+    rows_a = power_table(p, pair.p, xs)
+    rows_b = rows_a if pair.q == pair.p else power_table(p, pair.q, xs)
     shares = generator_shares(scheme.field, workers, xs, rows_a, rows_b, inputs, counter)
     if counter is not None:
         counter.mul_count += scheme.delta * len(xs)

@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import operator
 import random
 from dataclasses import asdict, dataclass, field as dc_field
@@ -39,6 +40,10 @@ class FaultModel:
     base_delay: float = 1.0  # sim-units per unit of multiply work
 
     def validate(self):
+        for name in ("fail_prob", "straggle_mean", "base_delay"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigInvalid(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ConfigInvalid(f"fail_prob {self.fail_prob} outside [0, 1]")
         if not all(math.isfinite(d) and d >= 0 for d in (self.straggle_mean, self.base_delay)):
@@ -97,13 +102,15 @@ def _integer(name: str, value) -> int:
 def _validate(dims, encode_at: str, fault: FaultModel, modulus: int) -> tuple[tuple, PrimeField]:
     """Check a run's settings other than its scheme, m and seed; return its
     dims as ints and its field."""
-    if len(dims) != 3:
+    if not hasattr(dims, "__len__") or len(dims) != 3:
         raise ConfigInvalid("dims must be three positive integers")
     dims = tuple(_integer("dims", d) for d in dims)
     if any(d < 1 for d in dims):
         raise ConfigInvalid("dims must be three positive integers")
     if encode_at not in ("master", "workers"):
         raise ConfigInvalid(f"encode_at must be master or workers, got {encode_at!r}")
+    if not isinstance(fault, FaultModel):
+        raise ConfigInvalid(f"fault must be a FaultModel, got {fault!r}")
     fault.validate()
     try:
         return dims, PrimeField(_integer("modulus", modulus))
@@ -243,7 +250,7 @@ def sweep(
     seed = _integer("seed", seed)
     if trials < 0:
         raise ConfigInvalid("trials must be >= 0")
-    fault = fault or FaultModel()
+    fault = FaultModel() if fault is None else fault
     _validate(dims, encode_at, fault, modulus)
     out_rows = []
     for scheme_name in schemes:

@@ -21,6 +21,7 @@ from rookbench.baselines import (
     ReplicationScheme,
     SchemeDescriptor,
     _lagrange_basis,
+    bind_scheme,
     csa_encode,
     lcc_encode,
     make_csa_scheme,
@@ -28,7 +29,7 @@ from rookbench.baselines import (
     scheme_threshold,
 )
 from rookbench.exponents import base3_exponents, behrend_exponents, poly_code_exponents
-from rookbench.field import M61, OpCounter, PrimeField, mat_lincombs, mat_random
+from rookbench.field import M61, OpCounter, PrimeField, mat_lincombs, mat_random, power_table
 from rookbench.rook import WorkerShare, make_rook_scheme, rook_encode_share
 from rookbench.sim import FaultModel, SimConfig, run_simulation
 
@@ -120,6 +121,33 @@ def test_rook_batched_encode_matches_per_share(maker, dims, modulus):
         assert ctr.mul_count == len(workers) * (scheme.delta + (rows + cols) * inner * pair.n)
         assert ctr.inv_count == 0
         assert scheme.encode(inputs, workers) == rook_encode_share(scheme, inputs, workers)
+
+
+@pytest.mark.parametrize("scheme_name, tables", [("rook-base3", 1), ("rook-behrend", 1), ("rook-poly", 2)])
+def test_rook_encode_builds_one_power_table_when_q_equals_p(scheme_name, tables, monkeypatch):
+    # A bound pair is normalized into new tuples, so base3's and behrend's
+    # Q equals P by value only; their shares are those of two tables.
+    field = PrimeField(M61)
+    r = rng(61)
+    scheme = bind_scheme(SchemeDescriptor(scheme=scheme_name, n=4), field, 24, r)
+    pair = scheme.pair
+    assert pair.q is not pair.p and (pair.q == pair.p) == (tables == 1)
+    inputs = random_inputs(field, pair.n, (2, 3, 2), r)
+    calls = []
+    original = rook.power_table
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rook, "power_table", counted)
+    for workers in worker_lists(24, r):
+        xs = [scheme.eval_points[w] for w in workers]
+        rows_a, rows_b = power_table(M61, pair.p, xs), power_table(M61, pair.q, xs)
+        want = rook.generator_shares(field, workers, xs, rows_a, rows_b, inputs)
+        calls.clear()
+        assert rook_encode_share(scheme, inputs, workers) == want
+        assert len(calls) == tables
 
 
 @pytest.mark.parametrize("modulus", MODULI)

@@ -74,6 +74,18 @@ def test_primality_checker():
     assert not is_prime_u64(1)
     assert not is_prime_u64((1 << 61) + 1)
     assert not is_prime_u64(561)  # Carmichael
+    # Strong pseudoprimes: 3215031751 to bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every base 2..31, so only base 37, the last
+    # of the full 12-base set, catches it.
+    assert not is_prime_u64(3215031751)
+    assert not is_prime_u64(3825123056546413051)
+
+
+def test_each_modulus_is_tested_for_primality_once():
+    is_prime_u64.cache_clear()
+    assert PrimeField(M61) == PrimeField(M61)
+    info = is_prime_u64.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_field_construction_rejects_bad_moduli():
@@ -1175,12 +1187,15 @@ INTERVAL_DIAGONALS = {
 
 
 @pytest.mark.parametrize("L", sorted(INTERVAL_DIAGONALS))
-@pytest.mark.parametrize("p", [M61, 257, 1099511627689], ids=["m61", "p257", "p40bit"])
+@pytest.mark.parametrize(
+    "p", [M61, 257, 1099511627689, 18446744073709551557], ids=["m61", "p257", "p40bit", "p64bit"]
+)
 def test_interpolation_weights_match_the_vandermonde_solve(p, L):
     # The weights times the values are solve_linear's solution at `wanted`
     # of the Vandermonde system over the same points, for the diagonal and
     # for every coefficient, and the charge is the docstring's formula.  A
-    # 40-bit prime runs the object-array arithmetic; 0 is one of the points.
+    # 40-bit prime and 2^64 - 59 run the object-array arithmetic; 0 is one
+    # of the points.
     field = PrimeField(p)
     r = rng(p % 1000 + L)
     xs = [0, *field.distinct_nonzero(r, L - 1)]

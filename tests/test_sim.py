@@ -595,6 +595,36 @@ def test_sweep_checks_its_settings_before_the_first_trial(kwargs, message):
             sweep(schemes=schemes, n_values=[2], trials=trials, **kwargs)
 
 
+_MALFORMED_SETTINGS = {
+    "dims-int": ({"dims": 5}, "dims must be three positive integers"),
+    "fail_prob-str": ({"fault": FaultModel(fail_prob="0.1")}, "fail_prob must be a real number"),
+    "straggle_mean-str": ({"fault": FaultModel(straggle_mean="1")}, "straggle_mean must be a real number"),
+    "base_delay-none": ({"fault": FaultModel(base_delay=None)}, "base_delay must be a real number"),
+    "fault-float": ({"fault": 0.1}, "fault must be a FaultModel"),
+    "fault-zero": ({"fault": 0}, "fault must be a FaultModel"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, kwargs, message",
+    [
+        pytest.param(entry, kwargs, message, id=f"{entry}-{case}")
+        for entry in ("run_simulation", "sweep")
+        for case, (kwargs, message) in _MALFORMED_SETTINGS.items()
+    ]
+    # sweep reads fault=None as the default model; run_simulation has none.
+    + [pytest.param("run_simulation", {"fault": None}, "fault must be a FaultModel", id="run_simulation-fault-none")],
+)
+def test_malformed_settings_are_config_invalid(entry, kwargs, message):
+    # Settings of the wrong type raise ConfigInvalid, not a stray TypeError
+    # or AttributeError, from the one check both entry points share.
+    with pytest.raises(ConfigInvalid, match=message):
+        if entry == "sweep":
+            sweep(schemes=["lcc"], n_values=[2], **kwargs)
+        else:
+            run_simulation(cfg(**kwargs))
+
+
 def test_report_json_shape():
     rep = run_simulation(cfg(seed=21))
     d = json.loads(rep.to_json())
